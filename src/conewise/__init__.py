@@ -29,7 +29,6 @@ from .seeding import derive_seed, rng_from_seed, splitmix64
 from .spectra import SpectralModel, inverse_cdf
 from .spectral import (
     THETA_TABLE,
-    MomentFunction,
     correlator,
     correlator_asymptotic,
     effective_dimension,

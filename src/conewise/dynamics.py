@@ -25,14 +25,14 @@ from functools import partial
 import numpy as np
 from scipy.linalg import eigh
 
-from .ensembles import EnsembleSpec, sample_elliptic
+from .ensembles import EnsembleSpec
 from .errors import (
     CollapseUndefinedError,
     DegenerateDynamicsError,
     FitError,
     InvalidSpecError,
 )
-from .estimators import TRUNCATED_FIT_MIN_POINTS, FitResult, fit_truncated_powerlaw
+from .estimators import TRUNCATED_FIT_MIN_POINTS, fit_truncated_powerlaw
 from .parallel import map_index_chunks
 from .records import LyapunovSamples, PersistenceCurve, log_tau_grid
 from .seeding import derive_seed, rng_from_seed
@@ -47,7 +47,6 @@ __all__ = [
     "goe_family",
     "lyapunov_runs",
     "LyapunovRunSet",
-    "ensemble_lyapunov",
     "TopEigenvalueCheck",
     "top_eigenvalue_check",
     "trapped_run_edge_pairs",
@@ -243,8 +242,9 @@ def estimate_persistence_matrix(
 
     Only the starting cone's matrix acts before the first change, so the
     other one is never materialized; seeds are assigned to both slots so the
-    statistics are those of independent pair draws.  Results do not depend
-    on ``threads`` (per-realization seeds are index-derived).
+    statistics are those of independent pair draws.  ``threads`` is the
+    number of worker processes (see :func:`~conewise.parallel.map_index_chunks`);
+    results do not depend on it (per-realization seeds are index-derived).
     """
     if ensemble_a.dimension != ensemble_b.dimension:
         raise InvalidSpecError("ensembles must share the dimension")
@@ -305,7 +305,8 @@ def scaling_collapse(
     quantify the collapse as the max cross-N spread of the rescaled curves.
 
     ``T`` is the horizon at the largest N; smaller sizes run to the same
-    maximal rescaled time u = T * max(N)^{-2/3}.
+    maximal rescaled time u = T * max(N)^{-2/3}.  ``threads`` is the number
+    of worker processes per size.
     """
     n_list = sorted(int(n) for n in n_list)
     if len(n_list) < 3:
@@ -544,7 +545,8 @@ def lyapunov_runs(
     The two cone matrices are independent draws (seed slots 1 and 2) even
     when ``ensemble_a`` and ``ensemble_b`` are the same recipe, so this is
     never a single-matrix limit.  Only trapped runs have a rate near
-    ln ``nu_max_final``; see :class:`LyapunovRunSet`.
+    ln ``nu_max_final``; see :class:`LyapunovRunSet`.  ``threads`` is the
+    number of worker processes; results do not depend on it.
     """
     if ensemble_a.dimension != ensemble_b.dimension:
         raise InvalidSpecError("ensembles must share the dimension")
@@ -589,17 +591,6 @@ def lyapunov_runs(
         last_change=last_change,
         n_switches=n_switches,
     )
-
-
-def ensemble_lyapunov(
-    ensemble_a: EnsembleSpec,
-    ensemble_b: EnsembleSpec,
-    n_realizations: int,
-    T: int = 10_000,
-    seed: int = 0,
-) -> LyapunovSamples:
-    """Growth-rate samples normalized by the two spectral-edge rates."""
-    return lyapunov_runs(ensemble_a, ensemble_b, n_realizations, T, seed).samples
 
 
 # -- top eigenvalue fluctuation checks ---------------------------------------
@@ -678,18 +669,6 @@ def trapped_run_edge_pairs(
 # -- elliptic interpolation ---------------------------------------------------
 
 
-def _elliptic_chunk(N, rho, radius, T, base, start, stop):
-    times = np.empty(stop - start, dtype=np.int64)
-    for i, r in enumerate(range(start, stop)):
-        rng = rng_from_seed(derive_seed(base, r, 0))
-        v0 = rng.standard_normal(N)
-        s0 = _sign_with_coin(v0[0], rng)
-        slot = 1 if s0 > 0 else 2
-        m = sample_elliptic(N, rho, radius, derive_seed(base, r, slot))
-        times[i] = _first_sign_change(m, v0, T, rng)
-    return times
-
-
 def _default_fit_window(tau: np.ndarray, q: np.ndarray, n_realizations: int):
     """Default fit window of :func:`elliptic_persistence` (rule stated there)."""
     if tau.size == 0:
@@ -722,9 +701,11 @@ def elliptic_persistence(
 ) -> list[dict]:
     """Per-rho survival curves with truncated power-law fits.
 
-    Both cone matrices are drawn from the same entry-correlation ensemble;
-    as with the symmetric estimator only the starting cone's matrix is
-    realized.
+    Each curve is :func:`estimate_persistence_matrix` with both cones drawn
+    from ``EnsembleSpec.elliptic(N, rho, radius)`` and seed
+    ``derive_seed(seed, i)`` for the i-th rho, run on ``threads`` worker
+    processes; the curve's ``meta`` records ``rho`` and the caller's
+    ``seed``.
 
     Without ``window`` the fit runs over [1, tau_hi] ([10, tau_hi] when
     tau_hi >= 60), tau_hi being the last grid point with at least 25
@@ -742,18 +723,11 @@ def elliptic_persistence(
     """
     out = []
     for i, rho in enumerate(rho_list):
-        if not 0.0 <= rho <= 1.0:
-            raise InvalidSpecError(f"entry correlation must lie in [0, 1], got {rho}")
-        base = derive_seed(seed, i)
-        times = map_index_chunks(
-            partial(_elliptic_chunk, N, rho, radius, T, base), n_realizations, threads
+        ens = EnsembleSpec.elliptic(N, rho, radius)
+        curve = estimate_persistence_matrix(
+            ens, ens, n_realizations, T, derive_seed(seed, i), grid, threads
         )
-        curve = PersistenceCurve.from_first_change_times(
-            times,
-            horizon=T,
-            grid=grid,
-            meta={"source": "matrix", "rho": rho, "N": N, "T": T, "seed": seed},
-        )
+        curve.meta.update(rho=rho, seed=seed)
         tau, q, err = curve.positive_part()
         win = _default_fit_window(tau, q, n_realizations) if window is None else window
         fit = fit_truncated_powerlaw((tau, q), window=win, stderr=err)

@@ -18,10 +18,9 @@ All samplers are pure functions of (parameters, seed).
 
 from __future__ import annotations
 
-import io
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +36,6 @@ __all__ = [
     "sample_elliptic",
     "write_matrix",
     "read_matrix",
-    "write_matrix_csv",
 ]
 
 _MAGIC = b"CWLM"
@@ -226,9 +224,3 @@ def read_matrix(fh) -> np.ndarray:
     if data.size != n * n:
         raise InvalidSpecError("truncated CWLM matrix dump")
     return data.reshape(n, n).astype(np.float64)
-
-
-def write_matrix_csv(m: np.ndarray, fh: io.TextIOBase) -> None:
-    for row in m:
-        fh.write(",".join(repr(float(x)) for x in row))
-        fh.write("\n")

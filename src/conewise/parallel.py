@@ -7,21 +7,19 @@ reassembled in index order.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
-
-
-def default_threads() -> int:
-    return os.cpu_count() or 1
 
 
 def map_index_chunks(fn, n_items: int, threads: int, chunk: int = 128):
     """Run ``fn(start, stop)`` over [0, n_items) and concatenate the results.
 
     ``fn`` returns one array or a tuple of arrays for its index range; the
-    pieces are joined along axis 0 in index order.
+    pieces are joined along axis 0 in index order.  ``threads`` is the number
+    of worker processes (not threads: ``fn`` runs in a process pool and must
+    be picklable); with 1, or with ``n_items <= chunk``, everything runs in
+    the calling process.
     """
     if n_items <= 0:
         raise ValueError("nothing to map over")

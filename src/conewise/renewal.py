@@ -22,9 +22,9 @@ from scipy.special import zeta
 
 from .errors import DegenerateProcessError, InvalidSpecError
 from .records import LyapunovSamples, PersistenceCurve, log_tau_grid
-from .seeding import derive_seed, rng_from_seed
+from .seeding import rng_from_seed
 from .spectra import SpectralModel
-from .spectral import g_array, log_moment_asymptotic
+from .spectral import g_array, log_moment_asymptotic, moments_closed_form
 
 __all__ = [
     "LampertiParams",
@@ -312,10 +312,7 @@ class _GEval:
         out[small] = self.table[taus[small] - 1]
         big = ~small
         if np.any(big):
-            fast = self.spec.family in ("beta", "atomic") or (
-                self.spec.family == "semicircle" and self.spec.symmetric_about_zero
-            )
-            if fast:
+            if moments_closed_form(self.spec):
                 out[big] = g_array(self.spec, taus[big])
             else:
                 # rare huge intervals on quadrature-backed spectra: the edge
@@ -437,7 +434,10 @@ def self_averaging_value(
     m_i = E[g_i(tau)] and m_tau = E[tau] over the discrete power law; the
     linear part of g is summed exactly through Hurwitz zeta values and the
     logarithmic remainder numerically with an integral tail estimate
-    (relative accuracy ~1e-8).
+    (relative accuracy ~1e-8).  The sum runs over 2**20 orders of g, so both
+    models must have closed-form moments (see
+    :func:`~conewise.spectral.moments_closed_form`); quadrature-backed
+    models raise :class:`InvalidSpecError`.
     """
     if mu <= 1.0:
         raise DegenerateProcessError(
@@ -445,6 +445,12 @@ def self_averaging_value(
         )
     if tau_min < 1:
         raise InvalidSpecError("tau_min must be >= 1")
+    for spec in (spec_a, spec_b):
+        if not moments_closed_form(spec):
+            raise InvalidSpecError(
+                f"{spec.describe()} has no closed-form moments; the self-averaging sum "
+                "would need about 1e6 quadrature moments"
+            )
     # E[tau] = (tau_min - 1) + tau_min^mu * Hurwitz_zeta(mu, tau_min)
     m_tau = (tau_min - 1.0) + tau_min**mu * float(zeta(mu, tau_min))
 

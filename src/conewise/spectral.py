@@ -1,17 +1,26 @@
 """Moments and correlators of spectral densities.
 
-Everything here is driven by the t-th moment ``f(t)`` of a
-:class:`~conewise.spectra.SpectralModel`.  Moments are held in log space
-with an explicit sign so that spectra with upper edge above 1 never
+Everything here is driven by the t-th moment ``f(t) = integral rho(nu) nu**t``
+of a :class:`~conewise.spectra.SpectralModel`.  Moments are held in log
+space with an explicit sign so that spectra with upper edge above 1 never
 overflow and sign-symmetric spectra keep exactly vanishing odd moments.
 
-Two routes compute ``f(t)``:
+One engine, :func:`log_moments`, decides how each order is computed:
 
-* closed forms for the Beta and centered-semicircle families (gamma ratios
-  and Catalan numbers, exact to round-off), and
-* a generic adaptive quadrature with the exponential edge substitution
-  ``nu = nu_plus * exp(-s/t)``, used for shifted semicircles and tabulated
-  densities (and available for cross-checks on every family).
+* closed forms for atomic models, the Beta family and the centred
+  semicircle (powers, log-beta ratios and Catalan numbers, vectorized and
+  exact to round-off);
+* exact zeros for the odd orders of every other sign-symmetric model;
+* adaptive quadrature (:func:`log_abs_moment_quadrature`) for every other
+  order, i.e. shifted semicircles and tabulated densities, computed once per
+  (model, order) and kept in one per-model cache.
+
+:func:`moments_closed_form` says whether a model needs the quadrature at
+all.  The other moment functions (:func:`log_moment_array`,
+:func:`log_abs_moment`, :func:`moment_f`, :func:`correlator`,
+:func:`g_function`, :func:`g_array`) are views of :func:`log_moments`;
+:func:`log_abs_moment_quadrature` stays callable on every family as the
+cross-check route.
 """
 
 from __future__ import annotations
@@ -28,7 +37,9 @@ from .errors import DegenerateProcessError, InvalidSpecError, NumericalError
 from .spectra import SpectralModel
 
 __all__ = [
-    "MomentFunction",
+    "log_moments",
+    "moments_closed_form",
+    "log_moment_array",
     "moment_f",
     "log_abs_moment",
     "log_abs_moment_quadrature",
@@ -67,11 +78,16 @@ def _check_quad(val: float, err: float, what: str) -> float:
     return val
 
 
-def _log_piece_moment(dens, w_lo: float, w_hi: float, t: int, what: str) -> float:
-    """log of integral of dens(w) * w**t over [w_lo, w_hi], 0 <= w_lo < w_hi."""
+def _log_piece_moment(dens, w_lo: float, w_hi: float, t: int, what: str, kinks) -> float:
+    """log of integral of dens(w) * w**t over [w_lo, w_hi], 0 <= w_lo < w_hi.
+
+    ``kinks`` are the points where ``dens`` is not smooth; those inside the
+    range become quadrature breakpoints.
+    """
     if w_hi <= 0.0:
         return _LOG_ZERO
     w_lo = max(w_lo, 0.0)
+    kinks = [w for w in kinks if w_lo < w < w_hi]
     def safe(f):
         # integrable edge divergences can evaluate to inf/nan at points that
         # round onto the support boundary; those points carry no mass
@@ -85,18 +101,25 @@ def _log_piece_moment(dens, w_lo: float, w_hi: float, t: int, what: str) -> floa
         # the returned abserr is checked below, which is the honest gate
         warnings.simplefilter("ignore", IntegrationWarning)
         if t == 0:
-            val, err = quad(safe(dens), w_lo, w_hi, epsabs=1e-14, epsrel=1e-12, limit=300)
+            val, err = quad(
+                safe(dens), w_lo, w_hi, epsabs=1e-14, epsrel=1e-12,
+                limit=300 + len(kinks), points=kinks or None,
+            )
             return math.log(_check_quad(val, err, what))
         # w = w_hi * exp(-s/t) concentrates the large-t mass near s = 0 and
         # flattens the w**t factor into exp(-s).
         s_max = math.inf if w_lo == 0.0 else t * math.log(w_hi / w_lo)
         s_max = min(s_max, 745.0)
         c = (t + 1.0) / t
+        points = [s for s in (t * math.log(w_hi / w) for w in kinks) if 0.0 < s < s_max]
 
         def integrand(s: float) -> float:
             return dens(w_hi * math.exp(-s / t)) * math.exp(-s * c)
 
-        val, err = quad(safe(integrand), 0.0, s_max, epsabs=0.0, epsrel=1e-11, limit=400)
+        val, err = quad(
+            safe(integrand), 0.0, s_max, epsabs=0.0, epsrel=1e-11,
+            limit=400 + len(points), points=points or None,
+        )
     _check_quad(val, err, what)
     return (t + 1.0) * math.log(w_hi) - math.log(t) + math.log(val)
 
@@ -123,112 +146,90 @@ def log_abs_moment_quadrature(spec: SpectralModel, t: int) -> tuple[float, int]:
         raise InvalidSpecError("atomic spectra have no density to integrate")
     what = f"moment t={t} of {spec.describe()}"
     dens = lambda w: float(spec.density(w))
+    nodes = spec._tab[0] if spec._tab is not None else ()  # kinks of a tabulated density
     log_pos = _LOG_ZERO
     if spec.nu_plus > 0:
-        log_pos = _log_piece_moment(dens, max(spec.nu_minus, 0.0), spec.nu_plus, t, what)
+        log_pos = _log_piece_moment(dens, max(spec.nu_minus, 0.0), spec.nu_plus, t, what, nodes)
     log_neg = _LOG_ZERO
     if spec.nu_minus < 0:
         dens_neg = lambda w: float(spec.density(-w))
-        log_neg = _log_piece_moment(dens_neg, max(-spec.nu_plus, 0.0), -spec.nu_minus, t, what)
+        log_neg = _log_piece_moment(
+            dens_neg, max(-spec.nu_plus, 0.0), -spec.nu_minus, t, what, [-w for w in nodes]
+        )
     sign_neg = 1 if t % 2 == 0 else -1
     return _signed_log_sum(log_pos, 1, log_neg, sign_neg)
 
 
-def _log_catalan(k: int) -> float:
-    return gammaln(2 * k + 1) - 2.0 * gammaln(k + 1) - math.log(k + 1)
-
-
-class MomentFunction:
-    """Cached access to the moments of one spectral model.
-
-    The cache maps t to ``(log|f(t)|, sign)``.  Reads and writes are plain
-    dict operations, safe under concurrent use from Python threads.
-    """
-
-    def __init__(self, spec: SpectralModel):
-        self.spec = spec
-        self._cache: dict[int, tuple[float, int]] = {}
-
-    def log_f(self, t: int) -> tuple[float, int]:
-        t = int(t)
-        if t < 0:
-            raise InvalidSpecError(f"moment order must be >= 0, got {t}")
-        hit = self._cache.get(t)
-        if hit is None:
-            hit = self._compute(t)
-            self._cache[t] = hit
-        return hit
-
-    def f(self, t: int) -> float:
-        logf, sign = self.log_f(t)
-        if sign == 0:
-            return 0.0
-        return sign * math.exp(logf)
-
-    def _compute(self, t: int) -> tuple[float, int]:
-        spec = self.spec
-        if spec.family == "atomic":
-            nu = spec.params[0]
-            if t == 0:
-                return 0.0, 1
-            if nu == 0.0:
-                return _LOG_ZERO, 0
-            return t * math.log(abs(nu)), 1 if (nu > 0 or t % 2 == 0) else -1
-        if spec.family == "beta":
-            a = spec.params[0] / 2.0
-            return betaln(a + t, a) - betaln(a, a), 1
-        if spec.family == "semicircle" and spec.symmetric_about_zero:
-            if t % 2 == 1:
-                return _LOG_ZERO, 0
-            k = t // 2
-            radius = spec.params[1]
-            return _log_catalan(k) + t * math.log(radius / 2.0), 1
-        if spec.symmetric_about_zero and t % 2 == 1:
-            return _LOG_ZERO, 0
-        return log_abs_moment_quadrature(spec, t)
+def moments_closed_form(spec: SpectralModel) -> bool:
+    """True when :func:`log_moments` needs no quadrature for ``spec``."""
+    return spec.family in ("atomic", "beta") or (
+        spec.family == "semicircle" and spec.symmetric_about_zero
+    )
 
 
 @functools.lru_cache(maxsize=128)
-def _moment_table(spec: SpectralModel) -> MomentFunction:
-    return MomentFunction(spec)
+def _quadrature_orders(spec: SpectralModel) -> dict[int, tuple[float, int]]:
+    """The one moment cache: order -> (log|f|, sign) for quadrature orders.
+
+    Plain dict reads and writes; two threads filling one order at once both
+    compute the same value.
+    """
+    return {}
 
 
-def log_moment_array(spec: SpectralModel, kmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """(log|f(k)|, sign) for k = 0..kmax, vectorized where closed forms exist."""
-    ks = np.arange(kmax + 1)
+def log_moments(spec: SpectralModel, ks) -> tuple[np.ndarray, np.ndarray]:
+    """(log|f(k)|, sign) over an integer array of orders k >= 0.
+
+    The sign is +1, -1, or 0 for an exactly vanishing moment (log -inf).
+    """
+    ks = np.asarray(ks, dtype=np.int64)
+    if np.any(ks < 0):
+        raise InvalidSpecError(f"moment order must be >= 0, got {int(ks.min())}")
     if spec.family == "beta":
         a = spec.params[0] / 2.0
-        return betaln(a + ks, a) - betaln(a, a), np.ones(kmax + 1, dtype=np.int8)
-    if spec.family == "semicircle" and spec.symmetric_about_zero:
-        radius = spec.params[1]
-        logs = np.full(kmax + 1, _LOG_ZERO)
-        signs = np.zeros(kmax + 1, dtype=np.int8)
-        even = ks[ks % 2 == 0]
-        half = even // 2
-        logs[even] = (
-            gammaln(even + 1.0)
-            - 2.0 * gammaln(half + 1.0)
-            - np.log(half + 1.0)
-            + even * math.log(radius / 2.0)
-        )
-        signs[even] = 1
-        return logs, signs
-    table = _moment_table(spec)
-    logs = np.empty(kmax + 1)
-    signs = np.empty(kmax + 1, dtype=np.int8)
-    for k in range(kmax + 1):
-        logs[k], signs[k] = table.log_f(k)
+        return betaln(a + ks, a) - betaln(a, a), np.ones(ks.shape, dtype=np.int8)
+    if spec.family == "atomic":
+        nu = spec.params[0]
+        if nu == 0.0:
+            return np.where(ks == 0, 0.0, _LOG_ZERO), (ks == 0).astype(np.int8)
+        signs = np.where((nu < 0.0) & (ks % 2 == 1), -1, 1).astype(np.int8)
+        return np.where(ks == 0, 0.0, ks * math.log(abs(nu))), signs
+    odd_vanish = spec.symmetric_about_zero
+    if spec.family == "semicircle" and odd_vanish:
+        odd = ks % 2 == 1
+        half = ks // 2
+        log_catalan = gammaln(ks + 1.0) - 2.0 * gammaln(half + 1.0) - np.log(half + 1.0)
+        logs = np.where(odd, _LOG_ZERO, log_catalan + ks * math.log(spec.params[1] / 2.0))
+        return logs, (~odd).astype(np.int8)
+    logs = np.full(ks.shape, _LOG_ZERO)
+    signs = np.zeros(ks.shape, dtype=np.int8)
+    cache = _quadrature_orders(spec)
+    flat_logs, flat_signs = logs.reshape(-1), signs.reshape(-1)
+    for i, t in enumerate(ks.reshape(-1).tolist()):
+        if odd_vanish and t % 2 == 1:
+            continue
+        hit = cache.get(t)
+        if hit is None:
+            hit = cache[t] = log_abs_moment_quadrature(spec, t)
+        flat_logs[i], flat_signs[i] = hit
     return logs, signs
 
 
+def log_moment_array(spec: SpectralModel, kmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """(log|f(k)|, sign) for k = 0..kmax."""
+    return log_moments(spec, np.arange(kmax + 1))
+
+
 def log_abs_moment(spec: SpectralModel, t: int) -> tuple[float, int]:
-    """(log|f(t)|, sign) through the per-model moment cache."""
-    return _moment_table(spec).log_f(t)
+    """(log|f(t)|, sign) for one order."""
+    logs, signs = log_moments(spec, [int(t)])
+    return float(logs[0]), int(signs[0])
 
 
 def moment_f(spec: SpectralModel, t: int) -> float:
     """t-th moment of the density (may overflow to inf for nu_plus > 1)."""
-    return _moment_table(spec).f(t)
+    logf, sign = log_abs_moment(spec, t)
+    return 0.0 if sign == 0 else sign * math.exp(logf)
 
 
 def moment_asymptotic(spec: SpectralModel, t: float) -> float:
@@ -256,14 +257,12 @@ def log_moment_asymptotic(spec: SpectralModel, t: float) -> float:
 
 def correlator(spec: SpectralModel, t: int, s: int) -> float:
     """Normalized two-time correlation f(t+s) / sqrt(f(2t) f(2s))."""
-    table = _moment_table(spec)
-    l2t, s2t = table.log_f(2 * t)
-    l2s, s2s = table.log_f(2 * s)
+    logs, signs = log_moments(spec, [2 * t, 2 * s, t + s])
+    (l2t, l2s, lnum), (s2t, s2s, snum) = logs.tolist(), signs.tolist()
     if s2t <= 0 or s2s <= 0:
         raise DegenerateProcessError(
             f"vanishing variance at t={t if s2t <= 0 else s} for {spec.describe()}"
         )
-    lnum, snum = table.log_f(t + s)
     if snum == 0:
         return 0.0
     val = snum * math.exp(lnum - 0.5 * (l2t + l2s))
@@ -284,33 +283,18 @@ def correlator_asymptotic(alpha: float, t: float, s: float) -> float:
 
 def g_function(spec: SpectralModel, tau: int) -> float:
     """Per-interval log growth factor: g(tau) = 1/2 * ln f(2 tau)."""
-    if tau < 1:
-        raise InvalidSpecError(f"g is defined for tau >= 1, got {tau}")
-    logf, sign = log_abs_moment(spec, 2 * int(tau))
-    if sign <= 0:
-        raise DegenerateProcessError(f"even moment vanished for {spec.describe()}")
-    return 0.5 * logf
+    return float(g_array(spec, [tau])[0])
 
 
 def g_array(spec: SpectralModel, taus: np.ndarray) -> np.ndarray:
-    """Vectorized g(tau) over an integer array of residence times."""
+    """g(tau) over an integer array of residence times tau >= 1."""
     taus = np.asarray(taus, dtype=np.int64)
     if np.any(taus < 1):
-        raise InvalidSpecError("g is defined for tau >= 1")
-    if spec.family == "beta":
-        a = spec.params[0] / 2.0
-        return 0.5 * (betaln(a + 2 * taus, a) - betaln(a, a))
-    if spec.family == "semicircle" and spec.symmetric_about_zero:
-        radius = spec.params[1]
-        k = taus.astype(np.float64)  # moment order 2*tau = 2k
-        log_cat = gammaln(2 * k + 1) - 2.0 * gammaln(k + 1) - np.log(k + 1)
-        return 0.5 * (log_cat + 2 * k * math.log(radius / 2.0))
-    if spec.family == "atomic":
-        nu = spec.params[0]
-        if nu == 0.0:
-            raise DegenerateProcessError("atomic spectrum at zero has no growth factor")
-        return taus * math.log(abs(nu))
-    return np.array([g_function(spec, int(t)) for t in taus])
+        raise InvalidSpecError(f"g is defined for tau >= 1, got {int(taus.min())}")
+    logs, signs = log_moments(spec, 2 * taus)
+    if np.any(signs <= 0):
+        raise DegenerateProcessError(f"even moment vanished for {spec.describe()}")
+    return 0.5 * logs
 
 
 def effective_dimension(alpha: float) -> float:

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpecError, NumericalError
+from .errors import DegenerateProcessError, InvalidSpecError, NumericalError
 from .records import PersistenceCurve, log_tau_grid
 from .seeding import derive_seed, rng_from_seed
 from .spectra import SpectralModel
 from .spectral import log_moment_array
-from .errors import DegenerateProcessError
 
 __all__ = [
     "GpPathBatch",
@@ -211,22 +210,12 @@ def joint_persistence(
         raise InvalidSpecError("component count must be >= 1")
     if p == 1:
         return estimate_persistence_gp(spec, T, n_paths, seed, grid=grid)
-    cov = build_covariance(spec, T)
-    factor = _cholesky_factor(cov)
-    t_len = factor.shape[0]
-    times = np.full(n_paths, t_len, dtype=np.int64)
-    done = 0
-    block_index = 0
-    while done < n_paths:
-        b = min(_BLOCK, n_paths - done)
-        joint = np.full(b, t_len, dtype=np.int64)
-        for comp in range(p):
-            rng = rng_from_seed(derive_seed(seed, comp, block_index))
-            z = rng.standard_normal((t_len, b))
-            joint = np.minimum(joint, _first_mismatch(factor @ z))
-        times[done : done + b] = joint
-        done += b
-        block_index += 1
+    factor = _cholesky_factor(build_covariance(spec, T))
+    # component c streams with seed derive_seed(seed, c), whose block b is
+    # derive_seed(seed, c, b)
+    times = np.minimum.reduce(
+        [_stream_first_changes(factor, n_paths, derive_seed(seed, c))[0] for c in range(p)]
+    )
     meta = {
         "source": "gp",
         "spec": spec.describe(),

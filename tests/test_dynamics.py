@@ -12,7 +12,6 @@ from conewise import (
 from conewise.dynamics import (
     ScalingCollapse,
     elliptic_persistence,
-    ensemble_lyapunov,
     estimate_persistence_matrix,
     evolve,
     evolve_multicone,
@@ -24,7 +23,7 @@ from conewise.dynamics import (
 )
 from conewise.errors import CollapseUndefinedError, FitError
 from conewise.estimators import TRUNCATED_FIT_MIN_POINTS
-from conewise.seeding import derive_seed, rng_from_seed
+from conewise.seeding import rng_from_seed
 
 
 def gaussian(n, seed):
@@ -212,9 +211,31 @@ class TestLyapunovRuns:
     def test_normalization_uses_edge_rates(self):
         ens_a = EnsembleSpec.goe(32, 0.0, 0.5)
         ens_b = EnsembleSpec.goe(32, 0.0, 2.0)
-        samples = ensemble_lyapunov(ens_a, ens_b, 3, T=500, seed=8)
+        samples = lyapunov_runs(ens_a, ens_b, 3, T=500, seed=8).samples
         r1, r2 = math.log(0.5), math.log(2.0)
         assert np.allclose(samples.normalized, (samples.values - r1) / (r2 - r1))
+
+
+class TestWorkerCountInvariance:
+    """Seeds derive from the realization index, so the process count must
+    not change any output; both sizes exceed one chunk of the parallel map."""
+
+    def test_persistence_matrix(self):
+        ens = EnsembleSpec.goe(32)
+        one = estimate_persistence_matrix(ens, ens, 300, T=60, seed=21, threads=1)
+        two = estimate_persistence_matrix(ens, ens, 300, T=60, seed=21, threads=2)
+        assert np.array_equal(one.tau, two.tau)
+        assert np.array_equal(one.q0, two.q0)
+
+    def test_lyapunov_runs(self):
+        ens = EnsembleSpec.goe(16)
+        one = lyapunov_runs(ens, ens, 40, T=300, seed=22, tail_window=100, threads=1)
+        two = lyapunov_runs(ens, ens, 40, T=300, seed=22, tail_window=100, threads=2)
+        for name in ("lam_tail", "final_cone", "nu_max_final", "last_change", "n_switches"):
+            assert np.array_equal(getattr(one, name), getattr(two, name))
+        assert np.array_equal(one.samples.values, two.samples.values)
+        assert np.array_equal(one.samples.trapped, two.samples.trapped)
+        assert np.array_equal(one.samples.cycling, two.samples.cycling)
 
 
 class TestScalingCollapse:

@@ -205,6 +205,13 @@ class TestSelfAveraging:
         with pytest.raises(DegenerateProcessError):
             self_averaging_value(SpectralModel.atomic(1.0), SpectralModel.atomic(2.0), mu=0.9)
 
+    def test_quadrature_backed_model_rejected(self):
+        # the sum needs g at 2**20 orders; by quadrature that would take hours
+        with pytest.raises(InvalidSpecError, match="semicircle"):
+            self_averaging_value(
+                SpectralModel.symmetric_beta(3), SpectralModel.semicircle(0.5, 1.0), mu=1.5
+            )
+
     def test_simulator_agrees_with_series(self):
         spec_a = SpectralModel.symmetric_beta(3)
         spec_b = SpectralModel.semicircle(0, 2.5)

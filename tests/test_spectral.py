@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,9 @@ from conewise.spectral import (
     g_array,
     log_abs_moment,
     log_abs_moment_quadrature,
+    log_moment_array,
+    log_moments,
+    moments_closed_form,
 )
 
 SEMI = SpectralModel.semicircle(0, 2)
@@ -71,6 +75,71 @@ class TestMoments:
         sh = SpectralModel.semicircle(3, 2)
         assert moment_f(sh, 1) == pytest.approx(3.0, rel=1e-10)
         assert moment_f(sh, 2) == pytest.approx(10.0, rel=1e-10)
+
+
+def _exact_tabulated_moment(spec, t):
+    """Moment t of a piecewise-linear density in exact rational arithmetic."""
+    nus, rhos = ([Fraction(v) for v in col] for col in spec.params)
+    total = Fraction(0)
+    for x0, x1, r0, r1 in zip(nus, nus[1:], rhos, rhos[1:]):
+        slope = (r1 - r0) / (x1 - x0)
+        icpt = r0 - slope * x0
+        total += icpt * (x1 ** (t + 1) - x0 ** (t + 1)) / (t + 1)
+        total += slope * (x1 ** (t + 2) - x0 ** (t + 2)) / (t + 2)
+    return total
+
+
+_WIDE = np.linspace(-1.0, 2.0, 201)
+
+
+class TestMomentEngine:
+    def test_closed_form_predicate(self):
+        assert moments_closed_form(SEMI) and moments_closed_form(BETA3)
+        assert moments_closed_form(SpectralModel.atomic(-0.5))
+        assert not moments_closed_form(SpectralModel.semicircle(0.5, 1))
+        assert not moments_closed_form(SpectralModel.tabulated([0, 1], [1, 1]))
+
+    def test_views_agree_with_engine(self):
+        ks = np.array([[0, 1, 2], [7, 8, 31]])
+        for spec in (SEMI, BETA3, SpectralModel.atomic(-1.5), SpectralModel.semicircle(3, 2)):
+            logs, signs = log_moments(spec, ks)
+            assert logs.shape == signs.shape == ks.shape
+            full_logs, full_signs = log_moment_array(spec, 31)
+            assert np.array_equal(full_logs[ks], logs)
+            assert np.array_equal(full_signs[ks], signs)
+            for k, lk, sk in zip(ks.ravel(), logs.ravel(), signs.ravel()):
+                assert log_abs_moment(spec, int(k)) == (lk, sk)
+            assert np.array_equal(g_array(spec, [1, 4]), 0.5 * full_logs[[2, 8]])
+
+    def test_atomic_signs(self):
+        logs, signs = log_moments(SpectralModel.atomic(-2.0), [0, 1, 2, 3])
+        assert signs.tolist() == [1, -1, 1, -1]
+        assert np.allclose(np.exp(logs), [1, 2, 4, 8], rtol=1e-15)
+        logs, signs = log_moments(SpectralModel.atomic(0.0), [0, 1, 2])
+        assert signs.tolist() == [1, 0, 0] and logs[0] == 0.0
+
+    def test_odd_orders_of_symmetric_table_vanish(self):
+        sym = SpectralModel.tabulated([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
+        assert log_abs_moment(sym, 3) == (-math.inf, 0)
+        assert moment_f(sym, 2) == pytest.approx(1 / 6, rel=1e-12)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(InvalidSpecError):
+            log_moments(BETA3, [2, -1])
+
+    @pytest.mark.parametrize(
+        "spec, rel",
+        [
+            (SpectralModel.tabulated(np.linspace(0.1, 1.2, 11), np.linspace(0.2, 1, 11) ** 2), 1e-13),
+            (SpectralModel.tabulated(_WIDE[::25], 1 + np.abs(np.sin(3 * _WIDE[::25]))), 1e-13),
+            (SpectralModel.tabulated(_WIDE, 1 + np.abs(np.sin(3 * _WIDE))), 1e-12),
+        ],
+        ids=["11-point", "9-point-signed", "201-point-signed"],
+    )
+    def test_tabulated_moments_exact(self, spec, rel):
+        # every table node is a kink of the density
+        for t in (0, 1, 2, 5, 20):
+            assert moment_f(spec, t) == pytest.approx(float(_exact_tabulated_moment(spec, t)), rel=rel)
 
 
 class TestMomentAsymptotics:
