@@ -53,6 +53,15 @@ __all__ = [
     "elliptic_persistence",
 ]
 
+# directions are quantized on this grid to detect cycles
+_CYCLE_GRID = 1e-6
+# the step-by-step route snapshots the direction every this many steps
+_CYCLE_INTERVAL = 16
+# longest block of steps the eigenbasis route advances at once
+_BLOCK = 192
+# rescaled-time grid density of the collapse comparison
+_COLLAPSE_POINTS_PER_DECADE = 24
+
 
 def _sign_with_coin(value: float, rng: np.random.Generator) -> int:
     """Sign of a component; exact zeros resolved by a fair coin from the
@@ -114,8 +123,6 @@ def evolve_multicone(
     v0: np.ndarray,
     T: int,
     seed: int = 0,
-    cycle_interval: int = 16,
-    cycle_grid: float = 1e-6,
 ) -> Trajectory:
     """Cone-wise evolution where sign bits of the first p components select
     one of 2**p matrices (bit i set when component i is negative)."""
@@ -160,8 +167,8 @@ def evolve_multicone(
         v = w / nrm
         signs[t + 1] = np.sign(v[0])
         vbar1[t + 1] = sqrt_n * v[0]
-        if not cycle_detected and (t + 1) % cycle_interval == 0:
-            key = np.round(v / cycle_grid).astype(np.int64).tobytes()
+        if not cycle_detected and (t + 1) % _CYCLE_INTERVAL == 0:
+            key = np.round(v / _CYCLE_GRID).astype(np.int64).tobytes()
             prev = seen.get(key)
             if prev is not None:
                 cycle_detected = True
@@ -188,12 +195,12 @@ def evolve_multicone(
     )
 
 
-def evolve(A: np.ndarray, B: np.ndarray, v0: np.ndarray, T: int, seed: int = 0, **kw) -> Trajectory:
+def evolve(A: np.ndarray, B: np.ndarray, v0: np.ndarray, T: int, seed: int = 0) -> Trajectory:
     """Two-cone evolution: A acts while the first component is positive,
     B while it is negative (exact zeros: fair coin)."""
     if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidSpecError("A and B must be square matrices of one dimension")
-    return evolve_multicone([A, B], 1, v0, T, seed=seed, **kw)
+    return evolve_multicone([A, B], 1, v0, T, seed=seed)
 
 
 # -- persistence from matrix dynamics ---------------------------------------
@@ -298,7 +305,6 @@ def scaling_collapse(
     T: int,
     mu: float,
     seed: int,
-    points_per_decade: int = 24,
     threads: int = 1,
 ) -> ScalingCollapse:
     """Measure Q0 at several N, rescale by (tau N^{-2/3}, Q0 N^{2 mu/3}) and
@@ -345,7 +351,7 @@ def scaling_collapse(
         raise CollapseUndefinedError(
             f"rescaled curves overlap over only {hi - lo:.2f} decades; need >= 1"
         )
-    n_pts = max(8, int(round((hi - lo) * points_per_decade)))
+    n_pts = max(8, int(round((hi - lo) * _COLLAPSE_POINTS_PER_DECADE)))
     u_grid_log = np.linspace(lo, hi, n_pts)
     rescaled = np.vstack(
         [np.interp(u_grid_log, lu, lq) for lu, lq in zip(logs_u, logs_q)]
@@ -405,7 +411,6 @@ def _lyapunov_single(
     rng: np.random.Generator,
     tail_window: int,
     block: int,
-    cycle_grid: float = 1e-6,
 ):
     """One run of the eigenbasis block evolution.
 
@@ -470,8 +475,7 @@ def _lyapunov_single(
         t += adv
         k_next = k if j >= 0 else min(4 * k, block)
         if j >= 0:
-            value = float(v1[j])
-            new_s = _sign_with_coin(value, rng) if value == 0.0 else (1 if value > 0 else -1)
+            new_s = _sign_with_coin(float(v1[j]), rng)
             if new_s != s_cur:
                 k_next = 8
                 s_cur = new_s
@@ -481,7 +485,7 @@ def _lyapunov_single(
                 w_coord /= np.linalg.norm(w_coord)  # orthogonality round-off only
                 active = 1 - active
                 if not cycling:
-                    key = np.round(w_coord / cycle_grid).astype(np.int64).tobytes()
+                    key = np.round(w_coord / _CYCLE_GRID).astype(np.int64).tobytes()
                     prev = seen.get((active, key))
                     if prev is not None:
                         cycling = True
@@ -500,7 +504,7 @@ def _lyapunov_single(
     return lam, lam_tail, trapped, cycling, cycle_period, active, nu_max_final, last_change, n_switches
 
 
-def _lyapunov_chunk(ensemble_a, ensemble_b, T, seed, tail_window, block, start, stop):
+def _lyapunov_chunk(ensemble_a, ensemble_b, T, seed, tail_window, start, stop):
     n_dim = ensemble_a.dimension
     n = stop - start
     lam = np.empty(n)
@@ -526,7 +530,7 @@ def _lyapunov_chunk(ensemble_a, ensemble_b, T, seed, tail_window, block, start, 
             nu_max_final[i],
             last_change[i],
             n_switches[i],
-        ) = _lyapunov_single((a, b), v0, T, rng, tail_window, block)
+        ) = _lyapunov_single((a, b), v0, T, rng, tail_window, _BLOCK)
     return lam, lam_tail, trapped, cycling, final_cone, nu_max_final, last_change, n_switches
 
 
@@ -537,7 +541,6 @@ def lyapunov_runs(
     T: int = 10_000,
     seed: int = 0,
     tail_window: int = 2000,
-    block: int = 192,
     threads: int = 1,
 ) -> LyapunovRunSet:
     """Ensemble of growth-rate runs with fresh matrices per realization.
@@ -562,7 +565,7 @@ def lyapunov_runs(
         last_change,
         n_switches,
     ) = map_index_chunks(
-        partial(_lyapunov_chunk, ensemble_a, ensemble_b, T, seed, tail_window, block),
+        partial(_lyapunov_chunk, ensemble_a, ensemble_b, T, seed, tail_window),
         n_realizations,
         threads,
         chunk=32,

@@ -141,7 +141,6 @@ class EnsembleSpec:
     rho: float = 1.0
     spectral_model: SpectralModel | None = None
     placement: str = "quantile"
-    seed: int = 0
 
     def __post_init__(self):
         if self.dimension < 2:
@@ -156,18 +155,16 @@ class EnsembleSpec:
             raise InvalidSpecError("invariant ensembles need a spectral model")
 
     @classmethod
-    def goe(cls, N: int, center: float = 0.0, radius: float = 2.0, seed: int = 0):
-        return cls(kind="goe", dimension=N, center=center, radius=radius, seed=seed)
+    def goe(cls, N: int, center: float = 0.0, radius: float = 2.0):
+        return cls(kind="goe", dimension=N, center=center, radius=radius)
 
     @classmethod
-    def invariant(cls, spec: SpectralModel, N: int, placement: str = "quantile", seed: int = 0):
-        return cls(
-            kind="invariant", dimension=N, spectral_model=spec, placement=placement, seed=seed
-        )
+    def invariant(cls, spec: SpectralModel, N: int, placement: str = "quantile"):
+        return cls(kind="invariant", dimension=N, spectral_model=spec, placement=placement)
 
     @classmethod
-    def elliptic(cls, N: int, rho: float, radius: float = 2.0, seed: int = 0):
-        return cls(kind="elliptic", dimension=N, rho=rho, radius=radius, seed=seed)
+    def elliptic(cls, N: int, rho: float, radius: float = 2.0):
+        return cls(kind="elliptic", dimension=N, rho=rho, radius=radius)
 
     @property
     def nu_plus(self) -> float:
@@ -187,13 +184,12 @@ class EnsembleSpec:
             return self.spectral_model
         raise InvalidSpecError("elliptic ensembles have a complex spectrum")
 
-    def sample(self, seed: int | None = None) -> np.ndarray:
-        s = self.seed if seed is None else seed
+    def sample(self, seed: int) -> np.ndarray:
         if self.kind == "goe":
-            return sample_goe(self.dimension, self.center, self.radius, s)
+            return sample_goe(self.dimension, self.center, self.radius, seed)
         if self.kind == "invariant":
-            return sample_invariant(self.spectral_model, self.dimension, s, self.placement)
-        return sample_elliptic(self.dimension, self.rho, self.radius, s)
+            return sample_invariant(self.spectral_model, self.dimension, seed, self.placement)
+        return sample_elliptic(self.dimension, self.rho, self.radius, seed)
 
     def describe(self) -> str:
         if self.kind == "goe":

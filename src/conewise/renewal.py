@@ -288,27 +288,31 @@ class RenewalRun:
         return sum(t for _, t in self.intervals) == self.horizon
 
 
+# g is tabulated up to this order (or the horizon, if shorter); the sampler
+# never asks for g beyond the horizon
+_G_TABLE = 1 << 14
+# intervals drawn per active sample and pass; even, so every pass starts in
+# the sample's starting cone
+_CHUNK = 1024
+
+
 class _GEval:
     """Vectorized per-interval log growth for one cone."""
 
-    def __init__(self, cfg: RenewalConfig, which: int, table_max: int = 1 << 14):
+    def __init__(self, cfg: RenewalConfig, which: int):
         self.mode = cfg.g_mode[0]
         if self.mode == "linear":
             self.rate = cfg.g_mode[1 + which]
-            self.spec = None
-            self.table = None
         else:
             self.spec = cfg.g_mode[1 + which]
-            self.rate = math.log(abs(self.spec.nu_plus))
-            self.table_max = table_max
-            self.table = g_array(self.spec, np.arange(1, table_max + 1))
+            self.table = g_array(self.spec, np.arange(1, min(cfg.horizon, _G_TABLE) + 1))
 
     def __call__(self, taus: np.ndarray) -> np.ndarray:
         taus = np.asarray(taus, dtype=np.int64)
         if self.mode == "linear":
             return self.rate * taus.astype(float)
         out = np.empty(taus.shape, dtype=float)
-        small = taus <= self.table_max
+        small = taus <= self.table.size
         out[small] = self.table[taus[small] - 1]
         big = ~small
         if np.any(big):
@@ -323,13 +327,14 @@ class _GEval:
         return out
 
 
-def sample_renewal_lyapunov(cfg: RenewalConfig, n_samples: int, chunk: int = 1024) -> LyapunovSamples:
+def sample_renewal_lyapunov(cfg: RenewalConfig, n_samples: int) -> LyapunovSamples:
     """Monte-Carlo top growth rates from the alternating renewal model.
 
     Per sample: the starting cone is a fair coin, labels then alternate
-    strictly; residence times are drawn from the discrete power law of the
-    active cone; per-interval log growth accumulates, with the interval that
-    straddles the horizon contributing only its in-horizon part.
+    strictly, and residence times are drawn from the discrete power law of
+    the active cone.  An interval that ends before the horizon adds its full
+    g(tau); the one that straddles the horizon adds g of its in-horizon
+    length only.  The rate is the sum divided by the horizon.
     """
     if n_samples < 1:
         raise InvalidSpecError("need at least one sample")
@@ -340,53 +345,32 @@ def sample_renewal_lyapunov(cfg: RenewalConfig, n_samples: int, chunk: int = 102
 
     lam_total = np.zeros(n_samples)
     t_done = np.zeros(n_samples)
-    start = rng.integers(0, 2, size=n_samples)  # starting cone label per sample
-    k_done = np.zeros(n_samples, dtype=np.int64)  # completed intervals per sample
+    start = rng.integers(0, 2, size=n_samples).astype(np.int8)  # starting cone label per sample
+    parity = (np.arange(_CHUNK) % 2).astype(np.int8)
     active = np.arange(n_samples)
 
     while active.size:
-        na = active.size
-        # labels of the next `chunk` intervals for every active sample
-        col = np.arange(chunk)
-        labels = (start[active, None] + k_done[active, None] + col[None, :]) % 2
-        taus = sample_power_law_intervals(rng, mus[labels], cfg.tau_min, (na, chunk))
+        labels = start[active, None] ^ parity
+        taus = sample_power_law_intervals(rng, mus[labels], cfg.tau_min, (active.size, _CHUNK))
         csum = t_done[active, None] + np.cumsum(taus, axis=1)
-        crossed = csum >= horizon
-        done = crossed.any(axis=1)
-        if np.any(done):
-            rows = np.nonzero(done)[0]
-            kstar = np.argmax(crossed[rows], axis=1)  # first crossing column
-            closed = col[None, :] < kstar[:, None]
-            g_closed = np.zeros((rows.size, chunk))
-            for which in (0, 1):
-                m = closed & (labels[rows] == which)
-                if np.any(m):
-                    g_closed[m] = g_eval[which](taus[rows][m])
-            idx = active[rows]
-            lam_total[idx] += g_closed.sum(axis=1)
-            # truncated final interval: only the part inside the horizon grows
-            t_before = np.where(
-                kstar > 0, csum[rows, np.maximum(kstar - 1, 0)], t_done[idx]
-            )
-            remain = (horizon - t_before).astype(np.int64)
-            lab_fin = labels[rows, kstar]
-            for which in (0, 1):
-                m = lab_fin == which
-                if np.any(m):
-                    lam_total[idx[m]] += g_eval[which](remain[m])
-            t_done[idx] = horizon
-        if np.any(~done):
-            rows = np.nonzero(~done)[0]
-            idx = active[rows]
-            g_open = np.zeros((rows.size, chunk))
-            for which in (0, 1):
-                m = labels[rows] == which
-                if np.any(m):
-                    g_open[m] = g_eval[which](taus[rows][m])
-            lam_total[idx] += g_open.sum(axis=1)
-            t_done[idx] = csum[rows, -1]
-            k_done[idx] += chunk
-        active = active[~done]
+        closed = csum < horizon  # intervals that end inside the horizon
+        g = np.zeros(taus.shape)
+        for which in (0, 1):
+            m = closed & (labels == which)
+            g[m] = g_eval[which](taus[m])
+        lam_total[active] += g.sum(axis=1)
+        # rows whose straddling interval is in this pass; csum is
+        # non-decreasing, so the count of closed intervals is its column
+        rows = np.flatnonzero(~closed[:, -1])
+        k = closed[rows].sum(axis=1)
+        before = np.where(k > 0, csum[rows, k - 1], t_done[active[rows]])
+        remain = (horizon - before).astype(np.int64)
+        lab = labels[rows, k]
+        for which in (0, 1):
+            m = lab == which
+            lam_total[active[rows[m]]] += g_eval[which](remain[m])
+        t_done[active] = csum[:, -1]
+        active = active[closed[:, -1]]
 
     values = lam_total / horizon
     r1, r2 = cfg.rates

@@ -17,7 +17,7 @@ never user-supplied.  All models hash, so moment caches can key on them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -44,9 +44,6 @@ class SpectralModel:
     nu_plus: float
     alpha: float | None
     edge_constant: float | None
-    _tab: tuple[tuple[float, ...], tuple[float, ...]] | None = field(
-        default=None, repr=False, compare=False
-    )
 
     # -- constructors ----------------------------------------------------
 
@@ -132,7 +129,6 @@ class SpectralModel:
             nu_plus=float(nus[-1]),
             alpha=None if alpha is None else float(alpha),
             edge_constant=None if edge_constant is None else float(edge_constant),
-            _tab=(tuple(nus.tolist()), tuple(rhos.tolist())),
         )
 
     def __post_init__(self):
@@ -197,7 +193,7 @@ class SpectralModel:
                 vals[~interior] = np.inf if a < 1.0 else 0.0
             out[inside] = vals
         else:
-            nus, rhos = self._tab
+            nus, rhos = self.params
             out[inside] = np.interp(nu[inside], nus, rhos)
         return out
 
@@ -215,7 +211,7 @@ class SpectralModel:
             a = self.params[0] / 2.0
             val = betainc(a, a, xc)
         else:
-            nus, rhos = (np.asarray(t) for t in self._tab)
+            nus, rhos = (np.asarray(t) for t in self.params)
             cum = np.concatenate(
                 [[0.0], np.cumsum(0.5 * (rhos[1:] + rhos[:-1]) * np.diff(nus))]
             )

@@ -146,7 +146,7 @@ def log_abs_moment_quadrature(spec: SpectralModel, t: int) -> tuple[float, int]:
         raise InvalidSpecError("atomic spectra have no density to integrate")
     what = f"moment t={t} of {spec.describe()}"
     dens = lambda w: float(spec.density(w))
-    nodes = spec._tab[0] if spec._tab is not None else ()  # kinks of a tabulated density
+    nodes = spec.params[0] if spec.family == "tabulated" else ()  # kinks of a tabulated density
     log_pos = _LOG_ZERO
     if spec.nu_plus > 0:
         log_pos = _log_piece_moment(dens, max(spec.nu_minus, 0.0), spec.nu_plus, t, what, nodes)
@@ -227,9 +227,14 @@ def log_abs_moment(spec: SpectralModel, t: int) -> tuple[float, int]:
 
 
 def moment_f(spec: SpectralModel, t: int) -> float:
-    """t-th moment of the density (may overflow to inf for nu_plus > 1)."""
+    """t-th moment of the density (overflows to +-inf for |nu| > 1)."""
     logf, sign = log_abs_moment(spec, t)
-    return 0.0 if sign == 0 else sign * math.exp(logf)
+    if sign == 0:
+        return 0.0
+    try:
+        return sign * math.exp(logf)
+    except OverflowError:
+        return sign * math.inf
 
 
 def moment_asymptotic(spec: SpectralModel, t: float) -> float:

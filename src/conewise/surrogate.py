@@ -39,9 +39,10 @@ _BLOCK = 4096
 def build_covariance(spec: SpectralModel, T: int) -> np.ndarray:
     """(T+1) x (T+1) matrix of normalized correlations on times 0..T.
 
-    Validated positive semidefinite: a smallest eigenvalue in (-1e-8, 0)
-    gets the 1e-10 diagonal jitter; anything below -1e-8 means the moment
-    accuracy is too loose and raises.
+    Validated positive semidefinite: a smallest eigenvalue w_min in
+    [-1e-8, 0) shifts the diagonal by max(1e-10, -2 w_min), enough for the
+    Cholesky factor; anything below -1e-8 means the moment accuracy is too
+    loose and raises.
     """
     if T < 0:
         raise InvalidSpecError("horizon must be >= 0")
@@ -67,7 +68,7 @@ def build_covariance(spec: SpectralModel, T: int) -> np.ndarray:
             "moment quadrature tolerance too loose"
         )
     if w_min < 0.0:
-        cov[np.diag_indices_from(cov)] += _JITTER
+        cov[np.diag_indices_from(cov)] += max(_JITTER, -2.0 * w_min)
     return cov
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 from conewise import DegenerateProcessError, InvalidSpecError, SpectralModel
 from conewise.renewal import (
@@ -22,6 +23,7 @@ from conewise.renewal import (
     stieltjes_rhs,
 )
 from conewise.seeding import rng_from_seed
+from conewise.spectral import _quadrature_orders
 
 ARCSINE = LampertiParams(0.0, 1.0, 0.5)
 FIG3 = LampertiParams(math.log(0.05 * math.sqrt(2)), math.log(2 * math.sqrt(2)), 0.4764)
@@ -193,6 +195,33 @@ class TestRenewalSimulator:
         a = sample_renewal_lyapunov(cfg, 300)
         b = sample_renewal_lyapunov(cfg, 300)
         assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            RenewalConfig.linear_rates(0.6, 0.4, -1, 2, tau_min=1, horizon=2000, seed=31),
+            RenewalConfig.exact_spectral(
+                0.5, 0.5, SpectralModel.symmetric_beta(3), SpectralModel.semicircle(0, 1.5),
+                tau_min=1, horizon=2000, seed=32,
+            ),
+        ],
+        ids=["linear", "spectral"],
+    )
+    def test_fast_route_matches_reference(self, cfg):
+        # two-sample KS against the one-interval-at-a-time reference route;
+        # 1.63 * sqrt(2 / n) is the 1% critical value
+        n = 2000
+        fast = sample_renewal_lyapunov(cfg, n).values
+        ref = [simulate_renewal_run(cfg, seed=1000 + k).rate for k in range(n)]
+        assert ks_2samp(fast, ref).statistic < 1.63 * math.sqrt(2 / n)
+
+    def test_g_table_sized_to_horizon(self):
+        # a quadrature-backed cone computes g only up to the horizon
+        spec = SpectralModel.semicircle(0.5, 1.0)
+        _quadrature_orders.cache_clear()
+        cfg = RenewalConfig.exact_spectral(0.5, 0.5, spec, spec, tau_min=1, horizon=200, seed=3)
+        sample_renewal_lyapunov(cfg, 50)
+        assert len(_quadrature_orders(spec)) <= 201
 
 
 class TestSelfAveraging:

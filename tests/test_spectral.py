@@ -92,6 +92,17 @@ def _exact_tabulated_moment(spec, t):
 _WIDE = np.linspace(-1.0, 2.0, 201)
 
 
+class TestMomentOverflow:
+    def test_even_order_overflows_to_inf(self):
+        assert moment_f(SpectralModel.semicircle(0, 4), 1200) == math.inf
+
+    def test_odd_order_of_centred_model_is_zero(self):
+        assert moment_f(SpectralModel.semicircle(0, 4), 1201) == 0.0
+
+    def test_negative_atom_odd_order_overflows_to_minus_inf(self):
+        assert moment_f(SpectralModel.atomic(-3), 1201) == -math.inf
+
+
 class TestMomentEngine:
     def test_closed_form_predicate(self):
         assert moments_closed_form(SEMI) and moments_closed_form(BETA3)

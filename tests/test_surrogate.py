@@ -7,6 +7,7 @@ from conewise.errors import DegenerateProcessError
 from conewise.estimators import fit_persistence_curve
 from conewise.surrogate import (
     MAX_DENSE_HORIZON,
+    _cholesky_factor,
     build_covariance,
     estimate_persistence_gp,
     joint_persistence,
@@ -59,6 +60,14 @@ class TestBuildCovariance:
     def test_horizon_cap(self):
         with pytest.raises(InvalidSpecError):
             build_covariance(BETA3, MAX_DENSE_HORIZON + 1)
+
+    def test_factor_at_horizon_cap(self):
+        # w_min is about -5e-10 here, below minus the 1e-10 jitter floor
+        _cholesky_factor(build_covariance(SEMI, MAX_DENSE_HORIZON))
+
+    def test_gp_route_below_cap(self):
+        # w_min is about -2e-10 here, below minus the 1e-10 jitter floor
+        estimate_persistence_gp(BETA3, T=2048, n_paths=200, seed=1)
 
 
 class TestSampleGpPaths:
