@@ -61,6 +61,11 @@ _CYCLE_INTERVAL = 16
 _BLOCK = 192
 # rescaled-time grid density of the collapse comparison
 _COLLAPSE_POINTS_PER_DECADE = 24
+# a trapped run is paired with its top eigenvalue only once the subleading
+# eigenvector's weight has shrunk by this factor, (|nu_2|/nu_1)**steps,
+# before the tail window opens; with start weights of order one its tail
+# rate is then within about 1e-8 / (2 tail_window) of ln nu_1
+_EDGE_SETTLED_DECAY = 1e-4
 
 
 def _sign_with_coin(value: float, rng: np.random.Generator) -> int:
@@ -402,6 +407,7 @@ class LyapunovRunSet:
     nu_max_final: np.ndarray  # largest signed eigenvalue of the final cone's matrix
     last_change: np.ndarray  # time of the last sign change (0 if none)
     n_switches: np.ndarray
+    abs_nu2_final: np.ndarray  # second-largest |nu| of the final cone's matrix
 
 
 def _lyapunov_single(
@@ -501,37 +507,26 @@ def _lyapunov_single(
     window = _trap_window(T)
     trapped = (T - last_change) >= window
     nu_max_final = float(np.max(eigvals[active]))
-    return lam, lam_tail, trapped, cycling, cycle_period, active, nu_max_final, last_change, n_switches
+    abs_nu2 = float(np.sort(np.abs(eigvals[active]))[-2])
+    return (
+        lam, lam_tail, trapped, cycling, cycle_period, active, nu_max_final, last_change,
+        n_switches, abs_nu2,
+    )
 
 
 def _lyapunov_chunk(ensemble_a, ensemble_b, T, seed, tail_window, start, stop):
-    n_dim = ensemble_a.dimension
-    n = stop - start
-    lam = np.empty(n)
-    lam_tail = np.empty(n)
-    trapped = np.zeros(n, dtype=bool)
-    cycling = np.zeros(n, dtype=bool)
-    final_cone = np.zeros(n, dtype=np.int8)
-    nu_max_final = np.empty(n)
-    last_change = np.zeros(n, dtype=np.int64)
-    n_switches = np.zeros(n, dtype=np.int64)
-    for i, r in enumerate(range(start, stop)):
+    runs = []
+    for r in range(start, stop):
         rng = rng_from_seed(derive_seed(seed, r, 0))
-        v0 = rng.standard_normal(n_dim)
+        v0 = rng.standard_normal(ensemble_a.dimension)
         a = ensemble_a.sample(derive_seed(seed, r, 1))
         b = ensemble_b.sample(derive_seed(seed, r, 2))
-        (
-            lam[i],
-            lam_tail[i],
-            trapped[i],
-            cycling[i],
-            _,
-            final_cone[i],
-            nu_max_final[i],
-            last_change[i],
-            n_switches[i],
-        ) = _lyapunov_single((a, b), v0, T, rng, tail_window, _BLOCK)
-    return lam, lam_tail, trapped, cycling, final_cone, nu_max_final, last_change, n_switches
+        runs.append(_lyapunov_single((a, b), v0, T, rng, tail_window, _BLOCK))
+    # one array per field of _lyapunov_single, without the cycle period
+    fields = list(zip(*runs))
+    del fields[4]
+    dtypes = (float, float, bool, bool, np.int8, float, np.int64, np.int64, float)
+    return tuple(np.array(f, dtype=d) for f, d in zip(fields, dtypes))
 
 
 def lyapunov_runs(
@@ -564,6 +559,7 @@ def lyapunov_runs(
         nu_max_final,
         last_change,
         n_switches,
+        abs_nu2,
     ) = map_index_chunks(
         partial(_lyapunov_chunk, ensemble_a, ensemble_b, T, seed, tail_window),
         n_realizations,
@@ -593,6 +589,7 @@ def lyapunov_runs(
         nu_max_final=nu_max_final,
         last_change=last_change,
         n_switches=n_switches,
+        abs_nu2_final=abs_nu2,
     )
 
 
@@ -642,18 +639,25 @@ def trapped_run_edge_pairs(
 ) -> dict:
     """Matched edge fluctuations from trapped dynamics runs.
 
-    For runs that stay in one cone through the final window (and settled
-    early enough for the power iteration to converge), the tail growth rate
-    should equal ln of the trapping matrix's top eigenvalue.  Both are
-    returned in sigma1 normalization against the trapping cone's population
-    edge, ready for a distribution-level comparison.
+    A run is used when it is trapped, not cycling, the final cone's largest
+    |nu| is its positive edge ``nu_max_final`` (which then exceeds the
+    second-largest |nu_2|), and the power iteration has converged before
+    the tail window: (|nu_2| / nu_max_final)**(T - tail_window -
+    last_change) is below ``_EDGE_SETTLED_DECAY``.  Its tail growth rate
+    then equals ln ``nu_max_final``.  Both are returned in sigma1
+    normalization against the trapping cone's population edge, with the
+    indices of the runs used.
     """
     runs = lyapunov_runs(ensemble_a, ensemble_b, n_runs, T, seed, tail_window=tail_window)
     edges = np.array(
         [abs(ensemble_a.nu_plus), abs(ensemble_b.nu_plus)]
     )
-    quiet = T - 2 * tail_window
-    use = runs.samples.trapped & ~runs.samples.cycling & (runs.last_change <= quiet)
+    positive_edge = runs.nu_max_final > runs.abs_nu2_final
+    steps = T - tail_window - runs.last_change
+    with np.errstate(divide="ignore", invalid="ignore"):
+        decay = (runs.abs_nu2_final / runs.nu_max_final) ** steps
+    use = runs.samples.trapped & ~runs.samples.cycling
+    use &= positive_edge & (decay < _EDGE_SETTLED_DECAY)
     cone = runs.final_cone[use]
     nu_plus = edges[cone]
     gamma = nu_plus / 2.0
@@ -664,6 +668,7 @@ def trapped_run_edge_pairs(
         "sigma1_dynamics": sigma_dyn,
         "sigma1_eigenvalue": sigma_eig,
         "cone": cone,
+        "run_index": np.flatnonzero(use),
         "n_trapped_used": int(np.count_nonzero(use)),
         "n_runs": n_runs,
     }

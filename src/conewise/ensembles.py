@@ -19,7 +19,6 @@ All samplers are pure functions of (parameters, seed).
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +33,7 @@ __all__ = [
     "sample_haar_orthogonal",
     "sample_invariant",
     "sample_elliptic",
-    "write_matrix",
-    "read_matrix",
 ]
-
-_MAGIC = b"CWLM"
 
 
 def sample_goe(N: int, center: float, radius: float, seed: int) -> np.ndarray:
@@ -197,26 +192,3 @@ class EnsembleSpec:
         if self.kind == "invariant":
             return f"invariant(N={self.dimension}, {self.spectral_model.describe()}, {self.placement})"
         return f"elliptic(N={self.dimension}, rho={self.rho}, radius={self.radius})"
-
-
-def write_matrix(m: np.ndarray, fh) -> None:
-    """Dump a square matrix: 16-byte header (magic 'CWLM', u32 N, padding),
-    then row-major little-endian float64."""
-    n = m.shape[0]
-    if m.shape != (n, n):
-        raise InvalidSpecError("only square matrices are dumped")
-    fh.write(_MAGIC)
-    fh.write(struct.pack("<I", n))
-    fh.write(b"\x00" * 8)
-    fh.write(np.ascontiguousarray(m, dtype="<f8").tobytes())
-
-
-def read_matrix(fh) -> np.ndarray:
-    header = fh.read(16)
-    if len(header) != 16 or header[:4] != _MAGIC:
-        raise InvalidSpecError("not a CWLM matrix dump")
-    (n,) = struct.unpack("<I", header[4:8])
-    data = np.frombuffer(fh.read(8 * n * n), dtype="<f8")
-    if data.size != n * n:
-        raise InvalidSpecError("truncated CWLM matrix dump")
-    return data.reshape(n, n).astype(np.float64)

@@ -16,6 +16,7 @@ never user-supplied.  All models hash, so moment caches can key on them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -248,8 +249,14 @@ def inverse_cdf(spec: SpectralModel, u: float) -> float:
     )
 
 
+@functools.lru_cache(maxsize=32)
 def quantile_grid(spec: SpectralModel, n: int) -> np.ndarray:
-    """The n equiprobable mid-quantiles CDF^{-1}((i - 1/2)/n), i = 1..n."""
+    """The n equiprobable mid-quantiles CDF^{-1}((i - 1/2)/n), i = 1..n.
+
+    Computed once per (model, n); the cached array is read-only.
+    """
     if n < 1:
         raise InvalidSpecError("need at least one quantile")
-    return np.array([inverse_cdf(spec, (i + 0.5) / n) for i in range(n)])
+    grid = np.array([inverse_cdf(spec, (i + 0.5) / n) for i in range(n)])
+    grid.flags.writeable = False
+    return grid

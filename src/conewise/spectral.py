@@ -5,22 +5,22 @@ of a :class:`~conewise.spectra.SpectralModel`.  Moments are held in log
 space with an explicit sign so that spectra with upper edge above 1 never
 overflow and sign-symmetric spectra keep exactly vanishing odd moments.
 
-One engine, :func:`log_moments`, decides how each order is computed:
+One engine, :func:`log_moments`, computes every order of every family by
+one exact, vectorized route:
 
-* closed forms for atomic models, the Beta family and the centred
-  semicircle (powers, log-beta ratios and Catalan numbers, vectorized and
-  exact to round-off);
-* exact zeros for the odd orders of every other sign-symmetric model;
-* adaptive quadrature (:func:`log_abs_moment_quadrature`) for every other
-  order, i.e. shifted semicircles and tabulated densities, computed once per
-  (model, order) and kept in one per-model cache.
+* atomic models, the Beta family and the centred semicircle: closed forms
+  (powers, log-beta ratios and Catalan numbers);
+* shifted semicircles: the three-term moment recurrence run on moment
+  ratios, kept in one per-model table that grows on demand;
+* tabulated densities: the closed-form moments of each linear piece,
+  summed in log space, with exact zeros for the odd orders of a
+  sign-symmetric table.
 
-:func:`moments_closed_form` says whether a model needs the quadrature at
-all.  The other moment functions (:func:`log_moment_array`,
+The other moment functions (:func:`log_moment_array`,
 :func:`log_abs_moment`, :func:`moment_f`, :func:`correlator`,
-:func:`g_function`, :func:`g_array`) are views of :func:`log_moments`;
-:func:`log_abs_moment_quadrature` stays callable on every family as the
-cross-check route.
+:func:`g_function`, :func:`g_array`) are views of :func:`log_moments`.
+:func:`log_abs_moment_quadrature` integrates any density numerically; no
+runtime path calls it, it is the independent cross-check of the engine.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .spectra import SpectralModel
 
 __all__ = [
     "log_moments",
-    "moments_closed_form",
     "log_moment_array",
     "moment_f",
     "log_abs_moment",
@@ -124,20 +123,18 @@ def _log_piece_moment(dens, w_lo: float, w_hi: float, t: int, what: str, kinks) 
     return (t + 1.0) * math.log(w_hi) - math.log(t) + math.log(val)
 
 
-def _signed_log_sum(la: float, sa: int, lb: float, sb: int) -> tuple[float, int]:
-    """(log|x|, sign) of x = sa*exp(la) + sb*exp(lb)."""
-    if sa == 0 or la == _LOG_ZERO:
-        return lb, sb
-    if sb == 0 or lb == _LOG_ZERO:
-        return la, sa
-    hi, lo = max(la, lb), min(la, lb)
-    ratio = math.exp(lo - hi)
-    if sa == sb:
-        return hi + math.log1p(ratio), sa
-    if ratio >= 1.0 - 1e-12:
-        return _LOG_ZERO, 0  # cancellation to round-off: treat as exact zero
-    s_hi = sa if la >= lb else sb
-    return hi + math.log1p(-ratio), s_hi
+def _signed_log_sum(la, sa, lb, sb):
+    """(log|x|, sign) of x = sa*exp(la) + sb*exp(lb), elementwise; a
+    difference that cancels to round-off (relative 1e-12) is an exact zero."""
+    sa, sb = np.asarray(sa, dtype=np.int8), np.asarray(sb, dtype=np.int8)
+    la, lb = np.where(sa == 0, _LOG_ZERO, la), np.where(sb == 0, _LOG_ZERO, lb)
+    hi = np.maximum(la, lb)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.exp(np.minimum(la, lb) - hi)  # nan when both terms vanish
+        logs = hi + np.log1p(np.where(sa == sb, ratio, -ratio))
+    zero = (hi == _LOG_ZERO) | ((sa != sb) & (ratio >= 1.0 - 1e-12))
+    signs = np.where(zero, 0, np.where(la >= lb, sa, sb)).astype(np.int8)
+    return np.where(zero, _LOG_ZERO, logs), signs
 
 
 def log_abs_moment_quadrature(spec: SpectralModel, t: int) -> tuple[float, int]:
@@ -156,25 +153,95 @@ def log_abs_moment_quadrature(spec: SpectralModel, t: int) -> tuple[float, int]:
         log_neg = _log_piece_moment(
             dens_neg, max(-spec.nu_plus, 0.0), -spec.nu_minus, t, what, [-w for w in nodes]
         )
-    sign_neg = 1 if t % 2 == 0 else -1
-    return _signed_log_sum(log_pos, 1, log_neg, sign_neg)
+    logf, sign = _signed_log_sum(log_pos, 1, log_neg, 1 if t % 2 == 0 else -1)
+    return float(logf), int(sign)
 
 
-def moments_closed_form(spec: SpectralModel) -> bool:
-    """True when :func:`log_moments` needs no quadrature for ``spec``."""
-    return spec.family in ("atomic", "beta") or (
-        spec.family == "semicircle" and spec.symmetric_about_zero
-    )
+def _shifted_semicircle_logs(c: float, r: float, kmax: int) -> np.ndarray:
+    """log f(0..K), K >= kmax, of the semicircle of centre c > 0 and radius r.
 
-
-@functools.lru_cache(maxsize=128)
-def _quadrature_orders(spec: SpectralModel) -> dict[int, tuple[float, int]]:
-    """The one moment cache: order -> (log|f|, sign) for quadrature orders.
-
-    Plain dict reads and writes; two threads filling one order at once both
-    compute the same value.
+    (t+2) f(t) = c(2t+1) f(t-1) + (r^2 - c^2)(t-1) f(t-2), f(0) = 1, f(1) = c
+    (constant Jacobi parameters; Chihara 1978, ch. I).  For c > 0 the moments
+    are positive and the dominant solution, so the forward recurrence on
+    q(t) = f(t)/f(t-1) is stable; log f is the running sum of log q.  Growing
+    the per-(c, r) table continues the same sequential sums, so no value
+    depends on how the table was grown.
     """
-    return {}
+    box = _semicircle_table(c, r)
+    logs, q = box[0]
+    if logs.size > kmax:
+        return logs
+    d = r * r - c * c
+    ratios = []
+    for t in range(logs.size, max(kmax + 1, 2 * logs.size)):
+        q = (c * (2 * t + 1) + d * (t - 1) / q) / (t + 2)
+        ratios.append(q)
+    tail = np.cumsum(np.concatenate(([logs[-1]], np.log(ratios))))
+    box[0] = (np.concatenate((logs, tail[1:])), q)
+    return box[0][0]
+
+
+@functools.lru_cache(maxsize=32)
+def _semicircle_table(c: float, r: float) -> list:
+    """The one moment cache: a box holding (log f(0..K), q(K)), from K = 1."""
+    return [(np.array([0.0, math.log(c)]), c)]
+
+
+def _table_side_logs(nus: np.ndarray, rhos: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """log of the integral of a piecewise-linear density times nu**k over
+    nodes ``0 <= nus[0] < ... < nus[-1]`` (-inf for fewer than two nodes).
+
+    On a piece [a, b] of width h the density is (rho_a (b-nu) + rho_b (nu-a))/h;
+    the nonnegative weights integrate against nu**k to b**(k+2) times
+    D- = E(n)/n - E(n+1)/(n+1) and D+ = E(n+1)/(n+1) - (a/b) E(n)/n, with
+    n = k + 1 and E(n) = 1 - (a/b)**n = -expm1(n log1p(-h/b)).  The pieces
+    are summed in log space.
+    """
+    if nus.size < 2:
+        return np.full(ks.shape, _LOG_ZERO)
+    a, b = nus[:-1], nus[1:]
+    h = b - a
+    with np.errstate(divide="ignore"):
+        log_x = np.log1p(-h / b)  # -inf on a piece that starts at 0
+    n = ks[:, None] + 1.0
+    e_n = -np.expm1(n * log_x)
+    e_n1 = -np.expm1((n + 1.0) * log_x)
+    d_minus = e_n / n - e_n1 / (n + 1.0)
+    d_plus = e_n1 / (n + 1.0) - (a / b) * e_n / n
+    mass = (rhos[:-1] * d_minus + rhos[1:] * d_plus) / h
+    with np.errstate(divide="ignore"):
+        logs = (n + 1.0) * np.log(b) + np.log(mass)
+    top = logs.max(axis=1)
+    finite = np.isfinite(top)
+    out = np.full(ks.shape, _LOG_ZERO)
+    out[finite] = top[finite] + np.log(
+        np.exp(logs[finite] - top[finite, None]).sum(axis=1)
+    )
+    return out
+
+
+def _tabulated_log_moments(spec: SpectralModel, ks: np.ndarray):
+    """(log|f(k)|, sign) of a tabulated density over a 1-d order array: the
+    positive side and the mirrored negative side (split by a node at 0) are
+    integrated in closed form and combined with the sign (-1)**k."""
+    nus, rhos = (np.asarray(col) for col in spec.params)
+    if nus[0] < 0.0 < nus[-1] and 0.0 not in nus:
+        i = int(np.searchsorted(nus, 0.0))
+        rhos = np.insert(rhos, i, np.interp(0.0, nus, rhos))
+        nus = np.insert(nus, i, 0.0)
+    pos, neg = nus >= 0.0, nus <= 0.0
+    logs = np.empty(ks.shape)
+    signs = np.empty(ks.shape, dtype=np.int8)
+    # bound the (orders x pieces) work arrays to about 2**18 entries
+    step = max(1, (1 << 18) // nus.size)
+    for lo in range(0, ks.size, step):
+        k = ks[lo : lo + step]
+        log_pos = _table_side_logs(nus[pos], rhos[pos], k)
+        log_neg = _table_side_logs(-nus[neg][::-1], rhos[neg][::-1], k)
+        logs[lo : lo + step], signs[lo : lo + step] = _signed_log_sum(
+            log_pos, 1, log_neg, np.where(k % 2 == 0, 1, -1)
+        )
+    return logs, signs
 
 
 def log_moments(spec: SpectralModel, ks) -> tuple[np.ndarray, np.ndarray]:
@@ -194,24 +261,22 @@ def log_moments(spec: SpectralModel, ks) -> tuple[np.ndarray, np.ndarray]:
             return np.where(ks == 0, 0.0, _LOG_ZERO), (ks == 0).astype(np.int8)
         signs = np.where((nu < 0.0) & (ks % 2 == 1), -1, 1).astype(np.int8)
         return np.where(ks == 0, 0.0, ks * math.log(abs(nu))), signs
-    odd_vanish = spec.symmetric_about_zero
-    if spec.family == "semicircle" and odd_vanish:
-        odd = ks % 2 == 1
-        half = ks // 2
-        log_catalan = gammaln(ks + 1.0) - 2.0 * gammaln(half + 1.0) - np.log(half + 1.0)
-        logs = np.where(odd, _LOG_ZERO, log_catalan + ks * math.log(spec.params[1] / 2.0))
-        return logs, (~odd).astype(np.int8)
-    logs = np.full(ks.shape, _LOG_ZERO)
-    signs = np.zeros(ks.shape, dtype=np.int8)
-    cache = _quadrature_orders(spec)
-    flat_logs, flat_signs = logs.reshape(-1), signs.reshape(-1)
-    for i, t in enumerate(ks.reshape(-1).tolist()):
-        if odd_vanish and t % 2 == 1:
-            continue
-        hit = cache.get(t)
-        if hit is None:
-            hit = cache[t] = log_abs_moment_quadrature(spec, t)
-        flat_logs[i], flat_signs[i] = hit
+    odd = ks % 2 == 1
+    if spec.family == "semicircle":
+        c, r = spec.params
+        if c == 0.0:
+            half = ks // 2
+            log_catalan = gammaln(ks + 1.0) - 2.0 * gammaln(half + 1.0) - np.log(half + 1.0)
+            logs = np.where(odd, _LOG_ZERO, log_catalan + ks * math.log(r / 2.0))
+            return logs, (~odd).astype(np.int8)
+        kmax = int(ks.max()) if ks.size else 0
+        logs = _shifted_semicircle_logs(abs(c), r, kmax)[ks]
+        # f_c(t) = (-1)**t f_{-c}(t)
+        return logs, np.where(odd & (c < 0.0), -1, 1).astype(np.int8)
+    logs, signs = _tabulated_log_moments(spec, ks.reshape(-1))
+    logs, signs = logs.reshape(ks.shape), signs.reshape(ks.shape)
+    if spec.symmetric_about_zero:
+        logs[odd], signs[odd] = _LOG_ZERO, 0
     return logs, signs
 
 
@@ -274,7 +339,7 @@ def correlator(spec: SpectralModel, t: int, s: int) -> float:
     if abs(val) > 1.0 + 1e-6:
         raise NumericalError(
             f"correlator({t},{s}) = {val!r} breaks the Cauchy-Schwarz bound; "
-            "moment quadrature too loose"
+            "moments not accurate enough"
         )
     return float(np.clip(val, -1.0, 1.0))
 

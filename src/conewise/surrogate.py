@@ -11,8 +11,6 @@ t=0 value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateProcessError, InvalidSpecError, NumericalError
@@ -22,9 +20,7 @@ from .spectra import SpectralModel
 from .spectral import log_moment_array
 
 __all__ = [
-    "GpPathBatch",
     "build_covariance",
-    "sample_gp_paths",
     "estimate_persistence_gp",
     "joint_persistence",
     "MAX_DENSE_HORIZON",
@@ -65,7 +61,7 @@ def build_covariance(spec: SpectralModel, T: int) -> np.ndarray:
     if w_min < _PSD_FLOOR:
         raise NumericalError(
             f"covariance smallest eigenvalue {w_min:.3e} below {_PSD_FLOOR}; "
-            "moment quadrature tolerance too loose"
+            "moments not accurate enough for the correlator"
         )
     if w_min < 0.0:
         cov[np.diag_indices_from(cov)] += max(_JITTER, -2.0 * w_min)
@@ -82,32 +78,6 @@ def _cholesky_factor(cov: np.ndarray) -> np.ndarray:
             return np.linalg.cholesky(bumped)
         except np.linalg.LinAlgError as exc:
             raise NumericalError("Cholesky failed after diagonal jitter") from exc
-
-
-@dataclass
-class GpPathBatch:
-    """Sampled stationary-variance paths on the integer time grid."""
-
-    times: np.ndarray
-    covariance: np.ndarray
-    paths: np.ndarray  # (n_paths, T+1)
-    seed: int
-
-
-def sample_gp_paths(cov: np.ndarray, n_paths: int, seed: int) -> GpPathBatch:
-    """Cholesky factor times iid standard normals, bit-reproducible per seed."""
-    if n_paths < 1:
-        raise InvalidSpecError("need at least one path")
-    factor = _cholesky_factor(cov)
-    t_len = cov.shape[0]
-    rng = rng_from_seed(seed)
-    z = rng.standard_normal((t_len, n_paths))
-    return GpPathBatch(
-        times=np.arange(t_len),
-        covariance=cov,
-        paths=(factor @ z).T,
-        seed=seed,
-    )
 
 
 def _first_mismatch(paths: np.ndarray, parity: int | None = None) -> np.ndarray:

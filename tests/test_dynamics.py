@@ -295,6 +295,24 @@ class TestTopEigenvalue:
         assert pairs["n_trapped_used"] > 0
         assert np.max(np.abs(pairs["sigma1_dynamics"] - pairs["sigma1_eigenvalue"])) < 0.05
 
+    def test_trapped_pairs_need_converged_runs(self):
+        # cone A's spectrum is symmetric about 0, so |nu_min| and nu_max can
+        # nearly tie; run 40 of this seed is trapped in A with
+        # |nu_2|/nu_max = 0.9996, and its tail rate sits 3e-4 below nu_max
+        ens_a = EnsembleSpec.goe(64, 0.0, 2.0)
+        ens_b = EnsembleSpec.goe(64, 0.5, 1.0)
+        T, tw = 3000, 1000
+        pairs = trapped_run_edge_pairs(ens_a, ens_b, 48, T=T, seed=1, tail_window=tw)
+        runs = lyapunov_runs(ens_a, ens_b, 48, T=T, seed=1, tail_window=tw)
+        used = pairs["run_index"]
+        assert np.any(pairs["cone"] == 0)
+        assert np.max(np.abs(pairs["sigma1_dynamics"] - pairs["sigma1_eigenvalue"])) < 1e-9
+        ratio = runs.abs_nu2_final / runs.nu_max_final
+        assert np.all(ratio[used] ** (T - tw - runs.last_change[used]) < 1e-4)
+        near = runs.samples.trapped & ~runs.samples.cycling & (runs.final_cone == 0) & (ratio > 0.999)
+        assert np.any(near)
+        assert not np.any(near[used])
+
 
 class TestElliptic:
     def test_rho_zero_is_coin_flip_decay(self):

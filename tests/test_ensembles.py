@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from scipy.linalg import eigh
@@ -14,7 +12,6 @@ from conewise import (
     sample_haar_orthogonal,
     sample_invariant,
 )
-from conewise.ensembles import read_matrix, write_matrix
 from conewise.seeding import derive_seed
 
 
@@ -154,17 +151,3 @@ class TestEnsembleSpec:
             EnsembleSpec.goe(1)
         with pytest.raises(InvalidSpecError):
             EnsembleSpec.elliptic(64, -0.1)
-
-
-class TestMatrixDump:
-    def test_roundtrip(self):
-        m = sample_goe(17, 0.5, 1.5, seed=3)
-        buf = io.BytesIO()
-        write_matrix(m, buf)
-        buf.seek(0)
-        back = read_matrix(buf)
-        assert np.array_equal(m, back)
-
-    def test_bad_magic(self):
-        with pytest.raises(InvalidSpecError):
-            read_matrix(io.BytesIO(b"0123456789abcdef"))

@@ -7,14 +7,16 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from conewise import DegenerateProcessError, InvalidSpecError, SpectralModel
+from conewise.estimators import ks_distance
+from conewise.records import log_tau_grid
 from conewise.renewal import (
     LampertiParams,
     RenewalConfig,
+    _g_evals,
     interval_survival,
     lamperti_cdf,
     lamperti_cdf_quadrature,
     lamperti_pdf,
-    renewal_persistence_sanity,
     sample_power_law_intervals,
     sample_renewal_lyapunov,
     self_averaging_value,
@@ -23,7 +25,7 @@ from conewise.renewal import (
     stieltjes_rhs,
 )
 from conewise.seeding import rng_from_seed
-from conewise.spectral import _quadrature_orders
+from conewise.spectral import moment_f
 
 ARCSINE = LampertiParams(0.0, 1.0, 0.5)
 FIG3 = LampertiParams(math.log(0.05 * math.sqrt(2)), math.log(2 * math.sqrt(2)), 0.4764)
@@ -148,11 +150,13 @@ class TestIntervalSampler:
         assert np.mean(taus >= k) == pytest.approx(p, abs=3 * math.sqrt(p * (1 - p) / n))
 
     def test_sanity_curve_matches_survival(self):
-        curve = renewal_persistence_sanity(0.7, 2, n=200_000, seed=3)
-        ref = interval_survival(0.7, 2, curve.tau)
-        resid = np.abs(curve.q0 - ref)
-        tol = 4 * np.maximum(curve.stderr, 1e-4)
-        assert np.all(resid <= tol)
+        n = 200_000
+        taus = np.sort(sample_power_law_intervals(rng_from_seed(3), 0.7, 2, n))
+        grid = log_tau_grid(int(min(taus[-1], 10**7)))
+        q = 1.0 - np.searchsorted(taus, grid, side="left") / n  # P(tau >= k)
+        stderr = np.sqrt(q * (1 - q) / n)
+        resid = np.abs(q - interval_survival(0.7, 2, grid))
+        assert np.all(resid <= 4 * np.maximum(stderr, 1e-4))
 
 
 class TestRenewalSimulator:
@@ -216,12 +220,44 @@ class TestRenewalSimulator:
         assert ks_2samp(fast, ref).statistic < 1.63 * math.sqrt(2 / n)
 
     def test_g_table_sized_to_horizon(self):
-        # a quadrature-backed cone computes g only up to the horizon
         spec = SpectralModel.semicircle(0.5, 1.0)
-        _quadrature_orders.cache_clear()
         cfg = RenewalConfig.exact_spectral(0.5, 0.5, spec, spec, tau_min=1, horizon=200, seed=3)
         sample_renewal_lyapunov(cfg, 50)
-        assert len(_quadrature_orders(spec)) <= 201
+        assert [g.table.size for g in _g_evals(cfg.g_mode, cfg.horizon)] == [200, 200]
+
+    def test_g_tables_built_once_per_config(self):
+        cfg = RenewalConfig.exact_spectral(
+            0.5, 0.5, SpectralModel.symmetric_beta(3), SpectralModel.semicircle(0, 1.5),
+            tau_min=1, horizon=2000, seed=4,
+        )
+        _g_evals.cache_clear()
+        for k in range(50):
+            simulate_renewal_run(cfg, seed=k)
+        assert _g_evals.cache_info().misses == 1
+
+    def test_shifted_semicircle_cone_long_horizon(self):
+        # intervals beyond the 16384-order g table extend the moment table once
+        spec_a = SpectralModel.symmetric_beta(3)
+        spec_b = SpectralModel.semicircle(0.5, 1.0)
+        cfg = RenewalConfig.exact_spectral(0.5, 0.5, spec_a, spec_b, tau_min=1, horizon=100_000, seed=5)
+        values = sample_renewal_lyapunov(cfg, 200).values
+        # g(tau)/tau lies between 1/2 ln f(2) and ln max|nu| for each cone
+        lo = min(0.5 * math.log(moment_f(s, 2)) for s in (spec_a, spec_b))
+        assert np.all((values >= lo) & (values <= math.log(1.5)))
+        assert np.ptp(values) > 0.1
+
+    def test_finite_horizon_distance_to_lamperti(self):
+        # the rate law approaches the Lamperti law only as the horizon grows;
+        # the 1% KS noise level at n = 10000 is 1.63 / sqrt(n) = 0.016
+        spec_a, spec_b = SpectralModel.symmetric_beta(3), SpectralModel.semicircle(0, 1.5)
+        law = LampertiParams.from_edges(spec_a.nu_plus, spec_b.nu_plus, 0.5)
+        dist = []
+        for horizon in (10_000, 100_000):
+            cfg = RenewalConfig.exact_spectral(0.5, 0.5, spec_a, spec_b, 1, horizon, seed=7)
+            values = sample_renewal_lyapunov(cfg, 10_000).values
+            dist.append(ks_distance(values, lambda x: lamperti_cdf(law, x)))
+        assert dist[0] > 0.04
+        assert dist[1] < dist[0]
 
 
 class TestSelfAveraging:
@@ -234,16 +270,16 @@ class TestSelfAveraging:
         with pytest.raises(DegenerateProcessError):
             self_averaging_value(SpectralModel.atomic(1.0), SpectralModel.atomic(2.0), mu=0.9)
 
-    def test_quadrature_backed_model_rejected(self):
-        # the sum needs g at 2**20 orders; by quadrature that would take hours
-        with pytest.raises(InvalidSpecError, match="semicircle"):
-            self_averaging_value(
-                SpectralModel.symmetric_beta(3), SpectralModel.semicircle(0.5, 1.0), mu=1.5
-            )
-
     def test_simulator_agrees_with_series(self):
+        self._check_against_sampler(SpectralModel.semicircle(0, 2.5))
+
+    def test_shifted_semicircle_agrees_with_series(self):
+        # the series sums g over 2**20 orders, one extension of the moment table
+        self._check_against_sampler(SpectralModel.semicircle(0.5, 1.0))
+
+    @staticmethod
+    def _check_against_sampler(spec_b):
         spec_a = SpectralModel.symmetric_beta(3)
-        spec_b = SpectralModel.semicircle(0, 2.5)
         predicted = self_averaging_value(spec_a, spec_b, mu=1.5, tau_min=1)
         cfg = RenewalConfig.exact_spectral(1.5, 1.5, spec_a, spec_b, tau_min=1, horizon=100_000, seed=8)
         out = sample_renewal_lyapunov(cfg, 600)

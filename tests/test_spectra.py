@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conewise import InvalidSpecError, SpectralModel, inverse_cdf
+from conewise import InvalidSpecError, SpectralModel, inverse_cdf, sample_invariant
 from conewise.spectra import quantile_grid
 
 
@@ -98,3 +98,16 @@ def test_quantile_grid_is_sorted_and_symmetric():
     assert np.all(np.diff(qs) > 0)
     # symmetric density on [0,1]: quantiles pair up around 1/2
     assert np.allclose(qs + qs[::-1], 1.0, atol=1e-9)
+
+
+def test_quantile_grid_cached_read_only():
+    spec = SpectralModel.semicircle(0.5, 1.0)
+    quantile_grid.cache_clear()
+    a = sample_invariant(spec, 48, seed=1)
+    b = sample_invariant(spec, 48, seed=2)
+    assert quantile_grid.cache_info().misses == 1
+    assert not np.array_equal(a, b)
+    grid = quantile_grid(spec, 48)
+    assert grid is quantile_grid(spec, 48)
+    with pytest.raises(ValueError):
+        grid[0] = 0.0

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conewise.spectral as spectral
 from conewise import (
     DegenerateProcessError,
     InvalidSpecError,
@@ -27,7 +28,6 @@ from conewise.spectral import (
     log_abs_moment_quadrature,
     log_moment_array,
     log_moments,
-    moments_closed_form,
 )
 
 SEMI = SpectralModel.semicircle(0, 2)
@@ -103,13 +103,23 @@ class TestMomentOverflow:
         assert moment_f(SpectralModel.atomic(-3), 1201) == -math.inf
 
 
-class TestMomentEngine:
-    def test_closed_form_predicate(self):
-        assert moments_closed_form(SEMI) and moments_closed_form(BETA3)
-        assert moments_closed_form(SpectralModel.atomic(-0.5))
-        assert not moments_closed_form(SpectralModel.semicircle(0.5, 1))
-        assert not moments_closed_form(SpectralModel.tabulated([0, 1], [1, 1]))
+def _shifted_semicircle_moment(t):
+    """Exact moment t of semicircle(3, 2): sum_j C(t, 2j) 3**(t-2j) Cat(j)."""
+    return sum(
+        math.comb(t, 2 * j) * 3 ** (t - 2 * j) * math.comb(2 * j, j) // (j + 1)
+        for j in range(t // 2 + 1)
+    )
 
+
+_TABLES = [
+    SpectralModel.tabulated(np.linspace(0.1, 1.2, 11), np.linspace(0.2, 1, 11) ** 2),
+    SpectralModel.tabulated(_WIDE[::25], 1 + np.abs(np.sin(3 * _WIDE[::25]))),
+    SpectralModel.tabulated(_WIDE, 1 + np.abs(np.sin(3 * _WIDE))),
+]
+_TABLE_IDS = ["11-point", "9-point-signed", "201-point-signed"]
+
+
+class TestMomentEngine:
     def test_views_agree_with_engine(self):
         ks = np.array([[0, 1, 2], [7, 8, 31]])
         for spec in (SEMI, BETA3, SpectralModel.atomic(-1.5), SpectralModel.semicircle(3, 2)):
@@ -138,19 +148,52 @@ class TestMomentEngine:
         with pytest.raises(InvalidSpecError):
             log_moments(BETA3, [2, -1])
 
-    @pytest.mark.parametrize(
-        "spec, rel",
-        [
-            (SpectralModel.tabulated(np.linspace(0.1, 1.2, 11), np.linspace(0.2, 1, 11) ** 2), 1e-13),
-            (SpectralModel.tabulated(_WIDE[::25], 1 + np.abs(np.sin(3 * _WIDE[::25]))), 1e-13),
-            (SpectralModel.tabulated(_WIDE, 1 + np.abs(np.sin(3 * _WIDE))), 1e-12),
-        ],
-        ids=["11-point", "9-point-signed", "201-point-signed"],
-    )
+    @pytest.mark.parametrize("spec, rel", zip(_TABLES, [1e-13, 1e-13, 1e-12]), ids=_TABLE_IDS)
     def test_tabulated_moments_exact(self, spec, rel):
         # every table node is a kink of the density
         for t in (0, 1, 2, 5, 20):
             assert moment_f(spec, t) == pytest.approx(float(_exact_tabulated_moment(spec, t)), rel=rel)
+
+    @pytest.mark.parametrize("spec", _TABLES, ids=_TABLE_IDS)
+    def test_tabulated_high_order_exact(self, spec):
+        assert moment_f(spec, 900) == pytest.approx(float(_exact_tabulated_moment(spec, 900)), rel=1e-11)
+
+    def test_shifted_semicircle_exact(self):
+        ks = np.array([1, 2, 3, 10, 100, 511, 512, 4096])
+        logs, signs = log_moments(SpectralModel.semicircle(3, 2), ks)
+        assert np.all(signs == 1)
+        for k, lk in zip(ks, logs):
+            # |log f - log exact| bounds the relative error to first order
+            assert abs(lk - math.log(_shifted_semicircle_moment(int(k)))) <= (
+                1e-12 if k <= 512 else 1e-10
+            )
+
+    def test_negative_centre_mirrors_signs(self):
+        ks = np.arange(40)
+        logs, signs = log_moments(SpectralModel.semicircle(-0.5, 1.0), ks)
+        mirror_logs, mirror_signs = log_moments(SpectralModel.semicircle(0.5, 1.0), ks)
+        assert np.array_equal(logs, mirror_logs)
+        assert np.all(mirror_signs == 1)
+        assert np.array_equal(signs, np.where(ks % 2 == 1, -1, 1))
+        assert moment_f(SpectralModel.semicircle(-0.5, 1.0), 3) == pytest.approx(-0.5**3 - 3 * 0.5 / 4)
+
+    def test_table_growth_does_not_change_values(self):
+        spec = SpectralModel.semicircle(0.7, 1.3)
+        spectral._semicircle_table.cache_clear()
+        grown = [log_moments(spec, [k])[0][0] for k in (3, 40, 1000, 5000)]
+        spectral._semicircle_table.cache_clear()
+        once = log_moments(spec, np.arange(5001))[0]
+        assert [once[k] for k in (3, 40, 1000, 5000)] == grown
+
+    def test_runtime_routes_never_integrate(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrature called")
+
+        monkeypatch.setattr(spectral, "quad", refuse)
+        for spec in (SpectralModel.semicircle(0.5, 1.0), *_TABLES):
+            log_moment_array(spec, 600)
+            g_array(spec, [1, 7, 40_000])
+            correlator(spec, 3, 5)
 
 
 class TestMomentAsymptotics:

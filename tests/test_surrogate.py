@@ -8,10 +8,10 @@ from conewise.estimators import fit_persistence_curve
 from conewise.surrogate import (
     MAX_DENSE_HORIZON,
     _cholesky_factor,
+    _stream_first_changes,
     build_covariance,
     estimate_persistence_gp,
     joint_persistence,
-    sample_gp_paths,
 )
 
 SEMI = SpectralModel.semicircle(0, 2)
@@ -71,38 +71,45 @@ class TestBuildCovariance:
 
 
 class TestSampleGpPaths:
-    def test_identity_covariance_moments(self):
-        batch = sample_gp_paths(np.eye(4), 100_000, seed=1)
-        means = batch.paths.mean(axis=0)
-        assert np.max(np.abs(means)) < 0.01
-        assert np.allclose(batch.paths.var(axis=0), 1.0, atol=0.02)
+    """Path sampling through the streamed Cholesky factor, seen through the
+    first sign-change times it returns."""
+
+    def test_identity_covariance_coin_flips(self):
+        # independent signs: no change up to tau with probability 2**-tau
+        n = 100_000
+        (times,) = _stream_first_changes(_cholesky_factor(np.eye(5)), n, seed=1)
+        for tau in range(1, 5):
+            p = 2.0**-tau
+            assert np.mean(times > tau) == pytest.approx(p, abs=4 * np.sqrt(p * (1 - p) / n))
 
     def test_pair_correlation_recovered(self):
+        # arcsine law: P(sign(x1) == sign(x0)) = 1/2 + arcsin(c)/pi
+        n = 100_000
         c = 0.73
-        cov = np.array([[1.0, c], [c, 1.0]])
-        batch = sample_gp_paths(cov, 100_000, seed=2)
-        r = np.corrcoef(batch.paths[:, 0], batch.paths[:, 1])[0, 1]
-        assert r == pytest.approx(c, abs=0.01)
+        (times,) = _stream_first_changes(_cholesky_factor(np.array([[1.0, c], [c, 1.0]])), n, seed=2)
+        p = 0.5 + np.arcsin(c) / np.pi
+        assert np.mean(times == 2) == pytest.approx(p, abs=4 * np.sqrt(p * (1 - p) / n))
+
+    def test_real_covariance_first_step(self):
+        n = 100_000
+        cov = build_covariance(BETA3, 16)
+        (times,) = _stream_first_changes(_cholesky_factor(cov), n, seed=4)
+        p = 0.5 + np.arcsin(cov[0, 1]) / np.pi
+        assert np.mean(times > 1) == pytest.approx(p, abs=4 * np.sqrt(p * (1 - p) / n))
 
     def test_rank_one_covariance_constant_paths(self):
-        # exactly singular: goes through the 1e-10 diagonal jitter, so the
-        # entries agree to the jitter scale sqrt(1e-10)
-        cov = np.ones((6, 6))
-        batch = sample_gp_paths(cov, 50, seed=3)
-        assert np.allclose(batch.paths, batch.paths[:, :1], atol=1e-4)
+        # exactly singular: goes through the 1e-10 diagonal jitter, which is
+        # far too small to flip a sign
+        (times,) = _stream_first_changes(_cholesky_factor(np.ones((6, 6))), 5000, seed=3)
+        assert np.all(times == 6)
 
     def test_reproducible(self):
-        cov = build_covariance(BETA3, 16)
-        a = sample_gp_paths(cov, 64, seed=9).paths
-        b = sample_gp_paths(cov, 64, seed=9).paths
-        assert np.array_equal(a, b)
-
-    def test_sample_variance_near_one_on_real_covariance(self):
-        n = 20_000
-        batch = sample_gp_paths(build_covariance(SEMI, 64), n, seed=4)
-        v = batch.paths.var(axis=0, ddof=1)
-        # variance of the sample variance of a Gaussian: 2/(n-1)
-        assert np.max(np.abs(v - 1.0)) < 5 * np.sqrt(2.0 / (n - 1))
+        factor = _cholesky_factor(build_covariance(BETA3, 16))
+        a = _stream_first_changes(factor, 5000, seed=9, parities=(None, 0, 1))
+        b = _stream_first_changes(factor, 5000, seed=9, parities=(None, 0, 1))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        c = _stream_first_changes(factor, 5000, seed=10)[0]
+        assert not np.array_equal(a[0], c)
 
 
 class TestPersistence:
