@@ -14,6 +14,18 @@ growth to a running total.  Two equivalent evolution routes exist:
   cone switches.  Within floating-point limits both describe the same
   dynamics; the blocked route makes ensemble sweeps at N ~ 1e3, T ~ 1e4
   tractable.
+
+Persistence (:func:`estimate_persistence_matrix`) only follows a run to its
+first sign change, when only the starting cone's matrix M has acted.  A run
+that starts in a GOE cone takes the tridiagonal route: with J = Q^T M Q the
+Householder tridiagonal form fixing e1, v1(t) = (J^t e1) . z for z = Q^T v0,
+and J^t e1 lives on the first t + 1 coordinates.  J's entries are
+independent (Dumitriu-Edelman), and z is again iid N(0, 1), independent of
+J, with z[0] = v0[0], so drawing the leading min(T + 1, N) entries of J and
+z gives first-change times with exactly the law of the dense route, at a
+cost of O(tau^2) that does not depend on N.  Runs that start in an
+invariant or elliptic cone step a dense matrix (:func:`_first_sign_change`,
+also the reference the tridiagonal route is tested against).
 """
 
 from __future__ import annotations
@@ -23,9 +35,9 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigvalsh_tridiagonal
 
-from .ensembles import EnsembleSpec
+from .ensembles import EnsembleSpec, _goe_jacobi
 from .errors import (
     CollapseUndefinedError,
     DegenerateDynamicsError,
@@ -59,6 +71,9 @@ _CYCLE_GRID = 1e-6
 _CYCLE_INTERVAL = 16
 # longest block of steps the eigenbasis route advances at once
 _BLOCK = 192
+# realizations the tridiagonal persistence route steps together; bounds its
+# working set to a few arrays of this many rows by min(T + 1, N) columns
+_JACOBI_BLOCK = 256
 # rescaled-time grid density of the collapse comparison
 _COLLAPSE_POINTS_PER_DECADE = 24
 # a trapped run is paired with its top eigenvalue only once the subleading
@@ -227,16 +242,88 @@ def _first_sign_change(m: np.ndarray, v0: np.ndarray, horizon: int, rng) -> int:
     return horizon + 1
 
 
+def _jacobi_first_sign_changes(diag, offdiag, z, s0, horizon, rngs) -> np.ndarray:
+    """First sign change of v1(t) = (J^t e1) . z for stacked tridiagonal J.
+
+    Row i holds the leading K x K block of one symmetric tridiagonal J
+    (``diag`` K entries, ``offdiag`` K - 1), the first K entries of its
+    start vector ``z`` and its starting sign ``s0`` (+-1); K >= min(horizon
+    + 1, N) suffices because J^t e1 lives on the first t + 1 coordinates.
+    Rows step together but independently: every operation on a row is
+    elementwise or a reduction over that row alone, so a row's result does
+    not depend on which rows share its block.  Exact zeros of v1 are
+    resolved by a coin from ``rngs[i]``.  Returns per-row times
+    (horizon + 1 when the sign never changes).
+    """
+    rows, k = diag.shape
+    times = np.full(rows, horizon + 1, dtype=np.int64)
+    s0 = np.array(s0, dtype=float)  # set to 0 once a row has changed sign
+    x = np.zeros((rows, k))
+    x[:, 0] = 1.0
+    row_of = np.arange(rows)  # original row of each stacked row
+    n_alive = rows
+    for t in range(1, horizon + 1):
+        c = min(t + 1, k)
+        e = offdiag[:, : c - 1]
+        y = diag[:, :c] * x[:, :c]
+        y[:, 1:] += e * x[:, : c - 1]
+        y[:, :-1] += e * x[:, 1:c]
+        peak = np.abs(y).max(axis=1)
+        if not peak.all():
+            if not peak[s0 != 0.0].all():
+                raise DegenerateDynamicsError(t)
+            peak[peak == 0.0] = 1.0  # a row that has already changed sign
+        y /= peak[:, None]
+        x[:, :c] = y
+        signed = (y * z[:, :c]).sum(axis=1) * s0
+        changed = signed < 0.0
+        if np.count_nonzero(signed) < n_alive:
+            for i in np.flatnonzero((signed == 0.0) & (s0 != 0.0)):
+                changed[i] = _sign_with_coin(0.0, rngs[row_of[i]]) != s0[i]
+        if not changed.any():
+            continue
+        times[row_of[changed]] = t
+        s0[changed] = 0.0
+        n_alive -= int(np.count_nonzero(changed))
+        if n_alive == 0:
+            break
+        # drop finished rows once they are half the block; until then they
+        # step along with s0 = 0, which keeps them out of every test above
+        if 2 * n_alive <= s0.size:
+            keep = s0 != 0.0
+            diag, offdiag, z, s0, x, row_of = (
+                a[keep] for a in (diag, offdiag, z, s0, x, row_of)
+            )
+    return times
+
+
 def _persistence_chunk(ensemble_a, ensemble_b, T, seed, start, stop):
     n_dim = ensemble_a.dimension
+    goe = any(e.kind == "goe" for e in (ensemble_a, ensemble_b))
+    # a GOE start needs only the first k entries of the start vector; the
+    # rest are drawn only for a dense start, which keeps the slot-0 stream
+    # of an all-dense pair exactly as the dense route has always drawn it
+    k = min(T + 1, n_dim) if goe else n_dim
     times = np.empty(stop - start, dtype=np.int64)
-    for i, r in enumerate(range(start, stop)):
-        rng = rng_from_seed(derive_seed(seed, r, 0))
-        v0 = rng.standard_normal(n_dim)
-        s0 = _sign_with_coin(v0[0], rng)
-        ens, slot = (ensemble_a, 1) if s0 > 0 else (ensemble_b, 2)
-        m = ens.sample(derive_seed(seed, r, slot))
-        times[i] = _first_sign_change(m, v0, T, rng)
+    for lo in range(start, stop, _JACOBI_BLOCK):
+        rows = []  # (index into times, z, s0, diag, offdiag, rng) of GOE starts
+        for r in range(lo, min(lo + _JACOBI_BLOCK, stop)):
+            rng = rng_from_seed(derive_seed(seed, r, 0))
+            head = rng.standard_normal(k)
+            s0 = _sign_with_coin(head[0], rng)
+            ens, slot = (ensemble_a, 1) if s0 > 0 else (ensemble_b, 2)
+            if ens.kind == "goe":
+                diag, off = _goe_jacobi(ens, k, rng_from_seed(derive_seed(seed, r, slot)))
+                rows.append((r - start, head, s0, diag, off, rng))
+                continue
+            v0 = head if k == n_dim else np.concatenate([head, rng.standard_normal(n_dim - k)])
+            m = ens.sample(derive_seed(seed, r, slot))
+            times[r - start] = _first_sign_change(m, v0, T, rng)
+        if rows:
+            idx, z, s0, diag, off, rngs = zip(*rows)
+            times[list(idx)] = _jacobi_first_sign_changes(
+                np.array(diag), np.array(off), np.array(z), s0, T, rngs
+            )
     return times
 
 
@@ -254,9 +341,17 @@ def estimate_persistence_matrix(
 
     Only the starting cone's matrix acts before the first change, so the
     other one is never materialized; seeds are assigned to both slots so the
-    statistics are those of independent pair draws.  ``threads`` is the
+    statistics are those of independent pair draws.  Realization r draws
+    its start vector, then its starting sign, from seed slot 0 and the
+    starting cone's matrix from slot 1 (A) or 2 (B).  A GOE cone is drawn
+    as the leading min(T + 1, N) block of its tridiagonal form, with that
+    many start-vector entries, and stepped in stacked blocks: exact in law
+    (see the module docstring), O(tau^2) per run whatever N is, but not the
+    same per-seed times as a dense draw.  Invariant and elliptic cones are
+    drawn dense and stepped by matrix-vector products.  ``threads`` is the
     number of worker processes (see :func:`~conewise.parallel.map_index_chunks`);
     results do not depend on it (per-realization seeds are index-derived).
+    ``n_realizations < 1`` raises :class:`InvalidSpecError`.
     """
     if ensemble_a.dimension != ensemble_b.dimension:
         raise InvalidSpecError("ensembles must share the dimension")
@@ -298,9 +393,6 @@ class ScalingCollapse:
     central_decade: tuple  # (u_lo, u_hi)
     spread_central: float  # max spread inside the central decade
     plateau: dict  # N -> rescaled late-time level c estimate
-
-    def plateau_positive(self, n: int) -> bool:
-        return self.plateau[n][0] > 0.0
 
 
 def scaling_collapse(
@@ -613,18 +705,28 @@ class TopEigenvalueCheck:
 
 
 def top_eigenvalue_check(ensemble: EnsembleSpec, n_draws: int, seed: int) -> TopEigenvalueCheck:
-    """Sample the largest eigenvalue of a symmetric ensemble n_draws times."""
+    """Sample the largest eigenvalue of a symmetric ensemble n_draws times.
+
+    GOE draws come from the whole tridiagonal form (``_goe_jacobi`` with
+    K = N), which has the spectrum of a dense draw, by bisection; other
+    kinds use a dense draw and ``eigh``.
+    """
     nu_plus = ensemble.nu_plus  # raises for non-symmetric kinds
     n_dim = ensemble.dimension
     gamma = nu_plus / 2.0
     if gamma <= 0:
         raise InvalidSpecError("edge-fluctuation normalization needs nu_plus > 0")
+    top = [n_dim - 1, n_dim - 1]
     nu_max = np.empty(n_draws)
     for k in range(n_draws):
-        m = ensemble.sample(derive_seed(seed, k))
-        nu_max[k] = eigh(
-            m, eigvals_only=True, subset_by_index=[n_dim - 1, n_dim - 1], check_finite=False
-        )[0]
+        if ensemble.kind == "goe":
+            diag, off = _goe_jacobi(ensemble, n_dim, rng_from_seed(derive_seed(seed, k)))
+            nu_max[k] = eigvalsh_tridiagonal(
+                diag, off, select="i", select_range=top, check_finite=False
+            )[0]
+        else:
+            m = ensemble.sample(derive_seed(seed, k))
+            nu_max[k] = eigh(m, eigvals_only=True, subset_by_index=top, check_finite=False)[0]
     sigma1 = (nu_max - nu_plus) * n_dim ** (2.0 / 3.0) / gamma
     return TopEigenvalueCheck(n_dim=n_dim, nu_plus=nu_plus, gamma=gamma, nu_max=nu_max, sigma1=sigma1)
 

@@ -14,6 +14,13 @@ Three recipes cover the experiments:
   (rho=0) statistics.
 
 All samplers are pure functions of (parameters, seed).
+
+GOE recipes also have a tridiagonal sampler, ``_goe_jacobi``: the leading
+K x K block of the Householder tridiagonal form J = Q^T M Q (Q e1 = e1) of a
+GOE matrix M, whose entries are independent (Dumitriu & Edelman, J. Math.
+Phys. 43 (2002) 5830; Trotter, Adv. Math. 54 (1984) 67).  It costs O(K)
+random numbers whatever N is, and serves the dynamics that only need
+powers of M applied to e1 and the top eigenvalue.
 """
 
 from __future__ import annotations
@@ -53,6 +60,22 @@ def sample_goe(N: int, center: float, radius: float, seed: int) -> np.ndarray:
     if center != 0.0:
         m[np.diag_indices(N)] += center
     return m
+
+
+def _goe_jacobi(spec: "EnsembleSpec", K: int, rng: np.random.Generator):
+    """(diag, offdiag) of the leading K x K block of a GOE's tridiagonal form.
+
+    With sigma = radius / (2 sqrt(N)) the diagonal is center + sqrt(2) sigma
+    N(0, 1) and the k-th off-diagonal entry sigma chi_{N-k}, all independent;
+    the K diagonal normals are drawn first, then the K - 1 chi variates.
+    1 <= K <= N; K = N gives the whole matrix, which has the spectrum law of
+    ``sample_goe``.
+    """
+    n = spec.dimension
+    sigma = spec.radius / (2.0 * math.sqrt(n))
+    diag = spec.center + (math.sqrt(2.0) * sigma) * rng.standard_normal(K)
+    offdiag = sigma * np.sqrt(rng.chisquare(np.arange(n - 1, n - K, -1)))
+    return diag, offdiag
 
 
 def sample_haar_orthogonal(N: int, seed: int) -> np.ndarray:

@@ -46,16 +46,6 @@ class FitResult:
         if self.stderr_exponent < 0:
             raise FitError("negative exponent error")
 
-    def as_dict(self) -> dict:
-        return {
-            "exponent": self.exponent,
-            "prefactor_log": self.prefactor_log,
-            "cutoff_rate": self.cutoff_rate,
-            "window": list(self.window),
-            "stderr_exponent": self.stderr_exponent,
-            "r_squared": self.r_squared,
-        }
-
 
 def _coerce_series(data, stderr):
     if isinstance(data, PersistenceCurve):

@@ -11,6 +11,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
+from .errors import InvalidSpecError
+
 
 def map_index_chunks(fn, n_items: int, threads: int, chunk: int = 128):
     """Run ``fn(start, stop)`` over [0, n_items) and concatenate the results.
@@ -19,10 +21,10 @@ def map_index_chunks(fn, n_items: int, threads: int, chunk: int = 128):
     pieces are joined along axis 0 in index order.  ``threads`` is the number
     of worker processes (not threads: ``fn`` runs in a process pool and must
     be picklable); with 1, or with ``n_items <= chunk``, everything runs in
-    the calling process.
+    the calling process.  An empty range raises :class:`InvalidSpecError`.
     """
     if n_items <= 0:
-        raise ValueError("nothing to map over")
+        raise InvalidSpecError(f"need at least one realization, got {n_items}")
     threads = max(1, int(threads))
     if threads == 1 or n_items <= chunk:
         return fn(0, n_items)

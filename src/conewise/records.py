@@ -88,9 +88,3 @@ class LyapunovSamples:
         self.normalized = np.asarray(self.normalized, dtype=float)
         self.trapped = np.asarray(self.trapped, dtype=bool)
         self.cycling = np.asarray(self.cycling, dtype=bool)
-
-    @property
-    def clean(self) -> np.ndarray:
-        """Normalized samples with trapped and cycling runs removed."""
-        keep = ~(self.trapped | self.cycling)
-        return self.normalized[keep]

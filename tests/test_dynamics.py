@@ -7,6 +7,7 @@ from conewise import (
     DegenerateDynamicsError,
     EnsembleSpec,
     InvalidSpecError,
+    SpectralModel,
     sample_goe,
 )
 from conewise.dynamics import (
@@ -20,14 +21,34 @@ from conewise.dynamics import (
     scaling_collapse,
     top_eigenvalue_check,
     trapped_run_edge_pairs,
+    _first_sign_change,
+    _jacobi_first_sign_changes,
+    _persistence_chunk,
+    _sign_with_coin,
 )
+from conewise.ensembles import _goe_jacobi
 from conewise.errors import CollapseUndefinedError, FitError
 from conewise.estimators import TRUNCATED_FIT_MIN_POINTS
-from conewise.seeding import rng_from_seed
+from conewise.records import PersistenceCurve
+from conewise.seeding import derive_seed, rng_from_seed
+from scipy.stats import ks_2samp
 
 
 def gaussian(n, seed):
     return rng_from_seed(seed).standard_normal(n)
+
+
+def dense_first_changes(ens_a, ens_b, n_real, T, seed):
+    """First-change times of fresh dense draws stepped by the reference
+    kernel, with the seed slots of estimate_persistence_matrix."""
+    times = np.empty(n_real, dtype=np.int64)
+    for r in range(n_real):
+        rng = rng_from_seed(derive_seed(seed, r, 0))
+        v0 = rng.standard_normal(ens_a.dimension)
+        s0 = _sign_with_coin(v0[0], rng)
+        ens, slot = (ens_a, 1) if s0 > 0 else (ens_b, 2)
+        times[r] = _first_sign_change(ens.sample(derive_seed(seed, r, slot)), v0, T, rng)
+    return times
 
 
 def fit_window_points(entry):
@@ -168,6 +189,95 @@ class TestPersistenceMatrix:
                 EnsembleSpec.goe(16), EnsembleSpec.goe(32), 10, T=10, seed=0
             )
 
+    def test_empty_sweep_is_typed(self):
+        ens = EnsembleSpec.goe(16)
+        with pytest.raises(InvalidSpecError, match="got 0"):
+            estimate_persistence_matrix(ens, ens, 0, T=10, seed=0)
+
+
+class TestJacobiRoute:
+    """GOE starts step the leading block of the tridiagonal form; in law the
+    first-change times equal those of dense draws and the reference kernel."""
+
+    @pytest.mark.parametrize(
+        "n_dim, T, n_real, mixed",
+        [(16, 40, 8000, False), (64, 30, 10000, False), (256, 120, 3000, False), (16, 40, 8000, True)],
+    )
+    def test_matches_dense_reference(self, n_dim, T, n_real, mixed):
+        ens_a = EnsembleSpec.goe(n_dim, 0.0, 2.0)
+        ens_b = EnsembleSpec.goe(n_dim, 0.5, 1.0) if mixed else ens_a
+        grid = np.arange(T + 1)
+        fast_times = _persistence_chunk(ens_a, ens_b, T, 31, 0, n_real)
+        ref_times = dense_first_changes(ens_a, ens_b, n_real, T, seed=32)
+        fast, ref = (
+            PersistenceCurve.from_first_change_times(t, T, grid=grid)
+            for t in (fast_times, ref_times)
+        )
+        sigma = np.sqrt(fast.stderr**2 + ref.stderr**2)
+        inside = sigma > 0
+        assert np.all(np.abs(fast.q0 - ref.q0)[inside] <= 4 * sigma[inside])
+        assert ks_2samp(fast_times, ref_times).pvalue > 0.01
+
+    def test_rows_independent_of_block(self):
+        ens = EnsembleSpec.goe(512)
+        rng = rng_from_seed(41)
+        k, T = 61, 60
+        diag, off = map(np.array, zip(*(_goe_jacobi(ens, k, rng) for _ in range(30))))
+        z = rng.standard_normal((30, k))
+        s0 = np.sign(z[:, 0])
+        rngs = [rng_from_seed(i) for i in range(30)]
+        stacked = _jacobi_first_sign_changes(diag, off, z, s0, T, rngs)
+        alone = [
+            _jacobi_first_sign_changes(diag[i : i + 1], off[i : i + 1], z[i : i + 1], s0[i : i + 1], T, rngs[i : i + 1])[0]
+            for i in range(30)
+        ]
+        assert np.array_equal(stacked, alone)
+        assert stacked.min() == 1 and stacked.max() > 10
+
+    def test_exact_zero_resolved_by_own_coin(self):
+        # J e1 = (0, 1, 0): v1(1) = z . (0, 1, 0) = 0 exactly
+        diag = np.zeros((2, 3))
+        off = np.ones((2, 2))
+        z = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        rngs = [rng_from_seed(5), rng_from_seed(6)]
+        coins = [_sign_with_coin(0.0, rng_from_seed(seed)) for seed in (5, 6)]
+        times = _jacobi_first_sign_changes(diag, off, z, np.ones(2), 1, rngs)
+        assert list(times) == [1 if c < 0 else 2 for c in coins]
+
+    def test_zero_matrix_raises(self):
+        diag, off = np.zeros((3, 4)), np.zeros((3, 3))
+        z = np.ones((3, 4))
+        with pytest.raises(DegenerateDynamicsError) as err:
+            _jacobi_first_sign_changes(diag, off, z, np.ones(3), 5, [None] * 3)
+        assert err.value.step == 1
+
+    def test_mixed_kinds_route_per_start(self):
+        # an invariant cone at 1.4 I never changes sign: its starts survive;
+        # GOE starts take the tridiagonal route exactly as in a GOE pair
+        goe = EnsembleSpec.goe(32)
+        flat = EnsembleSpec.invariant(SpectralModel.atomic(1.4), 32)
+        T, n_real = 50, 200
+        mixed = _persistence_chunk(goe, flat, T, 3, 0, n_real)
+        pure = _persistence_chunk(goe, goe, T, 3, 0, n_real)
+        negative = np.array(
+            [rng_from_seed(derive_seed(3, r, 0)).standard_normal() < 0 for r in range(n_real)]
+        )
+        assert np.all(mixed[negative] == T + 1)
+        assert np.array_equal(mixed[~negative], pure[~negative])
+        assert 0 < negative.sum() < n_real
+
+    @pytest.mark.parametrize(
+        "ens",
+        [
+            EnsembleSpec.invariant(SpectralModel.semicircle(0.5, 1.0), 32),
+            EnsembleSpec.elliptic(32, 0.5),
+        ],
+        ids=["invariant", "elliptic"],
+    )
+    def test_dense_kinds_keep_dense_route(self, ens):
+        times = _persistence_chunk(ens, ens, 40, 9, 0, 60)
+        assert np.array_equal(times, dense_first_changes(ens, ens, 60, 40, seed=9))
+
 
 class TestLyapunovRuns:
     def test_eigen_route_matches_reference(self):
@@ -207,6 +317,11 @@ class TestLyapunovRuns:
         assert np.any(sel)
         diff = np.abs(runs.lam_tail[sel] - np.log(runs.nu_max_final[sel]))
         assert np.max(diff) < 1e-3
+
+    def test_empty_sweep_is_typed(self):
+        ens = EnsembleSpec.goe(16)
+        with pytest.raises(InvalidSpecError, match="got 0"):
+            lyapunov_runs(ens, ens, 0, T=10, seed=0)
 
     def test_normalization_uses_edge_rates(self):
         ens_a = EnsembleSpec.goe(32, 0.0, 0.5)
@@ -262,6 +377,16 @@ class TestScalingCollapse:
         assert out.spread_central < wrong.spread_central
 
 
+    def test_large_n_collapse(self):
+        # N = 32768 is out of reach of dense draws (8.6 GB per matrix); the
+        # tridiagonal route's cost depends on the horizon only
+        sizes = [512, 4096, 32768]
+        out = scaling_collapse(sizes, goe_family(), 1000, T=1024, mu=0.4764, seed=17)
+        wrong = scaling_collapse(sizes, goe_family(), 1000, T=1024, mu=1.6, seed=17)
+        assert out.spread_central < wrong.spread_central
+        assert out.curves[-1].meta["N"] == 32768
+
+
 class TestTopEigenvalue:
     def test_atomic_like_degenerate(self):
         from conewise import SpectralModel
@@ -283,6 +408,12 @@ class TestTopEigenvalue:
         a = top_eigenvalue_check(EnsembleSpec.goe(64, 0.0, 2.0), 200, seed=5)
         b = top_eigenvalue_check(EnsembleSpec.goe(64, 0.0, 7.0), 200, seed=5)
         assert np.allclose(a.sigma1, b.sigma1, atol=1e-10)
+
+    def test_goe_tridiagonal_matches_dense(self):
+        n_dim, n_draws = 64, 3000
+        chk = top_eigenvalue_check(EnsembleSpec.goe(n_dim, 0.0, 2.0), n_draws, seed=6)
+        dense = [np.linalg.eigvalsh(sample_goe(n_dim, 0.0, 2.0, seed=10**6 + k))[-1] for k in range(n_draws)]
+        assert ks_2samp(chk.nu_max, dense).pvalue > 0.01
 
     def test_elliptic_rejected(self):
         with pytest.raises(InvalidSpecError):
