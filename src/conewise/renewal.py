@@ -128,15 +128,10 @@ def _cdf_half_quadrature(mu: float, x: float) -> float:
     with the edge substitution u = x**mu."""
     if x <= 0.0:
         return 0.0
-    cmu = math.cos(mu * math.pi)
+    unit = LampertiParams(0.0, 1.0, mu)
 
     def integrand(u: float) -> float:
-        xx = u ** (1.0 / mu)
-        z2 = 1.0 - xx
-        num = (xx * z2) ** (mu - 1.0)
-        den = xx ** (2 * mu) + z2 ** (2 * mu) + 2.0 * (xx * z2) ** mu * cmu
-        pdf = math.sin(mu * math.pi) / math.pi * num / den
-        return pdf * (1.0 / mu) * u ** (1.0 / mu - 1.0)
+        return float(lamperti_pdf(unit, u ** (1.0 / mu))) * (1.0 / mu) * u ** (1.0 / mu - 1.0)
 
     val, _ = quad(integrand, 0.0, x**mu, epsabs=1e-12, epsrel=1e-10, limit=200)
     return val
@@ -170,20 +165,14 @@ def stieltjes_lhs(params: LampertiParams, y: float) -> float:
     mu = params.mu
     width = params.width
     ytil = (y - params.lo) / width
-    cmu = math.cos(mu * math.pi)
-    smu = math.sin(mu * math.pi)
-
-    def unit_pdf(xx: float) -> float:
-        z2 = 1.0 - xx
-        num = (xx * z2) ** (mu - 1.0)
-        den = xx ** (2 * mu) + z2 ** (2 * mu) + 2.0 * (xx * z2) ** mu * cmu
-        return smu / math.pi * num / den
+    unit = LampertiParams(0.0, 1.0, mu)
 
     def piece(shifted_pole: float) -> float:
-        # integral over x in [0, 1/2] of unit_pdf(x) / (shifted_pole - x)
+        # integral over x in [0, 1/2] of the unit-interval density / (shifted_pole - x)
         def integrand(u: float) -> float:
             xx = u ** (1.0 / mu)
-            return unit_pdf(xx) / (shifted_pole - xx) * (1.0 / mu) * u ** (1.0 / mu - 1.0)
+            pdf = float(lamperti_pdf(unit, xx))
+            return pdf / (shifted_pole - xx) * (1.0 / mu) * u ** (1.0 / mu - 1.0)
 
         val, _ = quad(integrand, 0.0, 0.5**mu, epsabs=1e-13, epsrel=1e-10, limit=300)
         return val

@@ -3,18 +3,20 @@
 In the large-N limit the components of the evolving vector are independent
 centered Gaussians with normalized two-time correlation
 ``f(t+s)/sqrt(f(2t) f(2s))``, so sign persistence of the first component can
-be measured on sampled GP paths instead of matrix products.  Paths are drawn
-through a dense Cholesky factor (horizon capped accordingly) in blocks with
-derived seeds, and survival is counted by first sign mismatch against the
-t=0 value.
+be measured on sampled GP paths instead of matrix products.  The correlator
+depends on log time, so its matrix is numerically low-rank: paths are drawn
+in blocks with derived seeds through a pivoted Cholesky factor of rank
+r << T+1, and survival is counted by first sign mismatch against t=0.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DegenerateProcessError, InvalidSpecError, NumericalError
-from .records import PersistenceCurve, log_tau_grid
+from .records import PersistenceCurve
 from .seeding import derive_seed, rng_from_seed
 from .spectra import SpectralModel
 from .spectral import log_moment_array
@@ -23,61 +25,72 @@ __all__ = [
     "build_covariance",
     "estimate_persistence_gp",
     "joint_persistence",
-    "MAX_DENSE_HORIZON",
 ]
 
-MAX_DENSE_HORIZON = 4096
-_JITTER = 1e-10
+_TOL = 1e-10
 _PSD_FLOOR = -1e-8
 _BLOCK = 4096
+_BLOCK_ENTRIES = _BLOCK * 1025  # one block of 4096 paths at T = 1024
+
+
+def _correlation(spec: SpectralModel, T: int):
+    """Entries (t, s) -> f(t+s)/sqrt(f(2t) f(2s)) on times 0..T, for
+    broadcastable index arrays; the diagonal is exactly 1."""
+    if T < 0:
+        raise InvalidSpecError("horizon must be >= 0")
+    logs, signs = log_moment_array(spec, 2 * T)
+    if np.any(signs[::2] <= 0):
+        raise DegenerateProcessError(f"vanishing even moment for {spec.describe()}")
+    half = 0.5 * logs[::2]
+
+    def entries(t, s):
+        tot = t + s
+        return np.where(t == s, 1.0, signs[tot] * np.exp(logs[tot] - half[t] - half[s]))
+
+    return entries
 
 
 def build_covariance(spec: SpectralModel, T: int) -> np.ndarray:
     """(T+1) x (T+1) matrix of normalized correlations on times 0..T.
 
-    Validated positive semidefinite: a smallest eigenvalue w_min in
-    [-1e-8, 0) shifts the diagonal by max(1e-10, -2 w_min), enough for the
-    Cholesky factor; anything below -1e-8 means the moment accuracy is too
-    loose and raises.
+    The plain dense definition, unchecked and unshifted.  Path sampling
+    never forms it: it factors the same entries column by column.
     """
-    if T < 0:
-        raise InvalidSpecError("horizon must be >= 0")
-    if T > MAX_DENSE_HORIZON:
-        raise InvalidSpecError(
-            f"dense-factor route is capped at T = {MAX_DENSE_HORIZON}; "
-            "longer horizons need the matrix dynamics route"
-        )
-    logs, signs = log_moment_array(spec, 2 * T)
-    if np.any(signs[::2] <= 0):
-        raise DegenerateProcessError(f"vanishing even moment for {spec.describe()}")
     idx = np.arange(T + 1)
-    tot = idx[:, None] + idx[None, :]
-    half = 0.5 * logs[2 * idx]
-    cov = signs[tot] * np.exp(logs[tot] - half[:, None] - half[None, :])
-    np.fill_diagonal(cov, 1.0)
-    if T == 0:
-        return cov
-    w_min = float(np.linalg.eigvalsh(cov)[0])
-    if w_min < _PSD_FLOOR:
-        raise NumericalError(
-            f"covariance smallest eigenvalue {w_min:.3e} below {_PSD_FLOOR}; "
-            "moments not accurate enough for the correlator"
-        )
-    if w_min < 0.0:
-        cov[np.diag_indices_from(cov)] += max(_JITTER, -2.0 * w_min)
-    return cov
+    return _correlation(spec, T)(idx[:, None], idx[None, :])
 
 
-def _cholesky_factor(cov: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        bumped = cov.copy()
-        bumped[np.diag_indices_from(bumped)] += _JITTER
-        try:
-            return np.linalg.cholesky(bumped)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("Cholesky failed after diagonal jitter") from exc
+def _pivoted_cholesky(column, n: int, what: str) -> np.ndarray:
+    """n x r factor of the unit-diagonal matrix whose column p is
+    ``column(p)``, pivoting on the largest residual diagonal (first index on
+    ties) until it is at most ``_TOL`` (Harbrecht, Peters & Schneider, Appl.
+    Numer. Math. 62 (2012) 428).  A residual diagonal below ``_PSD_FLOOR``
+    means the matrix is not PSD to the accuracy of its entries."""
+    resid = np.ones(n)
+    rows = np.empty((8, n))
+    r = 0
+    while True:
+        p = int(np.argmax(resid))
+        if resid[p] <= _TOL:
+            return rows[:r].T
+        if r == rows.shape[0]:
+            rows = np.concatenate([rows, np.empty_like(rows)])
+        rows[r] = (column(p) - rows[:r].T @ rows[:r, p]) / math.sqrt(resid[p])
+        resid -= rows[r] ** 2
+        r += 1
+        low = int(np.argmin(resid))
+        if resid[low] < _PSD_FLOOR:
+            raise NumericalError(
+                f"{what}: residual diagonal {resid[low]:.3e} at index {low} below "
+                f"{_PSD_FLOOR}; moments not accurate enough for the correlator"
+            )
+
+
+def _gp_factor(spec: SpectralModel, T: int) -> np.ndarray:
+    """Pivoted Cholesky factor of the correlation matrix on times 0..T."""
+    entries = _correlation(spec, T)
+    idx = np.arange(T + 1)
+    return _pivoted_cholesky(lambda p: entries(idx, p), T + 1, f"{spec.describe()}, T = {T}")
 
 
 def _first_mismatch(paths: np.ndarray, parity: int | None = None) -> np.ndarray:
@@ -98,16 +111,18 @@ def _first_mismatch(paths: np.ndarray, parity: int | None = None) -> np.ndarray:
 
 
 def _stream_first_changes(factor, n_paths, seed, parities=(None,)):
-    """First-mismatch times over streamed path blocks, one array per parity."""
-    t_len = factor.shape[0]
+    """First-mismatch times over streamed path blocks, one array per parity.
+    Block b draws its normals from ``derive_seed(seed, b)`` and holds at most
+    ``_BLOCK_ENTRIES`` path entries."""
+    t_len, rank = factor.shape
+    per_block = max(1, min(_BLOCK, _BLOCK_ENTRIES // t_len))
     out = [np.empty(n_paths, dtype=np.int64) for _ in parities]
     done = 0
     block_index = 0
     while done < n_paths:
-        b = min(_BLOCK, n_paths - done)
+        b = min(per_block, n_paths - done)
         rng = rng_from_seed(derive_seed(seed, block_index))
-        z = rng.standard_normal((t_len, b))
-        paths = factor @ z
+        paths = factor @ rng.standard_normal((rank, b))
         for slot, parity in enumerate(parities):
             out[slot][done : done + b] = _first_mismatch(paths, parity)
         done += b
@@ -127,25 +142,13 @@ def estimate_persistence_gp(
 
     Q0(tau) is the fraction of paths whose sign matches the t=0 sign at
     every 1 <= t <= tau, reported on a log-spaced grid with binomial errors.
-    With ``subprocesses=True`` also returns the even-time and odd-time
-    survival curves (signs at even/odd times matching the t=0 sign), whose
-    product equals the full curve for sign-symmetric spectra.
+    A point mass is a rank-one factor (at nu < 0 the sign alternates); the
+    horizon is limited by moment accuracy, which the factor checks.  With
+    ``subprocesses=True`` also returns the even-time and odd-time survival
+    curves (signs at even/odd times matching the t=0 sign), whose product
+    equals the full curve for sign-symmetric spectra.
     """
-    if spec.is_atomic:
-        # deterministic sign: survival is identically one (or undefined at 0)
-        if spec.params[0] == 0.0:
-            raise DegenerateProcessError("atomic spectrum at zero has no sign process")
-        grid = log_tau_grid(T) if grid is None else np.asarray(grid, dtype=np.int64)
-        ones = np.ones_like(grid, dtype=float)
-        curve = PersistenceCurve(
-            tau=grid,
-            q0=ones,
-            stderr=np.zeros_like(ones),
-            meta={"source": "gp", "spec": spec.describe(), "N": "inf", "n_samples": n_paths},
-        )
-        return (curve, curve, curve) if subprocesses else curve
-    cov = build_covariance(spec, T)
-    factor = _cholesky_factor(cov)
+    factor = _gp_factor(spec, T)
     parities = (None, 0, 1) if subprocesses else (None,)
     times = _stream_first_changes(factor, n_paths, seed, parities)
     meta = {
@@ -181,7 +184,7 @@ def joint_persistence(
         raise InvalidSpecError("component count must be >= 1")
     if p == 1:
         return estimate_persistence_gp(spec, T, n_paths, seed, grid=grid)
-    factor = _cholesky_factor(build_covariance(spec, T))
+    factor = _gp_factor(spec, T)
     # component c streams with seed derive_seed(seed, c), whose block b is
     # derive_seed(seed, c, b)
     times = np.minimum.reduce(

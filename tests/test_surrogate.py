@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import ks_2samp
 
 from conewise import InvalidSpecError, SpectralModel
-from conewise.errors import DegenerateProcessError
+from conewise.errors import DegenerateProcessError, NumericalError
 from conewise.estimators import fit_persistence_curve
+from conewise.records import log_tau_grid
 from conewise.surrogate import (
-    MAX_DENSE_HORIZON,
-    _cholesky_factor,
+    _gp_factor,
+    _pivoted_cholesky,
     _stream_first_changes,
     build_covariance,
     estimate_persistence_gp,
@@ -16,6 +20,12 @@ from conewise.surrogate import (
 
 SEMI = SpectralModel.semicircle(0, 2)
 BETA3 = SpectralModel.symmetric_beta(3)
+SHIFTED = SpectralModel.semicircle(0.5, 1.0)
+SPEC_IDS = ["semicircle", "beta3", "shifted"]
+
+
+def _factor_of(matrix):
+    return _pivoted_cholesky(lambda p: matrix[:, p], len(matrix), "test matrix")
 
 
 class TestBuildCovariance:
@@ -57,27 +67,68 @@ class TestBuildCovariance:
         w = np.linalg.eigvalsh(cov)
         assert w[0] > -1e-8
 
-    def test_horizon_cap(self):
+    def test_negative_horizon(self):
         with pytest.raises(InvalidSpecError):
-            build_covariance(BETA3, MAX_DENSE_HORIZON + 1)
-
-    def test_factor_at_horizon_cap(self):
-        # w_min is about -5e-10 here, below minus the 1e-10 jitter floor
-        _cholesky_factor(build_covariance(SEMI, MAX_DENSE_HORIZON))
+            build_covariance(BETA3, -1)
 
     def test_gp_route_below_cap(self):
-        # w_min is about -2e-10 here, below minus the 1e-10 jitter floor
+        # the dense matrix's smallest eigenvalue is about -2e-10 here
         estimate_persistence_gp(BETA3, T=2048, n_paths=200, seed=1)
 
 
+class TestPivotedFactor:
+    """The pivoted Cholesky factor against the dense correlation matrix."""
+
+    @pytest.mark.parametrize("spec", [SEMI, BETA3, SHIFTED], ids=SPEC_IDS)
+    def test_reproduces_dense_covariance_at_low_rank(self, spec):
+        T = 256
+        factor = _gp_factor(spec, T)
+        assert factor.shape[0] == T + 1 and factor.shape[1] < T + 1
+        assert np.max(np.abs(factor @ factor.T - build_covariance(spec, T))) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "spec, seeds", [(SEMI, (21, 22)), (BETA3, (23, 24)), (SHIFTED, (25, 26))], ids=SPEC_IDS
+    )
+    def test_matches_dense_reference_in_law(self, spec, seeds):
+        # reference: full-rank square root of the dense matrix by eigh
+        T, n = 256, 20_000
+        w, v = np.linalg.eigh(build_covariance(spec, T))
+        dense = v * np.sqrt(np.clip(w, 0.0, None))
+        (ref,) = _stream_first_changes(dense, n, seed=seeds[0])
+        (low,) = _stream_first_changes(_gp_factor(spec, T), n, seed=seeds[1])
+        for tau in log_tau_grid(T):
+            qa, qb = np.mean(ref > tau), np.mean(low > tau)
+            sigma = np.sqrt((qa * (1 - qa) + qb * (1 - qb)) / n)
+            assert abs(qa - qb) <= 4 * sigma
+        assert ks_2samp(ref, low).pvalue > 0.01
+
+    def test_indefinite_matrix_raises(self):
+        # eigenvalues of this unit-diagonal matrix include 1 - 1.8 < 0
+        m = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
+        with pytest.raises(NumericalError, match="index 2"):
+            _factor_of(m)
+
+    def test_long_horizon(self):
+        # T = 16384: a dense factor would take 2.1 GB; this peaks near 80 MB
+        tracemalloc.start()
+        try:
+            curve = estimate_persistence_gp(BETA3, T=16384, n_paths=4000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256e6
+        fit = fit_persistence_curve(curve, window=(30, 16384))
+        assert fit.exponent == pytest.approx(-0.2382, abs=0.03)
+
+
 class TestSampleGpPaths:
-    """Path sampling through the streamed Cholesky factor, seen through the
-    first sign-change times it returns."""
+    """Path sampling through the streamed pivoted Cholesky factor, seen
+    through the first sign-change times it returns."""
 
     def test_identity_covariance_coin_flips(self):
         # independent signs: no change up to tau with probability 2**-tau
         n = 100_000
-        (times,) = _stream_first_changes(_cholesky_factor(np.eye(5)), n, seed=1)
+        (times,) = _stream_first_changes(_factor_of(np.eye(5)), n, seed=1)
         for tau in range(1, 5):
             p = 2.0**-tau
             assert np.mean(times > tau) == pytest.approx(p, abs=4 * np.sqrt(p * (1 - p) / n))
@@ -86,25 +137,26 @@ class TestSampleGpPaths:
         # arcsine law: P(sign(x1) == sign(x0)) = 1/2 + arcsin(c)/pi
         n = 100_000
         c = 0.73
-        (times,) = _stream_first_changes(_cholesky_factor(np.array([[1.0, c], [c, 1.0]])), n, seed=2)
+        (times,) = _stream_first_changes(_factor_of(np.array([[1.0, c], [c, 1.0]])), n, seed=2)
         p = 0.5 + np.arcsin(c) / np.pi
         assert np.mean(times == 2) == pytest.approx(p, abs=4 * np.sqrt(p * (1 - p) / n))
 
     def test_real_covariance_first_step(self):
         n = 100_000
         cov = build_covariance(BETA3, 16)
-        (times,) = _stream_first_changes(_cholesky_factor(cov), n, seed=4)
+        (times,) = _stream_first_changes(_gp_factor(BETA3, 16), n, seed=4)
         p = 0.5 + np.arcsin(cov[0, 1]) / np.pi
         assert np.mean(times > 1) == pytest.approx(p, abs=4 * np.sqrt(p * (1 - p) / n))
 
     def test_rank_one_covariance_constant_paths(self):
-        # exactly singular: goes through the 1e-10 diagonal jitter, which is
-        # far too small to flip a sign
-        (times,) = _stream_first_changes(_cholesky_factor(np.ones((6, 6))), 5000, seed=3)
+        # exactly singular: a rank-one factor, so every path is constant
+        factor = _factor_of(np.ones((6, 6)))
+        assert factor.shape == (6, 1)
+        (times,) = _stream_first_changes(factor, 5000, seed=3)
         assert np.all(times == 6)
 
     def test_reproducible(self):
-        factor = _cholesky_factor(build_covariance(BETA3, 16))
+        factor = _gp_factor(BETA3, 16)
         a = _stream_first_changes(factor, 5000, seed=9, parities=(None, 0, 1))
         b = _stream_first_changes(factor, 5000, seed=9, parities=(None, 0, 1))
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
@@ -116,6 +168,16 @@ class TestPersistence:
     def test_atomic_never_changes_sign(self):
         curve = estimate_persistence_gp(SpectralModel.atomic(0.9), T=100, n_paths=10, seed=0)
         assert np.all(curve.q0 == 1.0)
+
+    def test_negative_atom_alternates_sign(self):
+        # correlation (-1)**(t+s): the sign flips every step
+        curve, even, odd = estimate_persistence_gp(
+            SpectralModel.atomic(-0.9), T=100, n_paths=1000, seed=0, subprocesses=True
+        )
+        later = curve.tau >= 1
+        assert np.all(curve.q0[later] == 0.0)
+        assert np.all(even.q0 == 1.0)
+        assert np.all(odd.q0[later] == 0.0)
 
     def test_atomic_zero_degenerate(self):
         with pytest.raises(DegenerateProcessError):
