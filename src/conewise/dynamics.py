@@ -9,11 +9,27 @@ growth to a running total.  Two equivalent evolution routes exist:
   products, recording signs, residence intervals, trapping and cycle
   diagnostics (the reference semantics);
 * :func:`lyapunov_runs` -- an eigenbasis block route for long horizons:
-  each matrix is diagonalized once, whole cone-residence stretches advance
-  through cumulative eigenvalue powers, and basis changes happen only at
-  cone switches.  Within floating-point limits both describe the same
-  dynamics; the blocked route makes ensemble sweeps at N ~ 1e3, T ~ 1e4
-  tractable.
+  whole cone-residence stretches advance through tabulated eigenvalue
+  powers, and basis changes happen only at cone switches.  Within
+  floating-point limits both describe the same dynamics; the blocked route
+  makes ensemble sweeps at N ~ 1e3, T ~ 1e4 tractable.
+
+The block route needs neither matrix, only four things: the spectra nu_A
+and nu_B, the basis change C = U_B^T U_A between the eigenbases, their first
+rows a = U_A^T e1 and b = U_B^T e1, and the start w = U^T v0 / |v0| in the
+starting cone's basis.  For GOE and invariant ensembles U_A and U_B are
+independent Haar matrices, independent of the spectra (eigenvector signs
+and eigenvalue order do not matter).  So C is Haar and independent of U_A,
+a is uniform on the sphere and independent of C, and b = C a.  Given
+(C, a), U_A^T = R_a S with R_a any fixed orthogonal map with R_a e1 = a and
+S Haar on the stabiliser of e1, independent of v0; S v0 has the law of v0
+with the same first entry, so w_A = R_a v0 / |v0| has the right joint law,
+and a . w_A = v0[0] / |v0| keeps the starting sign's meaning.  A run that
+starts in cone B uses w_B = C w_A.  :func:`lyapunov_runs` therefore draws
+per run two spectra (the tridiagonal form for GOE, the placed eigenvalues
+for invariant ensembles), one Haar C and one uniform a, and calls the
+kernel :func:`_lyapunov_kernel` that the dense reference
+:func:`_lyapunov_single` (two ``eigh`` calls) also calls.
 
 Persistence (:func:`estimate_persistence_matrix`) only follows a run to its
 first sign change, when only the starting cone's matrix M has acted.  A run
@@ -35,9 +51,9 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.linalg import eigh, eigvalsh_tridiagonal
+from scipy.linalg import eigvalsh_tridiagonal
 
-from .ensembles import EnsembleSpec, _goe_jacobi
+from .ensembles import EnsembleSpec, _eigenvalues, _goe_jacobi, _haar_orthogonal
 from .errors import (
     CollapseUndefinedError,
     DegenerateDynamicsError,
@@ -500,48 +516,51 @@ class LyapunovRunSet:
     last_change: np.ndarray  # time of the last sign change (0 if none)
     n_switches: np.ndarray
     abs_nu2_final: np.ndarray  # second-largest |nu| of the final cone's matrix
+    cycle_period: np.ndarray  # steps between repeated cone-entry directions (0: no cycle)
 
 
-def _lyapunov_single(
-    mats: tuple[np.ndarray, np.ndarray],
-    v0: np.ndarray,
-    T: int,
-    rng: np.random.Generator,
-    tail_window: int,
-    block: int,
-):
-    """One run of the eigenbasis block evolution.
+def _reflect_e1_to(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """R x for one fixed orthogonal R with R e1 = a (a a unit vector).
 
-    Diagonalize both matrices once; while the sign is constant, first
-    components for a whole block of steps come from cumulative eigenvalue
-    powers; a basis-change matrix handles cone switches.  Directions are
-    snapshotted (quantized) at every cone entry for cycle detection.
+    R = s H_u, H_u the Householder reflection along u = e1 - s a, with the
+    sign s = +-1 that makes |u|^2 = 2 - 2 s a[0] >= 2, so u has no
+    cancellation; then H_u e1 = s a.
     """
-    n = v0.size
-    eigvals, eigvecs = [], []
-    for m in mats:
-        w, u = np.linalg.eigh(m)
-        eigvals.append(w)
-        eigvecs.append(u)
-    # basis change: coords in 0-basis -> coords in 1-basis
-    cross = eigvecs[1].T @ eigvecs[0]
-    first_row = (eigvecs[0][0, :], eigvecs[1][0, :])
-    caps = []
-    for w in eigvals:
-        top = float(np.max(np.abs(w)))
-        caps.append(max(1, int(600.0 / max(abs(math.log(top)), 1e-3))) if top > 0 else block)
+    s = 1.0 if a[0] <= 0.0 else -1.0
+    u = -s * a
+    u[0] += 1.0
+    return s * (x - u * (2.0 * float(u @ x) / float(u @ u)))
 
-    v = v0 / np.linalg.norm(v0)
-    s_cur = _sign_with_coin(v[0], rng)
+
+def _lyapunov_kernel(nus, first_rows, cross, w_coord, s_cur, T, rng, tail_window, block):
+    """One run of the eigenbasis block evolution from spectral data.
+
+    Cone c's matrix is U_c diag(``nus[c]``) U_c^T; ``first_rows[c]`` is
+    U_c^T e1, ``cross`` = U_1^T U_0 maps cone-0 coordinates to cone-1
+    coordinates, and ``w_coord`` is the unit start direction in the
+    coordinates of the starting cone, 0 when ``s_cur`` > 0 and 1 otherwise.
+    While the sign holds, first components for a whole block of steps come
+    from a table of eigenvalue powers built once per cone; the basis change
+    acts only at cone switches.  Directions are snapshotted (quantized) at
+    every cone entry for cycle detection.  With ``tail_window >= T`` the
+    tail is the whole run.
+    """
+    n = w_coord.size
+    tables = []
+    for nu in nus:
+        top = float(np.max(np.abs(nu)))
+        cap = max(1, int(600.0 / max(abs(math.log(top)), 1e-3))) if top > 0 else block
+        # row i is nu**(i + 1): the cumulative product of one block's powers
+        tables.append(np.cumprod(np.broadcast_to(nu, (min(block, cap), n)), axis=0))
     active = 0 if s_cur > 0 else 1
-    w_coord = eigvecs[active].T @ v
 
     t = 0
     log_norm = 0.0
     last_change = 0
     n_switches = 0
+    n_blocks = 0
     tail_t, tail_l = 0, 0.0
-    tail_started = False
+    tail_started = tail_window >= T
     seen: dict[bytes, int] = {}
     cycling = False
     cycle_period = None
@@ -550,10 +569,10 @@ def _lyapunov_single(
     # so rapid-alternation stretches do not pay full-block overhead
     k_next = 8
     while t < T:
-        k = min(k_next, block, caps[active], T - t)
-        nu = eigvals[active]
-        powers = np.cumprod(np.broadcast_to(nu, (k, n)), axis=0)
-        v1 = powers @ (first_row[active] * w_coord)
+        table = tables[active]
+        k = min(k_next, table.shape[0], T - t)
+        powers = table[:k]
+        v1 = powers @ (first_rows[active] * w_coord)
         if s_cur > 0:
             bad = v1 <= 0.0
         else:
@@ -571,6 +590,7 @@ def _lyapunov_single(
         log_norm += math.log(peak) + math.log(nrm)
         w_coord /= nrm
         t += adv
+        n_blocks += 1
         k_next = k if j >= 0 else min(4 * k, block)
         if j >= 0:
             new_s = _sign_with_coin(float(v1[j]), rng)
@@ -598,26 +618,63 @@ def _lyapunov_single(
     lam_tail = (log_norm - tail_l) / (t - tail_t) if t > tail_t else lam
     window = _trap_window(T)
     trapped = (T - last_change) >= window
-    nu_max_final = float(np.max(eigvals[active]))
-    abs_nu2 = float(np.sort(np.abs(eigvals[active]))[-2])
+    nu_max_final = float(np.max(nus[active]))
+    abs_nu2 = float(np.sort(np.abs(nus[active]))[-2])
     return (
         lam, lam_tail, trapped, cycling, cycle_period, active, nu_max_final, last_change,
-        n_switches, abs_nu2,
+        n_switches, abs_nu2, n_blocks,
+    )
+
+
+def _lyapunov_single(
+    mats: tuple[np.ndarray, np.ndarray],
+    v0: np.ndarray,
+    T: int,
+    rng: np.random.Generator,
+    tail_window: int,
+    block: int,
+):
+    """One run of the block evolution from two dense symmetric matrices.
+
+    Diagonalizes both with ``eigh`` and runs :func:`_lyapunov_kernel`; the
+    reference that the spectral-frame route of :func:`lyapunov_runs` and
+    the step-by-step :func:`evolve` are tested against.
+    """
+    (nu_a, u_a), (nu_b, u_b) = (np.linalg.eigh(m) for m in mats)
+    v = v0 / np.linalg.norm(v0)
+    s0 = _sign_with_coin(v[0], rng)
+    w = (u_a if s0 > 0 else u_b).T @ v
+    return _lyapunov_kernel(
+        (nu_a, nu_b), (u_a[0, :], u_b[0, :]), u_b.T @ u_a, w, s0, T, rng, tail_window, block
     )
 
 
 def _lyapunov_chunk(ensemble_a, ensemble_b, T, seed, tail_window, start, stop):
+    n = ensemble_a.dimension
     runs = []
     for r in range(start, stop):
         rng = rng_from_seed(derive_seed(seed, r, 0))
-        v0 = rng.standard_normal(ensemble_a.dimension)
-        a = ensemble_a.sample(derive_seed(seed, r, 1))
-        b = ensemble_b.sample(derive_seed(seed, r, 2))
-        runs.append(_lyapunov_single((a, b), v0, T, rng, tail_window, _BLOCK))
-    # one array per field of _lyapunov_single, without the cycle period
+        v0 = rng.standard_normal(n)
+        nus = (
+            _eigenvalues(ensemble_a, derive_seed(seed, r, 1)),
+            _eigenvalues(ensemble_b, derive_seed(seed, r, 2)),
+        )
+        frame = rng_from_seed(derive_seed(seed, r, 3))
+        cross = _haar_orthogonal(n, frame)
+        a = frame.standard_normal(n)
+        a /= np.linalg.norm(a)
+        x = v0 / np.linalg.norm(v0)
+        s0 = _sign_with_coin(x[0], rng)
+        w = _reflect_e1_to(a, x)
+        if s0 < 0:
+            w = cross @ w
+        runs.append(
+            _lyapunov_kernel(nus, (a, cross @ a), cross, w, s0, T, rng, tail_window, _BLOCK)
+        )
+    # one array per field of _lyapunov_kernel; no cycle is period 0
     fields = list(zip(*runs))
-    del fields[4]
-    dtypes = (float, float, bool, bool, np.int8, float, np.int64, np.int64, float)
+    fields[4] = [p or 0 for p in fields[4]]
+    dtypes = (float, float, bool, bool, np.int64, np.int8, float, np.int64, np.int64, float, np.int64)
     return tuple(np.array(f, dtype=d) for f, d in zip(fields, dtypes))
 
 
@@ -630,16 +687,30 @@ def lyapunov_runs(
     tail_window: int = 2000,
     threads: int = 1,
 ) -> LyapunovRunSet:
-    """Ensemble of growth-rate runs with fresh matrices per realization.
+    """Ensemble of growth-rate runs with fresh cone draws per realization.
 
-    The two cone matrices are independent draws (seed slots 1 and 2) even
-    when ``ensemble_a`` and ``ensemble_b`` are the same recipe, so this is
-    never a single-matrix limit.  Only trapped runs have a rate near
-    ln ``nu_max_final``; see :class:`LyapunovRunSet`.  ``threads`` is the
-    number of worker processes; results do not depend on it.
+    Each realization draws the spectra of two independent matrices (seed
+    slots 1 and 2, from :func:`~conewise.ensembles._eigenvalues`) and the
+    relative frame between their eigenbases (slot 3: a Haar rotation, then
+    the first row of cone A's eigenbasis), so it is never a single-matrix
+    limit, even when ``ensemble_a`` and ``ensemble_b`` are the same recipe.
+    Slot 0 gives the start vector, then its sign and every coin of the run.
+    No matrix is formed and no ``eigh`` runs; the law is that of dense draws
+    stepped by :func:`_lyapunov_single` (see the module docstring), but the
+    per-seed outputs differ.  Only symmetric ensembles have this route;
+    elliptic ones raise :class:`InvalidSpecError`, as do T < 1 and
+    ``tail_window`` < 1.  ``tail_window >= T`` makes the tail the whole run.
+
+    Only trapped runs have a rate near ln ``nu_max_final``; see
+    :class:`LyapunovRunSet`.  ``threads`` is the number of worker processes;
+    results do not depend on it.
     """
     if ensemble_a.dimension != ensemble_b.dimension:
         raise InvalidSpecError("ensembles must share the dimension")
+    if T < 1:
+        raise InvalidSpecError(f"horizon T must be >= 1, got {T}")
+    if tail_window < 1:
+        raise InvalidSpecError(f"tail_window must be >= 1, got {tail_window}")
     r1 = math.log(abs(ensemble_a.nu_plus))
     r2 = math.log(abs(ensemble_b.nu_plus))
     (
@@ -647,11 +718,13 @@ def lyapunov_runs(
         lam_tail,
         trapped,
         cycling,
+        cycle_period,
         final_cone,
         nu_max_final,
         last_change,
         n_switches,
         abs_nu2,
+        n_blocks,
     ) = map_index_chunks(
         partial(_lyapunov_chunk, ensemble_a, ensemble_b, T, seed, tail_window),
         n_realizations,
@@ -666,12 +739,15 @@ def lyapunov_runs(
         cycling=cycling,
         meta={
             "source": "matrix",
+            "route": "spectral frame",
             "ensembles": (ensemble_a.describe(), ensemble_b.describe()),
             "N": ensemble_a.dimension,
             "T": T,
             "seed": seed,
             "rates": (r1, r2),
             "n_samples": n_realizations,
+            "switches": int(n_switches.sum()),
+            "blocks": int(n_blocks.sum()),
         },
     )
     return LyapunovRunSet(
@@ -682,6 +758,7 @@ def lyapunov_runs(
         last_change=last_change,
         n_switches=n_switches,
         abs_nu2_final=abs_nu2,
+        cycle_period=cycle_period,
     )
 
 
@@ -708,8 +785,9 @@ def top_eigenvalue_check(ensemble: EnsembleSpec, n_draws: int, seed: int) -> Top
     """Sample the largest eigenvalue of a symmetric ensemble n_draws times.
 
     GOE draws come from the whole tridiagonal form (``_goe_jacobi`` with
-    K = N), which has the spectrum of a dense draw, by bisection; other
-    kinds use a dense draw and ``eigh``.
+    K = N), which has the spectrum of a dense draw, by bisection; invariant
+    draws read the eigenvalues that ``sample_invariant`` places, which are
+    its matrix's spectrum at the same seed.
     """
     nu_plus = ensemble.nu_plus  # raises for non-symmetric kinds
     n_dim = ensemble.dimension
@@ -725,8 +803,7 @@ def top_eigenvalue_check(ensemble: EnsembleSpec, n_draws: int, seed: int) -> Top
                 diag, off, select="i", select_range=top, check_finite=False
             )[0]
         else:
-            m = ensemble.sample(derive_seed(seed, k))
-            nu_max[k] = eigh(m, eigvals_only=True, subset_by_index=top, check_finite=False)[0]
+            nu_max[k] = np.max(_eigenvalues(ensemble, derive_seed(seed, k)))
     sigma1 = (nu_max - nu_plus) * n_dim ** (2.0 / 3.0) / gamma
     return TopEigenvalueCheck(n_dim=n_dim, nu_plus=nu_plus, gamma=gamma, nu_max=nu_max, sigma1=sigma1)
 

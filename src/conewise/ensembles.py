@@ -20,7 +20,10 @@ K x K block of the Householder tridiagonal form J = Q^T M Q (Q e1 = e1) of a
 GOE matrix M, whose entries are independent (Dumitriu & Edelman, J. Math.
 Phys. 43 (2002) 5830; Trotter, Adv. Math. 54 (1984) 67).  It costs O(K)
 random numbers whatever N is, and serves the dynamics that only need
-powers of M applied to e1 and the top eigenvalue.
+powers of M applied to e1 and the top eigenvalue.  ``_eigenvalues`` gives
+the spectrum of one symmetric draw without forming the matrix: for GOE from
+the whole tridiagonal form, for invariant ensembles the eigenvalues
+``sample_invariant`` places.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import InvalidSpecError
 from .seeding import rng_from_seed
@@ -86,12 +90,15 @@ def sample_haar_orthogonal(N: int, seed: int) -> np.ndarray:
     """
     if N < 1:
         raise InvalidSpecError(f"matrix dimension must be >= 1, got {N}")
-    rng = rng_from_seed(seed)
+    return _haar_orthogonal(N, rng_from_seed(seed))
+
+
+def _haar_orthogonal(N: int, rng: np.random.Generator) -> np.ndarray:
+    """``sample_haar_orthogonal`` on a caller's stream (N * N normals)."""
     g = rng.standard_normal((N, N))
     q, r = np.linalg.qr(g)
     d = np.diagonal(r)
-    q = q * np.where(d >= 0.0, 1.0, -1.0)
-    return q
+    return q * np.where(d >= 0.0, 1.0, -1.0)
 
 
 def sample_invariant(
@@ -105,19 +112,43 @@ def sample_invariant(
     """
     if N < 2:
         raise InvalidSpecError(f"matrix dimension must be >= 2, got {N}")
+    eigs = _placed_eigenvalues(spec, N, seed, placement)
     if spec.is_atomic:
-        return spec.params[0] * np.eye(N)
-    if placement == "quantile":
-        eigs = quantile_grid(spec, N)
-    elif placement == "iid":
-        rng = rng_from_seed(seed)
-        u = rng.random(N)
-        eigs = np.array([inverse_cdf(spec, ui) for ui in u])
-    else:
-        raise InvalidSpecError(f"unknown eigenvalue placement {placement!r}")
+        return np.diag(eigs)
     q = sample_haar_orthogonal(N, seed)
     m = (q * eigs) @ q.T
     return 0.5 * (m + m.T)
+
+
+def _placed_eigenvalues(spec: SpectralModel, N: int, seed: int, placement: str) -> np.ndarray:
+    """The eigenvalues ``sample_invariant`` puts on its Haar frame.
+
+    The quantile grid is cached per (model, N) and must not be written to.
+    """
+    if spec.is_atomic:
+        return np.full(N, float(spec.params[0]))
+    if placement == "quantile":
+        return quantile_grid(spec, N)
+    if placement == "iid":
+        u = rng_from_seed(seed).random(N)
+        return np.array([inverse_cdf(spec, ui) for ui in u])
+    raise InvalidSpecError(f"unknown eigenvalue placement {placement!r}")
+
+
+def _eigenvalues(ens: "EnsembleSpec", seed: int) -> np.ndarray:
+    """Spectrum of one draw of a symmetric ensemble, in no particular order.
+
+    It has the law of ``eigvalsh(ens.sample(seed))`` without forming the
+    matrix: GOE draws come from the whole tridiagonal form, invariant ones
+    are the eigenvalues ``sample_invariant`` places (equal to its draw's at
+    the same seed).  Elliptic ensembles raise :class:`InvalidSpecError`.
+    """
+    if ens.kind == "goe":
+        diag, off = _goe_jacobi(ens, ens.dimension, rng_from_seed(seed))
+        return eigvalsh_tridiagonal(diag, off, check_finite=False)
+    if ens.kind == "invariant":
+        return _placed_eigenvalues(ens.spectral_model, ens.dimension, seed, ens.placement)
+    raise InvalidSpecError("elliptic ensembles have a complex spectrum")
 
 
 def sample_elliptic(N: int, rho: float, radius: float, seed: int) -> np.ndarray:

@@ -10,7 +10,9 @@ from conewise import (
     SpectralModel,
     sample_goe,
 )
+from conewise import dynamics
 from conewise.dynamics import (
+    LyapunovRunSet,
     ScalingCollapse,
     elliptic_persistence,
     estimate_persistence_matrix,
@@ -21,16 +23,20 @@ from conewise.dynamics import (
     scaling_collapse,
     top_eigenvalue_check,
     trapped_run_edge_pairs,
+    _BLOCK,
     _first_sign_change,
     _jacobi_first_sign_changes,
+    _lyapunov_kernel,
+    _lyapunov_single,
     _persistence_chunk,
     _sign_with_coin,
 )
 from conewise.ensembles import _goe_jacobi
 from conewise.errors import CollapseUndefinedError, FitError
 from conewise.estimators import TRUNCATED_FIT_MIN_POINTS
-from conewise.records import PersistenceCurve
+from conewise.records import LyapunovSamples, PersistenceCurve
 from conewise.seeding import derive_seed, rng_from_seed
+from scipy.linalg import eigh
 from scipy.stats import ks_2samp
 
 
@@ -49,6 +55,80 @@ def dense_first_changes(ens_a, ens_b, n_real, T, seed):
         ens, slot = (ens_a, 1) if s0 > 0 else (ens_b, 2)
         times[r] = _first_sign_change(ens.sample(derive_seed(seed, r, slot)), v0, T, rng)
     return times
+
+
+def dense_lyapunov_runs(ens_a, ens_b, n_real, T, seed, tail_window):
+    """Kernel tuples of fresh dense draws stepped by the dense wrapper, with
+    slot 0 for the start vector and coins and slots 1, 2 for the matrices."""
+    runs = []
+    for r in range(n_real):
+        rng = rng_from_seed(derive_seed(seed, r, 0))
+        v0 = rng.standard_normal(ens_a.dimension)
+        mats = (ens_a.sample(derive_seed(seed, r, 1)), ens_b.sample(derive_seed(seed, r, 2)))
+        runs.append(_lyapunov_single(mats, v0, T, rng, tail_window, _BLOCK))
+    return runs
+
+
+def blockwise_reference(mats, v0, T, rng, tail_window, block):
+    """The block evolution with one cumprod of eigenvalue powers per block:
+    the reference the kernel's power tables must reproduce bit for bit."""
+    n = v0.size
+    eigvals, eigvecs = zip(*(np.linalg.eigh(m) for m in mats))
+    cross = eigvecs[1].T @ eigvecs[0]
+    first_row = (eigvecs[0][0, :], eigvecs[1][0, :])
+    caps = []
+    for w in eigvals:
+        top = float(np.max(np.abs(w)))
+        caps.append(max(1, int(600.0 / max(abs(math.log(top)), 1e-3))) if top > 0 else block)
+    v = v0 / np.linalg.norm(v0)
+    s_cur = _sign_with_coin(v[0], rng)
+    active = 0 if s_cur > 0 else 1
+    w_coord = eigvecs[active].T @ v
+    t, log_norm, last_change, n_switches = 0, 0.0, 0, 0
+    tail_t, tail_l, tail_started = 0, 0.0, False
+    seen, cycling, cycle_period = {}, False, None
+    k_next = 8
+    while t < T:
+        k = min(k_next, block, caps[active], T - t)
+        powers = np.cumprod(np.broadcast_to(eigvals[active], (k, n)), axis=0)
+        v1 = powers @ (first_row[active] * w_coord)
+        bad = v1 <= 0.0 if s_cur > 0 else v1 >= 0.0
+        j = int(np.argmax(bad)) if bad.any() else -1
+        adv = k if j < 0 else j + 1
+        w_coord = w_coord * powers[adv - 1]
+        peak = float(np.max(np.abs(w_coord)))
+        w_coord /= peak
+        nrm = float(np.linalg.norm(w_coord))
+        log_norm += math.log(peak) + math.log(nrm)
+        w_coord /= nrm
+        t += adv
+        k_next = k if j >= 0 else min(4 * k, block)
+        if j >= 0:
+            new_s = _sign_with_coin(float(v1[j]), rng)
+            if new_s != s_cur:
+                k_next = 8
+                s_cur = new_s
+                last_change = t
+                n_switches += 1
+                w_coord = cross @ w_coord if active == 0 else cross.T @ w_coord
+                w_coord /= np.linalg.norm(w_coord)
+                active = 1 - active
+                if not cycling:
+                    key = np.round(w_coord / 1e-6).astype(np.int64).tobytes()
+                    prev = seen.get((active, key))
+                    if prev is not None:
+                        cycling, cycle_period = True, t - prev
+                    else:
+                        seen[(active, key)] = t
+        if not tail_started and t >= T - tail_window:
+            tail_t, tail_l, tail_started = t, log_norm, True
+    lam = log_norm / T
+    lam_tail = (log_norm - tail_l) / (t - tail_t) if t > tail_t else lam
+    return (
+        lam, lam_tail, (T - last_change) >= min(T, max(1000, T // 10)), cycling, cycle_period,
+        active, float(np.max(eigvals[active])), last_change, n_switches,
+        float(np.sort(np.abs(eigvals[active]))[-2]),
+    )
 
 
 def fit_window_points(entry):
@@ -281,8 +361,6 @@ class TestJacobiRoute:
 
 class TestLyapunovRuns:
     def test_eigen_route_matches_reference(self):
-        from conewise.dynamics import _lyapunov_single
-
         a = sample_goe(48, 0.0, 0.05 * math.sqrt(2), seed=11)
         b = sample_goe(48, 0.0, 2 * math.sqrt(2), seed=12)
         v0 = gaussian(48, 13)
@@ -292,8 +370,6 @@ class TestLyapunovRuns:
         assert out[8] == len(traj.residence_intervals)
 
     def test_single_matrix_limit(self):
-        from conewise.dynamics import _lyapunov_single
-
         # the same matrix in both cones is power iteration: the rate tends to
         # ln max|nu|; with -m the negative edge dominates and the sign flips
         # every step, which drives the block route through a switch per step
@@ -329,6 +405,123 @@ class TestLyapunovRuns:
         samples = lyapunov_runs(ens_a, ens_b, 3, T=500, seed=8).samples
         r1, r2 = math.log(0.5), math.log(2.0)
         assert np.allclose(samples.normalized, (samples.values - r1) / (r2 - r1))
+
+    def test_power_tables_keep_dense_outputs(self):
+        # the dense wrapper reads one power table per cone; the rows are the
+        # per-block cumprod's floats, so every output is the same bit for bit
+        a = sample_goe(48, 0.0, 0.05 * math.sqrt(2), seed=11)
+        b = sample_goe(48, 0.0, 2 * math.sqrt(2), seed=12)
+        v0 = gaussian(48, 13)
+        for T, tw, block in ((80, 20, 16), (3000, 500, 192)):
+            out = _lyapunov_single((a, b), v0, T, rng_from_seed(14), tw, block)
+            ref = blockwise_reference((a, b), v0, T, rng_from_seed(14), tw, block)
+            assert out[:10] == ref
+            assert out[8] > 0
+
+    def test_zero_horizon_is_typed(self):
+        ens = EnsembleSpec.goe(16)
+        with pytest.raises(InvalidSpecError, match="got 0"):
+            lyapunov_runs(ens, ens, 4, T=0, seed=0)
+        with pytest.raises(InvalidSpecError, match="got 0"):
+            trapped_run_edge_pairs(ens, ens, 4, T=0, seed=0)
+
+    def test_negative_horizon_is_typed(self):
+        ens = EnsembleSpec.goe(16)
+        with pytest.raises(InvalidSpecError, match="got -5"):
+            lyapunov_runs(ens, ens, 4, T=-5, seed=0)
+
+    def test_zero_tail_window_is_typed(self):
+        ens = EnsembleSpec.goe(16)
+        with pytest.raises(InvalidSpecError, match="tail_window must be >= 1, got 0"):
+            lyapunov_runs(ens, ens, 4, T=100, seed=0, tail_window=0)
+
+    def test_tail_window_past_horizon_is_whole_run(self):
+        ens = EnsembleSpec.goe(16)
+        runs = lyapunov_runs(ens, ens, 6, T=100, seed=0, tail_window=500)
+        assert np.array_equal(runs.lam_tail, runs.samples.values)
+        edge = lyapunov_runs(ens, ens, 6, T=100, seed=0, tail_window=100)
+        assert np.array_equal(edge.lam_tail, runs.lam_tail)
+
+    def test_elliptic_rejected(self):
+        ens = EnsembleSpec.elliptic(16, 0.5)
+        with pytest.raises(InvalidSpecError, match="elliptic"):
+            lyapunov_runs(ens, ens, 2, T=50, seed=0)
+
+    def test_no_dense_draw_or_eigh(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the spectral-frame route formed a matrix")
+
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        monkeypatch.setattr(EnsembleSpec, "sample", forbidden)
+        inv = EnsembleSpec.invariant(SpectralModel.symmetric_beta(3), 24)
+        for ens_a, ens_b in ((EnsembleSpec.goe(24), EnsembleSpec.goe(24, 0.5, 1.0)), (inv, inv)):
+            runs = lyapunov_runs(ens_a, ens_b, 3, T=200, seed=4, tail_window=50)
+            assert runs.samples.meta["route"] == "spectral frame"
+
+    def test_cycle_period_on_constructed_runs(self):
+        # one matrix in both cones with the same frame: a dominant negative
+        # edge flips the sign every step, and the direction at each entry to
+        # a cone repeats with period 2 once the other modes have died out;
+        # a dominant positive edge never switches
+        a = np.array([0.6, 0.6, math.sqrt(0.28)])
+        w = np.array([0.8, 0.4, 0.2]) / math.sqrt(0.84)
+        for nu, cycles in ((np.array([-1.0, 0.5, 0.3]), True), (np.array([1.0, 0.5, 0.3]), False)):
+            out = _lyapunov_kernel((nu, nu), (a, a), np.eye(3), w, 1, 400, rng_from_seed(0), 100, _BLOCK)
+            assert out[3] is cycles
+            assert out[4] == (2 if cycles else None)
+
+    def test_cycle_period_and_meta_on_sweep(self):
+        ens_a = EnsembleSpec.goe(32, 0.0, 2.0)
+        ens_b = EnsembleSpec.goe(32, 0.5, 1.0)
+        runs = lyapunov_runs(ens_a, ens_b, 40, T=600, seed=3, tail_window=200)
+        cycling = runs.samples.cycling
+        assert 0 < np.count_nonzero(cycling) < cycling.size
+        assert np.array_equal(runs.cycle_period > 0, cycling)
+        meta = runs.samples.meta
+        assert meta["switches"] == int(runs.n_switches.sum())
+        # every switch ends a block, and a block advances 1 to _BLOCK steps
+        assert max(meta["switches"], 40 * math.ceil(600 / _BLOCK)) <= meta["blocks"] <= 40 * 600
+
+
+class TestSpectralFrameRoute:
+    """The route of lyapunov_runs (two spectra and one Haar frame per run)
+    against fresh dense draws stepped by the dense wrapper: equal in law."""
+
+    @pytest.mark.parametrize(
+        "ens_a, ens_b, T",
+        [
+            (EnsembleSpec.goe(32, 0.0, 2.0), EnsembleSpec.goe(32, 0.5, 1.0), 600),
+            (
+                EnsembleSpec.goe(24, 0.0, 0.05 * math.sqrt(2)),
+                EnsembleSpec.goe(24, 0.0, 2 * math.sqrt(2)),
+                400,
+            ),
+            (
+                EnsembleSpec.invariant(SpectralModel.semicircle(0.5, 1.0), 32),
+                EnsembleSpec.invariant(SpectralModel.symmetric_beta(3), 32),
+                600,
+            ),
+        ],
+        ids=["goe", "narrow-wide", "invariant"],
+    )
+    def test_matches_dense_route_in_law(self, ens_a, ens_b, T):
+        n_real, tw = 800, 200
+        fast = lyapunov_runs(ens_a, ens_b, n_real, T=T, seed=31, tail_window=tw)
+        ref = list(zip(*dense_lyapunov_runs(ens_a, ens_b, n_real, T, 32, tw)))
+        for got, want in (
+            (fast.samples.values, ref[0]),
+            (fast.n_switches, ref[8]),
+            (fast.last_change, ref[7]),
+        ):
+            assert ks_2samp(got, want).pvalue > 0.01
+        for got, want in (
+            (fast.final_cone, ref[5]),
+            (fast.samples.trapped, ref[2]),
+            (fast.samples.cycling, ref[3]),
+        ):
+            p1, p2 = np.mean(got), np.mean(want)
+            sigma = math.sqrt((p1 * (1 - p1) + p2 * (1 - p2)) / n_real)
+            assert abs(p1 - p2) <= 4 * sigma
 
 
 class TestWorkerCountInvariance:
@@ -415,6 +608,17 @@ class TestTopEigenvalue:
         dense = [np.linalg.eigvalsh(sample_goe(n_dim, 0.0, 2.0, seed=10**6 + k))[-1] for k in range(n_draws)]
         assert ks_2samp(chk.nu_max, dense).pvalue > 0.01
 
+    @pytest.mark.parametrize("placement", ["quantile", "iid"])
+    def test_invariant_reads_placed_spectrum(self, placement):
+        # the placed eigenvalues are the dense draw's spectrum at the same seed
+        ens = EnsembleSpec.invariant(SpectralModel.semicircle(0.5, 1.0), 64, placement)
+        chk = top_eigenvalue_check(ens, 6, seed=7)
+        dense = [
+            eigh(ens.sample(derive_seed(7, k)), eigvals_only=True, subset_by_index=[63, 63])[0]
+            for k in range(6)
+        ]
+        assert np.max(np.abs(chk.nu_max - dense)) < 1e-12
+
     def test_elliptic_rejected(self):
         with pytest.raises(InvalidSpecError):
             top_eigenvalue_check(EnsembleSpec.elliptic(32, 0.3), 5, seed=0)
@@ -428,8 +632,7 @@ class TestTopEigenvalue:
 
     def test_trapped_pairs_need_converged_runs(self):
         # cone A's spectrum is symmetric about 0, so |nu_min| and nu_max can
-        # nearly tie; run 40 of this seed is trapped in A with
-        # |nu_2|/nu_max = 0.9996, and its tail rate sits 3e-4 below nu_max
+        # nearly tie; only runs whose subleading mode has died out are used
         ens_a = EnsembleSpec.goe(64, 0.0, 2.0)
         ens_b = EnsembleSpec.goe(64, 0.5, 1.0)
         T, tw = 3000, 1000
@@ -440,9 +643,38 @@ class TestTopEigenvalue:
         assert np.max(np.abs(pairs["sigma1_dynamics"] - pairs["sigma1_eigenvalue"])) < 1e-9
         ratio = runs.abs_nu2_final / runs.nu_max_final
         assert np.all(ratio[used] ** (T - tw - runs.last_change[used]) < 1e-4)
-        near = runs.samples.trapped & ~runs.samples.cycling & (runs.final_cone == 0) & (ratio > 0.999)
-        assert np.any(near)
-        assert not np.any(near[used])
+
+    def test_trapped_pairs_skip_near_tie(self, monkeypatch):
+        # two runs trapped in cone A from the start (a . w > 0 dominates every
+        # other mode): with |nu_min| = 0.9997 nu_max the subleading mode is
+        # still alive in the tail and the tail rate sits below ln nu_max; with
+        # a gap the rate is ln nu_max.  Only the second run may be paired.
+        T, tw = 3000, 1000
+        a = np.array([0.6, 0.6, math.sqrt(0.28)])
+        w = np.array([0.8, 0.4, 0.2]) / math.sqrt(0.84)
+        nu_b = np.array([0.2, -0.1, 0.05])
+        kernel_runs = [
+            _lyapunov_kernel((nu_a, nu_b), (a, a), np.eye(3), w, 1, T, rng_from_seed(0), tw, _BLOCK)
+            for nu_a in (np.array([1.0, -0.9997, 0.5]), np.array([1.0, -0.5, 0.3]))
+        ]
+        f = [np.array(x) for x in zip(*kernel_runs)]
+        assert np.all(f[2]) and not np.any(f[3]) and np.all(f[5] == 0)
+        runs = LyapunovRunSet(
+            samples=LyapunovSamples(f[0], np.zeros(2), f[2], f[3]),
+            lam_tail=f[1],
+            final_cone=f[5],
+            nu_max_final=f[6],
+            last_change=f[7],
+            n_switches=f[8],
+            abs_nu2_final=f[9],
+            cycle_period=np.zeros(2, dtype=np.int64),
+        )
+        monkeypatch.setattr(dynamics, "lyapunov_runs", lambda *args, **kwargs: runs)
+        ens_a, ens_b = EnsembleSpec.goe(3, 0.0, 1.0), EnsembleSpec.goe(3, 0.0, 0.2)
+        pairs = trapped_run_edge_pairs(ens_a, ens_b, 2, T=T, seed=0, tail_window=tw)
+        assert list(pairs["run_index"]) == [1]
+        assert np.abs(pairs["sigma1_dynamics"] - pairs["sigma1_eigenvalue"])[0] < 1e-9
+        assert math.log(runs.nu_max_final[0]) - runs.lam_tail[0] > 1e-6
 
 
 class TestElliptic:

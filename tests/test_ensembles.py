@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import eigh
+from scipy.stats import ks_2samp
 
 from conewise import (
     EnsembleSpec,
@@ -12,6 +13,7 @@ from conewise import (
     sample_haar_orthogonal,
     sample_invariant,
 )
+from conewise.ensembles import _eigenvalues
 from conewise.seeding import derive_seed
 
 
@@ -114,6 +116,30 @@ class TestInvariant:
         a = sample_invariant(spec, 64, seed=2, placement="iid")
         b = sample_invariant(spec, 64, seed=3, placement="iid")
         assert not np.allclose(np.linalg.eigvalsh(a), np.linalg.eigvalsh(b))
+
+
+class TestSpectrumHelper:
+    def test_invariant_is_dense_spectrum(self):
+        for placement in ("quantile", "iid"):
+            ens = EnsembleSpec.invariant(SpectralModel.symmetric_beta(3), 48, placement)
+            nu = np.sort(_eigenvalues(ens, 5))
+            assert np.max(np.abs(nu - np.linalg.eigvalsh(ens.sample(5)))) < 1e-12
+
+    def test_atom(self):
+        ens = EnsembleSpec.invariant(SpectralModel.atomic(-0.4), 8)
+        assert np.array_equal(_eigenvalues(ens, 0), np.full(8, -0.4))
+
+    def test_goe_is_dense_spectrum_in_law(self):
+        # the two extreme eigenvalues of 400 draws each way
+        ens = EnsembleSpec.goe(16, 0.5, 1.0)
+        fast = np.array([_eigenvalues(ens, derive_seed(1, k)) for k in range(400)])
+        dense = np.array([np.linalg.eigvalsh(ens.sample(derive_seed(2, k))) for k in range(400)])
+        for extreme in (np.min, np.max):
+            assert ks_2samp(extreme(fast, axis=1), extreme(dense, axis=1)).pvalue > 0.01
+
+    def test_elliptic_rejected(self):
+        with pytest.raises(InvalidSpecError, match="complex spectrum"):
+            _eigenvalues(EnsembleSpec.elliptic(8, 0.5), 0)
 
 
 class TestElliptic:
