@@ -60,7 +60,7 @@ from .errors import (
     FitError,
     InvalidSpecError,
 )
-from .estimators import TRUNCATED_FIT_MIN_POINTS, fit_truncated_powerlaw
+from .estimators import TRUNCATED_FIT_MIN_POINTS, empirical_cdf, fit_truncated_powerlaw
 from .parallel import map_index_chunks
 from .records import LyapunovSamples, PersistenceCurve, log_tau_grid
 from .seeding import derive_seed, rng_from_seed
@@ -367,10 +367,12 @@ def estimate_persistence_matrix(
     drawn dense and stepped by matrix-vector products.  ``threads`` is the
     number of worker processes (see :func:`~conewise.parallel.map_index_chunks`);
     results do not depend on it (per-realization seeds are index-derived).
-    ``n_realizations < 1`` raises :class:`InvalidSpecError`.
+    ``n_realizations < 1`` and T < 1 raise :class:`InvalidSpecError`.
     """
     if ensemble_a.dimension != ensemble_b.dimension:
         raise InvalidSpecError("ensembles must share the dimension")
+    if T < 1:
+        raise InvalidSpecError(f"horizon T must be >= 1, got {T}")
     times = map_index_chunks(
         partial(_persistence_chunk, ensemble_a, ensemble_b, T, seed),
         n_realizations,
@@ -777,8 +779,7 @@ class TopEigenvalueCheck:
     sigma1: np.ndarray
 
     def cdf(self, x) -> np.ndarray:
-        s = np.sort(self.sigma1)
-        return np.searchsorted(s, np.asarray(x, dtype=float), side="right") / s.size
+        return empirical_cdf(self.sigma1)(x)
 
 
 def top_eigenvalue_check(ensemble: EnsembleSpec, n_draws: int, seed: int) -> TopEigenvalueCheck:
@@ -787,8 +788,11 @@ def top_eigenvalue_check(ensemble: EnsembleSpec, n_draws: int, seed: int) -> Top
     GOE draws come from the whole tridiagonal form (``_goe_jacobi`` with
     K = N), which has the spectrum of a dense draw, by bisection; invariant
     draws read the eigenvalues that ``sample_invariant`` places, which are
-    its matrix's spectrum at the same seed.
+    its matrix's spectrum at the same seed.  ``n_draws < 1`` raises
+    :class:`InvalidSpecError`.
     """
+    if n_draws < 1:
+        raise InvalidSpecError(f"n_draws must be >= 1, got {n_draws}")
     nu_plus = ensemble.nu_plus  # raises for non-symmetric kinds
     n_dim = ensemble.dimension
     gamma = nu_plus / 2.0

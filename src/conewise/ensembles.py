@@ -108,30 +108,36 @@ def sample_invariant(
 
     ``placement="quantile"`` puts eigenvalue i at CDF^{-1}((i-1/2)/N), which
     suppresses O(N^{-1/2}) density noise; ``placement="iid"`` draws them
-    independently from the density (fluctuating edge).
+    independently from the density (fluctuating edge).  One stream of
+    ``seed`` gives the iid eigenvalues first, then the Haar frame, so the
+    frame is independent of the spectrum.
     """
     if N < 2:
         raise InvalidSpecError(f"matrix dimension must be >= 2, got {N}")
-    eigs = _placed_eigenvalues(spec, N, seed, placement)
+    rng = rng_from_seed(seed)
+    eigs = _placed_eigenvalues(spec, N, rng, placement)
     if spec.is_atomic:
         return np.diag(eigs)
-    q = sample_haar_orthogonal(N, seed)
+    q = _haar_orthogonal(N, rng)
     m = (q * eigs) @ q.T
     return 0.5 * (m + m.T)
 
 
-def _placed_eigenvalues(spec: SpectralModel, N: int, seed: int, placement: str) -> np.ndarray:
+def _placed_eigenvalues(
+    spec: SpectralModel, N: int, rng: np.random.Generator, placement: str
+) -> np.ndarray:
     """The eigenvalues ``sample_invariant`` puts on its Haar frame.
 
-    The quantile grid is cached per (model, N) and must not be written to.
+    ``iid`` placement draws N uniforms from ``rng``; the other placements
+    draw nothing.  The quantile grid is cached per (model, N) and must not
+    be written to.
     """
     if spec.is_atomic:
         return np.full(N, float(spec.params[0]))
     if placement == "quantile":
         return quantile_grid(spec, N)
     if placement == "iid":
-        u = rng_from_seed(seed).random(N)
-        return np.array([inverse_cdf(spec, ui) for ui in u])
+        return inverse_cdf(spec, rng.random(N))
     raise InvalidSpecError(f"unknown eigenvalue placement {placement!r}")
 
 
@@ -147,7 +153,9 @@ def _eigenvalues(ens: "EnsembleSpec", seed: int) -> np.ndarray:
         diag, off = _goe_jacobi(ens, ens.dimension, rng_from_seed(seed))
         return eigvalsh_tridiagonal(diag, off, check_finite=False)
     if ens.kind == "invariant":
-        return _placed_eigenvalues(ens.spectral_model, ens.dimension, seed, ens.placement)
+        return _placed_eigenvalues(
+            ens.spectral_model, ens.dimension, rng_from_seed(seed), ens.placement
+        )
     raise InvalidSpecError("elliptic ensembles have a complex spectrum")
 
 

@@ -3,6 +3,20 @@
 Fit results use one sign convention throughout: ``exponent`` is the log-log
 slope, so algebraically decaying data yields a negative exponent and the
 decay index is its negation.
+
+Both power-law fits read their input the same way (a survival curve with
+its binomial errors, or an ``(x, y)`` pair with optional ``stderr``),
+weight ln y by 1/stderr(ln y)^2, and solve one weighted least-squares
+problem.  One error convention covers both: with point errors the exponent
+error is sqrt of the diagonal entry of (X^T W X)^-1, without them of
+s^2 (X^T X)^-1, s^2 being the residual variance.
+
+The truncated fit has the one bound 1/T >= 0.  Its objective is a convex
+quadratic, so the bounded optimum is the free optimum when that meets the
+bound, and otherwise lies on the bound, where it is the pure power law.
+The fit therefore solves the free problem once and, when the fitted
+cut-off is negative or negligible (1/T * max(x) < 1e-10), returns
+:func:`fit_powerlaw` over the same window with ``cutoff_rate = 0``.
 """
 
 from __future__ import annotations
@@ -11,17 +25,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
 from .errors import FitError
 from .records import PersistenceCurve
-from .seeding import rng_from_seed
 
 __all__ = [
     "FitResult",
     "fit_powerlaw",
     "fit_truncated_powerlaw",
-    "fit_persistence_curve",
     "ks_distance",
     "empirical_cdf",
     "tail_exponent_at_edge",
@@ -29,6 +40,8 @@ __all__ = [
 
 # fewest window points fit_truncated_powerlaw accepts for its three parameters
 TRUNCATED_FIT_MIN_POINTS = 8
+# log-spaced density bins of tail_exponent_at_edge
+_TAIL_BINS = 12
 
 
 @dataclass
@@ -47,34 +60,42 @@ class FitResult:
             raise FitError("negative exponent error")
 
 
-def _coerce_series(data, stderr):
-    if isinstance(data, PersistenceCurve):
-        x, y, err = data.positive_part()
-        return np.asarray(x, dtype=float), y, err
-    x, y = data
+def _series(data, window, stderr, min_points: int):
+    """Windowed (x, ln y, weights, window) of a fit's input.
+
+    ``data`` is a :class:`PersistenceCurve` (its positive part and binomial
+    errors) or an ``(x, y)`` pair with optional ``stderr``.  Weights are
+    1/stderr(ln y)^2, or None unless every point has a positive error.
+    """
+    x, y, err = data.positive_part() if isinstance(data, PersistenceCurve) else (*data, stderr)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    err = None if stderr is None else np.asarray(stderr, dtype=float)
-    return x, y, err
+    win = (np.min(x), np.max(x)) if window is None else window
+    win = (float(win[0]), float(win[1]))
+    mask = (x >= win[0]) & (x <= win[1])
+    x, y = x[mask], y[mask]
+    if x.size < min_points:
+        raise FitError(f"need >= {min_points} points in window {win}, have {x.size}")
+    if np.any(y <= 0):
+        raise FitError("power-law fit needs strictly positive values")
+    weights = None
+    if err is not None:
+        rel = np.asarray(err, dtype=float)[mask] / y
+        if not np.any(rel <= 0):
+            weights = 1.0 / rel**2
+    return x, np.log(y), weights, win
 
 
-def _window_mask(x, window):
-    if window is None:
-        return np.ones_like(x, dtype=bool), (float(np.min(x)), float(np.max(x)))
-    lo, hi = float(window[0]), float(window[1])
-    return (x >= lo) & (x <= hi), (lo, hi)
+def _wls(design: np.ndarray, target: np.ndarray, weights, window) -> FitResult:
+    """Weighted least-squares fit of ln y on [1, ln x] or [1, ln x, -x].
 
-
-def _wls(design: np.ndarray, target: np.ndarray, weights: np.ndarray | None):
-    """Weighted least squares with its parameter covariance.
-
-    With supplied weights (1/sigma^2) the covariance is (X^T W X)^-1; without
-    them the residual variance estimate s^2 (X^T X)^-1 is used.
+    With weights (1/sigma^2) the covariance is (X^T W X)^-1; without them
+    it is s^2 (X^T X)^-1.  r^2 compares the unweighted residual with the
+    spread of the target.
     """
-    if weights is None:
-        w = np.ones(len(target))
-    else:
-        w = weights
+    if np.linalg.matrix_rank(design) < design.shape[1]:
+        raise FitError("degenerate design matrix")
+    w = np.ones(len(target)) if weights is None else weights
     xtw = design.T * w
     gram = xtw @ design
     try:
@@ -87,136 +108,34 @@ def _wls(design: np.ndarray, target: np.ndarray, weights: np.ndarray | None):
     if weights is None:
         cov = cov * float(resid @ resid) / dof
     tss = float(np.sum((target - target.mean()) ** 2))
-    r2 = 1.0 - float(resid @ resid) / tss if tss > 0 else 1.0
-    return beta, cov, r2
-
-
-def fit_powerlaw(
-    data,
-    window=None,
-    stderr=None,
-    bootstrap: int = 0,
-    seed: int = 0,
-) -> FitResult:
-    """Weighted log-log line fit; ``exponent`` is the slope.
-
-    ``data`` is a :class:`PersistenceCurve` or an ``(x, y)`` pair.  Weights
-    are 1/stderr(ln y)^2 when point errors are available.  ``bootstrap`` > 0
-    replaces the covariance error with the spread over that many resamples.
-    """
-    x, y, err = _coerce_series(data, stderr)
-    mask, win = _window_mask(x, window)
-    x, y = x[mask], y[mask]
-    err = None if err is None else err[mask]
-    if x.size < 5:
-        raise FitError(f"need >= 5 points in window {win}, have {x.size}")
-    if np.any(y <= 0):
-        raise FitError("power-law fit needs strictly positive values")
-    lx, ly = np.log(x), np.log(y)
-    weights = None
-    if err is not None:
-        rel = err / y
-        if np.any(rel <= 0):
-            weights = None
-        else:
-            weights = 1.0 / rel**2
-    design = np.column_stack([np.ones_like(lx), lx])
-    beta, cov, r2 = _wls(design, ly, weights)
-    stderr_slope = math.sqrt(max(cov[1, 1], 0.0))
-    if bootstrap > 0:
-        rng = rng_from_seed(seed)
-        slopes = np.empty(bootstrap)
-        for b in range(bootstrap):
-            idx = rng.integers(0, x.size, x.size)
-            bi, _, _ = _wls(design[idx], ly[idx], None if weights is None else weights[idx])
-            slopes[b] = bi[1]
-        stderr_slope = float(np.std(slopes, ddof=1))
     return FitResult(
         exponent=float(beta[1]),
         prefactor_log=float(beta[0]),
-        cutoff_rate=0.0,
-        window=win,
-        stderr_exponent=stderr_slope,
-        r_squared=r2,
+        cutoff_rate=float(beta[2]) if beta.size > 2 else 0.0,
+        window=window,
+        stderr_exponent=math.sqrt(max(cov[1, 1], 0.0)),
+        r_squared=1.0 - float(resid @ resid) / tss if tss > 0 else 1.0,
     )
+
+
+def fit_powerlaw(data, window=None, stderr=None) -> FitResult:
+    """Weighted fit of ln y = a + exponent * ln x; ``exponent`` is the slope."""
+    x, ly, weights, win = _series(data, window, stderr, 5)
+    return _wls(np.column_stack([np.ones_like(x), np.log(x)]), ly, weights, win)
 
 
 def fit_truncated_powerlaw(data, window=None, stderr=None) -> FitResult:
-    """Fit ln y = a + exponent * ln x - x / T with the constraint 1/T >= 0.
+    """Weighted fit of ln y = a + exponent * ln x - x / T with 1/T >= 0.
 
-    Bounded least squares (BVLS) on (a, -exponent, 1/T); a pure power law
-    pins the cutoff rate at the zero boundary and reduces to
-    :func:`fit_powerlaw`.
+    The free fit is the answer when 1/T * max(x) >= 1e-10; otherwise the
+    bound is active and the result is :func:`fit_powerlaw` over the same
+    window.
     """
-    x, y, err = _coerce_series(data, stderr)
-    mask, win = _window_mask(x, window)
-    x, y = x[mask], y[mask]
-    err = None if err is None else err[mask]
-    if x.size < TRUNCATED_FIT_MIN_POINTS:
-        raise FitError(
-            f"need >= {TRUNCATED_FIT_MIN_POINTS} points in window {win}, have {x.size}"
-        )
-    if np.any(y <= 0):
-        raise FitError("truncated power-law fit needs strictly positive values")
-    lx, ly = np.log(x), np.log(y)
-    design = np.column_stack([np.ones_like(lx), -lx, -x])
-    target = ly.copy()
-    weights = None
-    if err is not None:
-        rel = err / y
-        if np.all(rel > 0):
-            weights = 1.0 / rel**2
-    if weights is not None:
-        sw = np.sqrt(weights)
-        design_w, target_w = design * sw[:, None], target * sw
-    else:
-        design_w, target_w = design, target
-    if np.linalg.matrix_rank(design_w) < 3:
-        raise FitError("degenerate design matrix for truncated power-law fit")
-    sol = lsq_linear(
-        design_w,
-        target_w,
-        bounds=([-np.inf, -np.inf, 0.0], [np.inf, np.inf, np.inf]),
-        method="bvls",
-        tol=1e-14,
-    )
-    if not sol.success:
-        raise FitError(f"bounded least squares failed: {sol.message}")
-    a, mu, rate = sol.x
-    if rate * float(np.max(x)) < 1e-10:
-        # exponential factor indistinguishable from 1 across the window:
-        # the constraint is active, refit the pure power law
-        pure = fit_powerlaw((x, y), stderr=err)
-        return FitResult(
-            exponent=pure.exponent,
-            prefactor_log=pure.prefactor_log,
-            cutoff_rate=0.0,
-            window=win,
-            stderr_exponent=pure.stderr_exponent,
-            r_squared=pure.r_squared,
-        )
-    # covariance over the active parameter set
-    if rate > 0:
-        active = design_w
-    else:
-        active = design_w[:, :2]
-    _, cov, r2 = _wls(active, target_w, None)
-    stderr_mu = math.sqrt(max(cov[1, 1], 0.0))
-    return FitResult(
-        exponent=float(-mu),
-        prefactor_log=float(a),
-        cutoff_rate=float(rate),
-        window=win,
-        stderr_exponent=stderr_mu,
-        r_squared=r2,
-    )
-
-
-def fit_persistence_curve(curve: PersistenceCurve, window, truncated: bool = False) -> FitResult:
-    """Window-restricted fit of a survival curve with its binomial weights."""
-    tau, q, err = curve.positive_part()
-    fit = fit_truncated_powerlaw if truncated else fit_powerlaw
-    return fit((tau, q), window=window, stderr=err)
+    x, ly, weights, win = _series(data, window, stderr, TRUNCATED_FIT_MIN_POINTS)
+    fit = _wls(np.column_stack([np.ones_like(x), np.log(x), -x]), ly, weights, win)
+    if fit.cutoff_rate * float(np.max(x)) < 1e-10:
+        return fit_powerlaw(data, window=window, stderr=stderr)
+    return fit
 
 
 def empirical_cdf(samples: np.ndarray):
@@ -248,7 +167,6 @@ def tail_exponent_at_edge(
     side: str = "above",
     window_fractions: tuple[float, float] = (1e-6, 1e-3),
     scale: float | None = None,
-    bins: int = 12,
 ) -> FitResult:
     """Log-log slope of the sample density of |x - edge| near an edge.
 
@@ -269,7 +187,7 @@ def tail_exponent_at_edge(
     z = z[(z >= lo) & (z <= hi)]
     if z.size < 1000:
         raise FitError(f"only {z.size} tail samples in the window; need >= 1000")
-    edges = np.geomspace(lo, hi, bins + 1)
+    edges = np.geomspace(lo, hi, _TAIL_BINS + 1)
     counts, _ = np.histogram(z, bins=edges)
     widths = np.diff(edges)
     centers = np.sqrt(edges[:-1] * edges[1:])

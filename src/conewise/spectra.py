@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import betainc, betaln
 
 from .errors import InvalidSpecError
@@ -231,22 +230,29 @@ class SpectralModel:
         return abs(float(self.cdf(self.nu_plus)) - 1.0)
 
 
-def inverse_cdf(spec: SpectralModel, u: float) -> float:
-    """Quantile of the spectral density: the nu with CDF(nu) = u.
+def inverse_cdf(spec: SpectralModel, u):
+    """Quantile of the spectral density: the least nu with CDF(nu) >= u.
 
-    Root-bracketing on the model CDF, absolute tolerance 1e-10.
+    ``u`` is a scalar (a float is returned) or an array (an array of its
+    shape is returned).  All levels are bisected at once: 60 halvings of
+    the support, past round-off for any support width.
     """
-    if not 0.0 <= u <= 1.0:
-        raise InvalidSpecError(f"quantile level must be in [0, 1], got {u}")
+    levels = np.asarray(u, dtype=float)
+    bad = ~((levels >= 0.0) & (levels <= 1.0))
+    if np.any(bad):
+        raise InvalidSpecError(f"quantile level must be in [0, 1], got {levels[bad].flat[0]}")
     if spec.is_atomic:
-        return spec.params[0]
-    if u <= 0.0:
-        return spec.nu_minus
-    if u >= 1.0:
-        return spec.nu_plus
-    return float(
-        brentq(lambda x: float(spec.cdf(x)) - u, spec.nu_minus, spec.nu_plus, xtol=1e-12)
-    )
+        nu = np.full(levels.shape, spec.params[0])
+    else:
+        lo = np.full(levels.shape, spec.nu_minus)
+        hi = np.full(levels.shape, spec.nu_plus)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            below = spec.cdf(mid) < levels
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        nu = np.where(levels <= 0.0, spec.nu_minus, np.where(levels >= 1.0, spec.nu_plus, hi))
+    return float(nu) if nu.ndim == 0 else nu
 
 
 @functools.lru_cache(maxsize=32)
@@ -257,6 +263,6 @@ def quantile_grid(spec: SpectralModel, n: int) -> np.ndarray:
     """
     if n < 1:
         raise InvalidSpecError("need at least one quantile")
-    grid = np.array([inverse_cdf(spec, (i + 0.5) / n) for i in range(n)])
+    grid = inverse_cdf(spec, (np.arange(n) + 0.5) / n)
     grid.flags.writeable = False
     return grid

@@ -325,17 +325,26 @@ def log_moment_asymptotic(spec: SpectralModel, t: float) -> float:
     )
 
 
+def _correlation(spec: SpectralModel, logs: np.ndarray, signs: np.ndarray):
+    """Entries (t, s) -> f(t+s)/sqrt(f(2t) f(2s)) on times 0..T, for
+    broadcastable index arrays, from the moment table (logs, signs) of
+    orders 0..2T; the diagonal is exactly 1."""
+    if np.any(signs[::2] <= 0):
+        raise DegenerateProcessError(f"vanishing even moment for {spec.describe()}")
+    half = 0.5 * logs[::2]
+
+    def entries(t, s):
+        tot = t + s
+        return np.where(t == s, 1.0, signs[tot] * np.exp(logs[tot] - half[t] - half[s]))
+
+    return entries
+
+
 def correlator(spec: SpectralModel, t: int, s: int) -> float:
     """Normalized two-time correlation f(t+s) / sqrt(f(2t) f(2s))."""
-    logs, signs = log_moments(spec, [2 * t, 2 * s, t + s])
-    (l2t, l2s, lnum), (s2t, s2s, snum) = logs.tolist(), signs.tolist()
-    if s2t <= 0 or s2s <= 0:
-        raise DegenerateProcessError(
-            f"vanishing variance at t={t if s2t <= 0 else s} for {spec.describe()}"
-        )
-    if snum == 0:
-        return 0.0
-    val = snum * math.exp(lnum - 0.5 * (l2t + l2s))
+    if min(t, s) < 0:
+        raise InvalidSpecError(f"correlator times must be >= 0, got ({t}, {s})")
+    val = float(_correlation(spec, *log_moment_array(spec, 2 * max(t, s)))(t, s))
     if abs(val) > 1.0 + 1e-6:
         raise NumericalError(
             f"correlator({t},{s}) = {val!r} breaks the Cauchy-Schwarz bound; "
@@ -383,16 +392,10 @@ def theta_reference(d: int) -> float:
     return THETA_TABLE[d]
 
 
-def is_sign_symmetric(spec: SpectralModel, tol: float = 1e-9) -> bool:
-    """Detect sign-symmetry through the first odd moments.
-
-    Uses the scale-free normalization |f(1)|/sqrt(f(2)) + |f(3)|/sqrt(f(6)),
-    i.e. the t=0 correlators, so spectra with edges far from 1 are judged on
-    the same footing.
-    """
-    if spec.is_atomic:
-        return spec.params[0] == 0.0
-    return abs(correlator(spec, 1, 0)) + abs(correlator(spec, 3, 0)) < tol
+def is_sign_symmetric(spec: SpectralModel) -> bool:
+    """Exact sign-symmetry of the density, the flag by which the moment
+    engine zeroes odd moments."""
+    return spec.symmetric_about_zero
 
 
 def persistence_exponent(spec: SpectralModel) -> float:

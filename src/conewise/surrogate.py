@@ -15,11 +15,11 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateProcessError, InvalidSpecError, NumericalError
+from .errors import InvalidSpecError, NumericalError
 from .records import PersistenceCurve
 from .seeding import derive_seed, rng_from_seed
 from .spectra import SpectralModel
-from .spectral import log_moment_array
+from .spectral import _correlation, log_moment_array
 
 __all__ = [
     "build_covariance",
@@ -33,21 +33,11 @@ _BLOCK = 4096
 _BLOCK_ENTRIES = _BLOCK * 1025  # one block of 4096 paths at T = 1024
 
 
-def _correlation(spec: SpectralModel, T: int):
-    """Entries (t, s) -> f(t+s)/sqrt(f(2t) f(2s)) on times 0..T, for
-    broadcastable index arrays; the diagonal is exactly 1."""
+def _entries(spec: SpectralModel, T: int):
+    """The correlation entries on times 0..T (see ``spectral._correlation``)."""
     if T < 0:
         raise InvalidSpecError("horizon must be >= 0")
-    logs, signs = log_moment_array(spec, 2 * T)
-    if np.any(signs[::2] <= 0):
-        raise DegenerateProcessError(f"vanishing even moment for {spec.describe()}")
-    half = 0.5 * logs[::2]
-
-    def entries(t, s):
-        tot = t + s
-        return np.where(t == s, 1.0, signs[tot] * np.exp(logs[tot] - half[t] - half[s]))
-
-    return entries
+    return _correlation(spec, *log_moment_array(spec, 2 * T))
 
 
 def build_covariance(spec: SpectralModel, T: int) -> np.ndarray:
@@ -57,7 +47,7 @@ def build_covariance(spec: SpectralModel, T: int) -> np.ndarray:
     never forms it: it factors the same entries column by column.
     """
     idx = np.arange(T + 1)
-    return _correlation(spec, T)(idx[:, None], idx[None, :])
+    return _entries(spec, T)(idx[:, None], idx[None, :])
 
 
 def _pivoted_cholesky(column, n: int, what: str) -> np.ndarray:
@@ -88,7 +78,7 @@ def _pivoted_cholesky(column, n: int, what: str) -> np.ndarray:
 
 def _gp_factor(spec: SpectralModel, T: int) -> np.ndarray:
     """Pivoted Cholesky factor of the correlation matrix on times 0..T."""
-    entries = _correlation(spec, T)
+    entries = _entries(spec, T)
     idx = np.arange(T + 1)
     return _pivoted_cholesky(lambda p: entries(idx, p), T + 1, f"{spec.describe()}, T = {T}")
 

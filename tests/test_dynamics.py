@@ -258,9 +258,9 @@ class TestPersistenceMatrix:
         # reduced-size smoke check of the persistence decay
         ens = EnsembleSpec.goe(256, 0.0, 2.0)
         curve = estimate_persistence_matrix(ens, ens, 2500, T=120, seed=3)
-        from conewise.estimators import fit_persistence_curve
+        from conewise.estimators import fit_powerlaw
 
-        fit = fit_persistence_curve(curve, window=(5, 120))
+        fit = fit_powerlaw(curve, window=(5, 120))
         assert fit.exponent == pytest.approx(-0.476, abs=0.12)
 
     def test_dimension_mismatch(self):
@@ -273,6 +273,16 @@ class TestPersistenceMatrix:
         ens = EnsembleSpec.goe(16)
         with pytest.raises(InvalidSpecError, match="got 0"):
             estimate_persistence_matrix(ens, ens, 0, T=10, seed=0)
+
+    @pytest.mark.parametrize("T", [0, -2])
+    def test_bad_horizon_is_typed_before_any_draw(self, T, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("realizations ran before the horizon was checked")
+
+        monkeypatch.setattr(dynamics, "map_index_chunks", no_draws)
+        ens = EnsembleSpec.goe(16)
+        with pytest.raises(InvalidSpecError, match=f"got {T}"):
+            estimate_persistence_matrix(ens, ens, 10, T=T, seed=0)
 
 
 class TestJacobiRoute:
@@ -622,6 +632,11 @@ class TestTopEigenvalue:
     def test_elliptic_rejected(self):
         with pytest.raises(InvalidSpecError):
             top_eigenvalue_check(EnsembleSpec.elliptic(32, 0.3), 5, seed=0)
+
+    @pytest.mark.parametrize("n_draws", [0, -3])
+    def test_bad_draw_count_is_typed(self, n_draws):
+        with pytest.raises(InvalidSpecError, match=f"n_draws must be >= 1, got {n_draws}"):
+            top_eigenvalue_check(EnsembleSpec.goe(16), n_draws, seed=0)
 
     def test_trapped_pairs_match_closely(self):
         ens_a = EnsembleSpec.goe(64, 0.0, 0.05 * math.sqrt(2))

@@ -117,6 +117,18 @@ class TestInvariant:
         b = sample_invariant(spec, 64, seed=3, placement="iid")
         assert not np.allclose(np.linalg.eigvalsh(a), np.linalg.eigvalsh(b))
 
+    def test_iid_frame_independent_of_spectrum(self):
+        # with a Haar frame independent of the eigenvalues, the top
+        # eigenvector's first component has E[u0^2] = 1/N
+        spec = SpectralModel.semicircle(0.0, 2.0)
+        n = 8
+        w = np.empty(4000)
+        for seed in range(w.size):
+            _, vecs = np.linalg.eigh(sample_invariant(spec, n, seed, placement="iid"))
+            w[seed] = vecs[0, -1] ** 2
+        sigma = w.std(ddof=1) / np.sqrt(w.size)
+        assert abs(w.mean() - 1.0 / n) <= 4 * sigma
+
 
 class TestSpectrumHelper:
     def test_invariant_is_dense_spectrum(self):

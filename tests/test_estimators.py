@@ -48,14 +48,6 @@ class TestFitPowerlaw:
         with pytest.raises(FitError):
             fit_powerlaw(([1, 2, 3, 4], [1, 0.5, 0.33, 0.25]))
 
-    def test_bootstrap_errors_close_to_analytic(self):
-        rng = rng_from_seed(3)
-        x = np.geomspace(1, 1e3, 80)
-        y = x**-0.7 * np.exp(0.05 * rng.standard_normal(x.size))
-        a = fit_powerlaw((x, y))
-        b = fit_powerlaw((x, y), bootstrap=200, seed=5)
-        assert b.stderr_exponent == pytest.approx(a.stderr_exponent, rel=0.7)
-
 
 class TestFitTruncated:
     def test_exact_truncated_model(self):
@@ -85,6 +77,39 @@ class TestFitTruncated:
         x = np.geomspace(1, 10, 6)
         with pytest.raises(FitError):
             fit_truncated_powerlaw((x, x**-1.0))
+
+    def test_rank_deficient_design_rejected(self):
+        # two distinct x values cannot fix three parameters, one cannot fix two
+        x = np.repeat([2.0, 5.0], 5)
+        with pytest.raises(FitError, match="degenerate design matrix"):
+            fit_truncated_powerlaw((x, x**-1.0))
+        x = np.full(10, 3.0)
+        for fit in (fit_powerlaw, fit_truncated_powerlaw):
+            with pytest.raises(FitError, match="degenerate design matrix"):
+                fit((x, x**-1.0))
+
+    def test_stderr_with_point_errors_is_inverse_gram(self):
+        rng = rng_from_seed(7)
+        x = np.geomspace(1, 300, 30)
+        y = x**-0.6 * np.exp(-x / 80.0) * np.exp(0.02 * rng.standard_normal(x.size))
+        err = y * np.linspace(0.01, 0.05, x.size)
+        fit = fit_truncated_powerlaw((x, y), stderr=err)
+        assert fit.cutoff_rate > 0
+        design = np.column_stack([np.ones_like(x), -np.log(x), -x])
+        gram = design.T @ (design / ((err / y) ** 2)[:, None])
+        assert fit.stderr_exponent == pytest.approx(
+            math.sqrt(np.linalg.inv(gram)[1, 1]), rel=1e-9
+        )
+
+    def test_upward_curvature_is_the_power_law_fit(self):
+        # ln y convex in x: the free cut-off rate is negative, the bound binds
+        x = np.geomspace(1, 200, 25)
+        y = x**-0.5 * np.exp(x / 100.0)
+        err = 0.03 * y
+        for stderr in (None, err):
+            tfit = fit_truncated_powerlaw((x, y), window=(2, 150), stderr=stderr)
+            assert tfit == fit_powerlaw((x, y), window=(2, 150), stderr=stderr)
+            assert tfit.cutoff_rate == 0.0
 
 
 class TestKs:
@@ -134,6 +159,12 @@ class TestTailExponent:
         mu = 0.4764
         samples = self._lamperti_samples(mu, 1_000_000, seed=19)
         fit = tail_exponent_at_edge(samples, edge=0.0, side="above", scale=1.0)
+        assert fit.exponent == pytest.approx(mu - 1.0, abs=0.05)
+
+    def test_recovers_mirrored_edge_exponent_below(self):
+        mu = 0.4764
+        samples = 1.0 - self._lamperti_samples(mu, 1_000_000, seed=19)
+        fit = tail_exponent_at_edge(samples, edge=1.0, side="below", scale=1.0)
         assert fit.exponent == pytest.approx(mu - 1.0, abs=0.05)
 
     def test_flat_density_has_zero_slope(self):

@@ -81,6 +81,16 @@ class TestInverseCdf:
     def test_out_of_range_level(self):
         with pytest.raises(InvalidSpecError):
             inverse_cdf(SpectralModel.symmetric_beta(2), 1.5)
+        with pytest.raises(InvalidSpecError):
+            inverse_cdf(SpectralModel.symmetric_beta(2), np.array([0.2, -0.1]))
+
+    def test_array_levels_match_scalar_levels(self):
+        spec = SpectralModel.semicircle(0.5, 1.0)
+        u = np.array([[0.0, 0.1, 0.5], [0.9, 0.999, 1.0]])
+        v = inverse_cdf(spec, u)
+        assert v.shape == u.shape
+        assert np.array_equal(v, [[inverse_cdf(spec, ui) for ui in row] for row in u])
+        assert np.allclose(spec.cdf(v), u, atol=1e-12)
 
 
 class TestSymmetry:

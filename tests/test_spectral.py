@@ -321,6 +321,9 @@ class TestDiffusionCorrespondence:
         assert is_sign_symmetric(SEMI)
         assert not is_sign_symmetric(BETA3)
         assert not is_sign_symmetric(SpectralModel.semicircle(3, 2))
+        # exact, as the moment engine's zero odd moments: a shift of 1e-13
+        # is not symmetric
+        assert not is_sign_symmetric(SpectralModel.semicircle(1e-13, 2))
 
     def test_persistence_exponent_doubling(self):
         assert persistence_exponent(SEMI) == pytest.approx(2 * 0.2382)

@@ -7,7 +7,7 @@ from scipy.stats import ks_2samp
 
 from conewise import InvalidSpecError, SpectralModel
 from conewise.errors import DegenerateProcessError, NumericalError
-from conewise.estimators import fit_persistence_curve
+from conewise.estimators import fit_powerlaw
 from conewise.records import log_tau_grid
 from conewise.surrogate import (
     _gp_factor,
@@ -117,7 +117,7 @@ class TestPivotedFactor:
         finally:
             tracemalloc.stop()
         assert peak < 256e6
-        fit = fit_persistence_curve(curve, window=(30, 16384))
+        fit = fit_powerlaw(curve, window=(30, 16384))
         assert fit.exponent == pytest.approx(-0.2382, abs=0.03)
 
 
@@ -190,14 +190,14 @@ class TestPersistence:
 
     def test_beta3_slope_matches_diffusion_exponent(self):
         curve = estimate_persistence_gp(BETA3, T=1000, n_paths=50_000, seed=42)
-        fit = fit_persistence_curve(curve, window=(30, 1000))
+        fit = fit_powerlaw(curve, window=(30, 1000))
         assert fit.exponent == pytest.approx(-0.2382, abs=0.03)
 
     def test_semicircle_doubling_and_subprocess_product(self):
         curve, even, odd = estimate_persistence_gp(
             SEMI, T=1000, n_paths=50_000, seed=43, subprocesses=True
         )
-        fit = fit_persistence_curve(curve, window=(30, 1000))
+        fit = fit_powerlaw(curve, window=(30, 1000))
         assert fit.exponent == pytest.approx(-2 * 0.2382, abs=0.04)
         # even/odd sign survival multiplies to the full survival
         sel = curve.tau >= 1
@@ -213,7 +213,7 @@ class TestPersistence:
         fits = []
         for n in (20_000, 40_000):
             curve = estimate_persistence_gp(BETA3, T=512, n_paths=n, seed=11)
-            fits.append(fit_persistence_curve(curve, window=(17, 512)))
+            fits.append(fit_powerlaw(curve, window=(17, 512)))
         combined = np.hypot(fits[0].stderr_exponent, fits[1].stderr_exponent)
         assert abs(fits[0].exponent - fits[1].exponent) < max(1e-3, 1.0 * combined) + 3e-3
 
@@ -237,8 +237,8 @@ class TestJointPersistence:
         uni = SpectralModel.symmetric_beta(2)
         single = estimate_persistence_gp(uni, T=512, n_paths=60_000, seed=6)
         double = joint_persistence(uni, 2, T=512, n_paths=60_000, seed=16)
-        f1 = fit_persistence_curve(single, window=(17, 512))
-        f2 = fit_persistence_curve(double, window=(17, 512))
+        f1 = fit_powerlaw(single, window=(17, 512))
+        f2 = fit_powerlaw(double, window=(17, 512))
         assert f2.exponent == pytest.approx(2 * f1.exponent, abs=0.05)
 
     def test_invalid_component_count(self):
