@@ -27,9 +27,28 @@ with the same first entry, so w_A = R_a v0 / |v0| has the right joint law,
 and a . w_A = v0[0] / |v0| keeps the starting sign's meaning.  A run that
 starts in cone B uses w_B = C w_A.  :func:`lyapunov_runs` therefore draws
 per run two spectra (the tridiagonal form for GOE, the placed eigenvalues
-for invariant ensembles), one Haar C and one uniform a, and calls the
-kernel :func:`_lyapunov_kernel` that the dense reference
-:func:`_lyapunov_single` (two ``eigh`` calls) also calls.
+for invariant ensembles), one uniform a and one Haar C, and calls the one
+kernel :func:`_lyapunov_kernel`, which the tests also drive from two dense
+``eigh`` calls as the reference.
+
+The kernel reads C only at a cone switch, so C is revealed on demand
+(:class:`_RevealedFrame`) rather than drawn by an N x N QR.  The frame keeps
+orthonormal p_1..p_k and q_1..q_k with C p_i = q_i.  For a new x, let r =
+x - P P^T x (two Gram-Schmidt passes); given the revealed pairs, C restricted
+to P-perp -> Q-perp is again Haar, so C x = Q P^T x + |r| u with u uniform on
+the unit sphere of Q-perp, independent of everything revealed; (r/|r|, u)
+becomes pair k + 1.  C^T y is the mirror image.  The first reveal is (a, b =
+C a) with b uniform on the sphere.  The queries depend on C only through
+earlier reveals, so every answer has the law of a dense Haar C.  Once
+N // ``_FRAME_COMPLETE_AT`` pairs are known, the next reveal instead draws
+the rest of C at once: C = V_Q diag(D, H) V_P^T, where V_P and V_Q are the
+Householder factors of QR(P) and QR(Q), D the signs that make C P = Q, and H
+a Haar (N - k) x (N - k) matrix; from then on a switch is one mat-vec.  A
+query with |r| <= ``_REVEAL_TOL`` |x| lies in the revealed span to round-off
+and reveals nothing: it returns Q P^T x, which drops a component of relative
+size at most 1e-12, below the round-off of a dense mat-vec, so the law moves
+by no more than round-off does.  Per run, slot 3 gives a, then the normals
+of each reveal's u in query order, then the completion's H.
 
 Persistence (:func:`estimate_persistence_matrix`) only follows a run to its
 first sign change, when only the starting cone's matrix M has acted.  A run
@@ -52,6 +71,7 @@ from functools import partial
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg.lapack import dgeqrf, dormqr
 
 from .ensembles import EnsembleSpec, _eigenvalues, _goe_jacobi, _haar_orthogonal
 from .errors import (
@@ -87,6 +107,11 @@ _CYCLE_GRID = 1e-6
 _CYCLE_INTERVAL = 16
 # longest block of steps the eigenbasis route advances at once
 _BLOCK = 192
+# a revealed frame is completed once N // this many of its pairs are known
+_FRAME_COMPLETE_AT = 8
+# a frame query this close to the revealed span, relative to its norm,
+# reveals nothing (see the module docstring)
+_REVEAL_TOL = 1e-12
 # realizations the tridiagonal persistence route steps together; bounds its
 # working set to a few arrays of this many rows by min(T + 1, N) columns
 _JACOBI_BLOCK = 256
@@ -534,13 +559,80 @@ def _reflect_e1_to(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return s * (x - u * (2.0 * float(u @ x) / float(u @ u)))
 
 
-def _lyapunov_kernel(nus, first_rows, cross, w_coord, s_cur, T, rng, tail_window, block):
+class _RevealedFrame:
+    """A Haar orthogonal C, revealed on demand from the stream ``rng``.
+
+    ``forward(x)`` is C x and ``transpose(y)`` is C^T y; the law argument,
+    the skip rule and the completion are in the module docstring.  Rows
+    ``p[:revealed]`` and ``q[:revealed]`` hold the pairs with C p_i = q_i;
+    ``dense`` is C once the frame is completed, None until then.
+    """
+
+    def __init__(self, n: int, rng: np.random.Generator):
+        self._rng = rng
+        self._limit = max(1, n // _FRAME_COMPLETE_AT)
+        self.p = np.empty((self._limit, n))
+        self.q = np.empty((self._limit, n))
+        self.revealed = 0
+        self.dense = None
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        if self.dense is not None:
+            return self.dense @ x
+        return self._reveal(x, self.p, self.q)
+
+    def transpose(self, y: np.ndarray) -> np.ndarray:
+        if self.dense is not None:
+            return self.dense.T @ y
+        return self._reveal(y, self.q, self.p)
+
+    def _reveal(self, x, src, dst):
+        """The image of x under the map taking each row of ``src`` to the
+        same row of ``dst`` (C for (p, q), C^T for (q, p))."""
+        k = self.revealed
+        s, d = src[:k], dst[:k]
+        c = s @ x
+        r = x - c @ s
+        c2 = s @ r
+        r -= c2 @ s
+        c += c2
+        r_norm = float(np.linalg.norm(r))
+        if r_norm <= _REVEAL_TOL * float(np.linalg.norm(x)):
+            return c @ d
+        if k == self._limit:
+            self._complete()
+            return self.forward(x) if src is self.p else self.transpose(x)
+        u = self._rng.standard_normal(x.size)
+        for _ in range(2):
+            u -= (d @ u) @ d
+        u /= np.linalg.norm(u)
+        src[k] = r / r_norm
+        dst[k] = u
+        self.revealed = k + 1
+        return c @ d + r_norm * u
+
+    def _complete(self):
+        """Draw the rest of C: V_Q diag(D, H) V_P^T (module docstring)."""
+        k, n = self.p.shape
+        qr_p, tau_p, _, _ = dgeqrf(self.p.T)
+        qr_q, tau_q, _, _ = dgeqrf(self.q.T)
+        mid = np.zeros((n, n), order="F")
+        # R of an orthonormal basis is diagonal up to round-off, with entries +-1
+        mid[range(k), range(k)] = np.sign(np.diagonal(qr_p)) * np.sign(np.diagonal(qr_q))
+        mid[k:, k:] = _haar_orthogonal(n - k, self._rng)
+        lwork = int(dormqr("L", "N", qr_q, tau_q, mid, -1)[1][0])
+        mid = dormqr("L", "N", qr_q, tau_q, mid, lwork, overwrite_c=1)[0]
+        self.dense = dormqr("R", "T", qr_p, tau_p, mid, lwork, overwrite_c=1)[0]
+
+
+def _lyapunov_kernel(nus, first_rows, frame, w_coord, s_cur, T, rng, tail_window, block):
     """One run of the eigenbasis block evolution from spectral data.
 
     Cone c's matrix is U_c diag(``nus[c]``) U_c^T; ``first_rows[c]`` is
-    U_c^T e1, ``cross`` = U_1^T U_0 maps cone-0 coordinates to cone-1
-    coordinates, and ``w_coord`` is the unit start direction in the
-    coordinates of the starting cone, 0 when ``s_cur`` > 0 and 1 otherwise.
+    U_c^T e1; ``frame.forward`` applies C = U_1^T U_0, which maps cone-0
+    coordinates to cone-1 coordinates, and ``frame.transpose`` applies C^T;
+    ``w_coord`` is the unit start direction in the coordinates of the
+    starting cone, 0 when ``s_cur`` > 0 and 1 otherwise.
     While the sign holds, first components for a whole block of steps come
     from a table of eigenvalue powers built once per cone; the basis change
     acts only at cone switches.  Directions are snapshotted (quantized) at
@@ -601,7 +693,7 @@ def _lyapunov_kernel(nus, first_rows, cross, w_coord, s_cur, T, rng, tail_window
                 s_cur = new_s
                 last_change = t
                 n_switches += 1
-                w_coord = cross @ w_coord if active == 0 else cross.T @ w_coord
+                w_coord = frame.forward(w_coord) if active == 0 else frame.transpose(w_coord)
                 w_coord /= np.linalg.norm(w_coord)  # orthogonality round-off only
                 active = 1 - active
                 if not cycling:
@@ -628,29 +720,6 @@ def _lyapunov_kernel(nus, first_rows, cross, w_coord, s_cur, T, rng, tail_window
     )
 
 
-def _lyapunov_single(
-    mats: tuple[np.ndarray, np.ndarray],
-    v0: np.ndarray,
-    T: int,
-    rng: np.random.Generator,
-    tail_window: int,
-    block: int,
-):
-    """One run of the block evolution from two dense symmetric matrices.
-
-    Diagonalizes both with ``eigh`` and runs :func:`_lyapunov_kernel`; the
-    reference that the spectral-frame route of :func:`lyapunov_runs` and
-    the step-by-step :func:`evolve` are tested against.
-    """
-    (nu_a, u_a), (nu_b, u_b) = (np.linalg.eigh(m) for m in mats)
-    v = v0 / np.linalg.norm(v0)
-    s0 = _sign_with_coin(v[0], rng)
-    w = (u_a if s0 > 0 else u_b).T @ v
-    return _lyapunov_kernel(
-        (nu_a, nu_b), (u_a[0, :], u_b[0, :]), u_b.T @ u_a, w, s0, T, rng, tail_window, block
-    )
-
-
 def _lyapunov_chunk(ensemble_a, ensemble_b, T, seed, tail_window, start, stop):
     n = ensemble_a.dimension
     runs = []
@@ -661,22 +730,26 @@ def _lyapunov_chunk(ensemble_a, ensemble_b, T, seed, tail_window, start, stop):
             _eigenvalues(ensemble_a, derive_seed(seed, r, 1)),
             _eigenvalues(ensemble_b, derive_seed(seed, r, 2)),
         )
-        frame = rng_from_seed(derive_seed(seed, r, 3))
-        cross = _haar_orthogonal(n, frame)
-        a = frame.standard_normal(n)
+        stream = rng_from_seed(derive_seed(seed, r, 3))
+        a = stream.standard_normal(n)
         a /= np.linalg.norm(a)
+        frame = _RevealedFrame(n, stream)
+        b = frame.forward(a)
         x = v0 / np.linalg.norm(v0)
         s0 = _sign_with_coin(x[0], rng)
         w = _reflect_e1_to(a, x)
         if s0 < 0:
-            w = cross @ w
-        runs.append(
-            _lyapunov_kernel(nus, (a, cross @ a), cross, w, s0, T, rng, tail_window, _BLOCK)
-        )
-    # one array per field of _lyapunov_kernel; no cycle is period 0
+            w = frame.forward(w)
+        out = _lyapunov_kernel(nus, (a, b), frame, w, s0, T, rng, tail_window, _BLOCK)
+        runs.append((*out, frame.revealed, frame.dense is not None))
+    # one array per field of _lyapunov_kernel, then the frame's reveals and
+    # completion; no cycle is period 0
     fields = list(zip(*runs))
     fields[4] = [p or 0 for p in fields[4]]
-    dtypes = (float, float, bool, bool, np.int64, np.int8, float, np.int64, np.int64, float, np.int64)
+    dtypes = (
+        float, float, bool, bool, np.int64, np.int8, float, np.int64, np.int64, float, np.int64,
+        np.int64, bool,
+    )
     return tuple(np.array(f, dtype=d) for f, d in zip(fields, dtypes))
 
 
@@ -693,14 +766,19 @@ def lyapunov_runs(
 
     Each realization draws the spectra of two independent matrices (seed
     slots 1 and 2, from :func:`~conewise.ensembles._eigenvalues`) and the
-    relative frame between their eigenbases (slot 3: a Haar rotation, then
-    the first row of cone A's eigenbasis), so it is never a single-matrix
+    relative frame between their eigenbases, so it is never a single-matrix
     limit, even when ``ensemble_a`` and ``ensemble_b`` are the same recipe.
+    Slot 3 gives the first row a of cone A's eigenbasis, then the frame's
+    reveals in the order the run asks for them, then, once N // 8 pairs are
+    known and the run asks for a new one, the rest of the frame at once (see
+    the module docstring).
     Slot 0 gives the start vector, then its sign and every coin of the run.
-    No matrix is formed and no ``eigh`` runs; the law is that of dense draws
-    stepped by :func:`_lyapunov_single` (see the module docstring), but the
-    per-seed outputs differ.  Only symmetric ensembles have this route;
-    elliptic ones raise :class:`InvalidSpecError`, as do T < 1 and
+    No matrix of the cones is formed and no ``eigh`` runs; the law is that
+    of dense draws diagonalized by ``eigh`` and stepped by the same kernel,
+    but the per-seed outputs differ.  ``samples.meta`` counts the revealed
+    pairs over all runs (``frame_reveals``) and the runs whose frame was
+    completed (``frames_completed``).  Only symmetric ensembles have this
+    route; elliptic ones raise :class:`InvalidSpecError`, as do T < 1 and
     ``tail_window`` < 1.  ``tail_window >= T`` makes the tail the whole run.
 
     Only trapped runs have a rate near ln ``nu_max_final``; see
@@ -727,6 +805,8 @@ def lyapunov_runs(
         n_switches,
         abs_nu2,
         n_blocks,
+        frame_reveals,
+        frame_completed,
     ) = map_index_chunks(
         partial(_lyapunov_chunk, ensemble_a, ensemble_b, T, seed, tail_window),
         n_realizations,
@@ -750,6 +830,8 @@ def lyapunov_runs(
             "n_samples": n_realizations,
             "switches": int(n_switches.sum()),
             "blocks": int(n_blocks.sum()),
+            "frame_reveals": int(frame_reveals.sum()),
+            "frames_completed": int(np.count_nonzero(frame_completed)),
         },
     )
     return LyapunovRunSet(

@@ -10,7 +10,7 @@ from conewise import (
     SpectralModel,
     sample_goe,
 )
-from conewise import dynamics
+from conewise import dynamics, ensembles
 from conewise.dynamics import (
     LyapunovRunSet,
     ScalingCollapse,
@@ -24,10 +24,10 @@ from conewise.dynamics import (
     top_eigenvalue_check,
     trapped_run_edge_pairs,
     _BLOCK,
+    _RevealedFrame,
     _first_sign_change,
     _jacobi_first_sign_changes,
     _lyapunov_kernel,
-    _lyapunov_single,
     _persistence_chunk,
     _sign_with_coin,
 )
@@ -57,6 +57,34 @@ def dense_first_changes(ens_a, ens_b, n_real, T, seed):
     return times
 
 
+class DenseFrame:
+    """A basis change given as a matrix, in the kernel's frame interface."""
+
+    def __init__(self, cross):
+        self.cross = cross
+
+    def forward(self, x):
+        return self.cross @ x
+
+    def transpose(self, y):
+        return self.cross.T @ y
+
+
+def dense_lyapunov_single(mats, v0, T, rng, tail_window, block):
+    """One run of the block evolution from two dense symmetric matrices:
+    both diagonalized by ``eigh``, then stepped by the one kernel.  The
+    reference that lyapunov_runs and the step-by-step evolve are tested
+    against."""
+    (nu_a, u_a), (nu_b, u_b) = (np.linalg.eigh(m) for m in mats)
+    v = v0 / np.linalg.norm(v0)
+    s0 = _sign_with_coin(v[0], rng)
+    w = (u_a if s0 > 0 else u_b).T @ v
+    return _lyapunov_kernel(
+        (nu_a, nu_b), (u_a[0, :], u_b[0, :]), DenseFrame(u_b.T @ u_a), w, s0, T, rng,
+        tail_window, block,
+    )
+
+
 def dense_lyapunov_runs(ens_a, ens_b, n_real, T, seed, tail_window):
     """Kernel tuples of fresh dense draws stepped by the dense wrapper, with
     slot 0 for the start vector and coins and slots 1, 2 for the matrices."""
@@ -65,7 +93,7 @@ def dense_lyapunov_runs(ens_a, ens_b, n_real, T, seed, tail_window):
         rng = rng_from_seed(derive_seed(seed, r, 0))
         v0 = rng.standard_normal(ens_a.dimension)
         mats = (ens_a.sample(derive_seed(seed, r, 1)), ens_b.sample(derive_seed(seed, r, 2)))
-        runs.append(_lyapunov_single(mats, v0, T, rng, tail_window, _BLOCK))
+        runs.append(dense_lyapunov_single(mats, v0, T, rng, tail_window, _BLOCK))
     return runs
 
 
@@ -375,7 +403,7 @@ class TestLyapunovRuns:
         b = sample_goe(48, 0.0, 2 * math.sqrt(2), seed=12)
         v0 = gaussian(48, 13)
         traj = evolve(a, b, v0, T=80, seed=14)
-        out = _lyapunov_single((a, b), v0, 80, rng_from_seed(14), tail_window=20, block=16)
+        out = dense_lyapunov_single((a, b), v0, 80, rng_from_seed(14), tail_window=20, block=16)
         assert out[0] == pytest.approx(traj.lyapunov, rel=1e-10, abs=1e-12)
         assert out[8] == len(traj.residence_intervals)
 
@@ -388,7 +416,7 @@ class TestLyapunovRuns:
         top = math.log(np.max(np.abs(np.linalg.eigvalsh(m))))
         v0 = gaussian(64, 1)
         for mat in (m, -m):
-            out = _lyapunov_single(
+            out = dense_lyapunov_single(
                 (mat, mat), v0, T, rng_from_seed(9), tail_window=2000, block=192
             )
             assert abs(out[0] - top) < 10 / T
@@ -423,7 +451,7 @@ class TestLyapunovRuns:
         b = sample_goe(48, 0.0, 2 * math.sqrt(2), seed=12)
         v0 = gaussian(48, 13)
         for T, tw, block in ((80, 20, 16), (3000, 500, 192)):
-            out = _lyapunov_single((a, b), v0, T, rng_from_seed(14), tw, block)
+            out = dense_lyapunov_single((a, b), v0, T, rng_from_seed(14), tw, block)
             ref = blockwise_reference((a, b), v0, T, rng_from_seed(14), tw, block)
             assert out[:10] == ref
             assert out[8] > 0
@@ -476,7 +504,9 @@ class TestLyapunovRuns:
         a = np.array([0.6, 0.6, math.sqrt(0.28)])
         w = np.array([0.8, 0.4, 0.2]) / math.sqrt(0.84)
         for nu, cycles in ((np.array([-1.0, 0.5, 0.3]), True), (np.array([1.0, 0.5, 0.3]), False)):
-            out = _lyapunov_kernel((nu, nu), (a, a), np.eye(3), w, 1, 400, rng_from_seed(0), 100, _BLOCK)
+            out = _lyapunov_kernel(
+                (nu, nu), (a, a), DenseFrame(np.eye(3)), w, 1, 400, rng_from_seed(0), 100, _BLOCK
+            )
             assert out[3] is cycles
             assert out[4] == (2 if cycles else None)
 
@@ -491,6 +521,12 @@ class TestLyapunovRuns:
         assert meta["switches"] == int(runs.n_switches.sum())
         # every switch ends a block, and a block advances 1 to _BLOCK steps
         assert max(meta["switches"], 40 * math.ceil(600 / _BLOCK)) <= meta["blocks"] <= 40 * 600
+        # every run reveals a; a completed frame (N // 8 = 4 pairs) reveals no more
+        done = meta["frames_completed"]
+        assert 0 < done < 40
+        assert 40 + 3 * done <= meta["frame_reveals"] <= 4 * 40
+        two = lyapunov_runs(ens_a, ens_b, 40, T=600, seed=3, tail_window=200, threads=2)
+        assert two.samples.meta == meta
 
 
 class TestSpectralFrameRoute:
@@ -532,6 +568,87 @@ class TestSpectralFrameRoute:
             p1, p2 = np.mean(got), np.mean(want)
             sigma = math.sqrt((p1 * (1 - p1) + p2 * (1 - p2)) / n_real)
             assert abs(p1 - p2) <= 4 * sigma
+        # the sweep covers both the revealed and the completed frame
+        assert 0 < fast.samples.meta["frames_completed"] < n_real
+
+
+class TestRevealedFrame:
+    """The on-demand Haar frame of lyapunov_runs: C p_i = q_i on the revealed
+    pairs, both bases orthonormal, and a completed C orthogonal."""
+
+    @staticmethod
+    def queried(n, n_queries, seed=0):
+        frame = _RevealedFrame(n, rng_from_seed(seed))
+        queries = rng_from_seed(seed + 1).standard_normal((n_queries, n))
+        outs = [frame.forward(x) if i % 3 else frame.transpose(x) for i, x in enumerate(queries)]
+        return frame, queries, outs
+
+    def test_revealed_pairs_are_orthonormal(self):
+        frame, _, _ = self.queried(96, 10)
+        # a query 1e-9 off the revealed span still reveals a pair, and its
+        # residual keeps full orthogonality only after the second pass
+        near = frame.p[0] + frame.p[1] + 1e-9 * rng_from_seed(9).standard_normal(96)
+        frame.forward(near)
+        k = frame.revealed
+        assert k == 11 and frame.dense is None
+        p, q = frame.p[:k], frame.q[:k]
+        assert np.max(np.abs(p @ p.T - np.eye(k))) < 1e-12
+        assert np.max(np.abs(q @ q.T - np.eye(k))) < 1e-12
+        mapped = np.array([frame.forward(row) for row in p])
+        assert np.max(np.abs(mapped - q)) < 1e-12
+        assert frame.revealed == k  # a revealed direction reveals nothing new
+
+    def test_transpose_undoes_forward(self):
+        for n_queries in (4, 12):  # before and after completion at N // 8 = 6
+            frame, queries, outs = self.queried(48, n_queries)
+            assert (frame.dense is not None) == (n_queries > 6)
+            for i, (x, y) in enumerate(zip(queries, outs)):
+                back = frame.transpose(y) if i % 3 else frame.forward(y)
+                assert np.max(np.abs(back - x)) < 1e-12 * np.linalg.norm(x)
+            x = queries[0] + queries[1]
+            assert np.max(np.abs(frame.transpose(frame.forward(x)) - x)) < 1e-12
+
+    def test_completed_frame_is_orthogonal_and_keeps_pairs(self):
+        frame, _, _ = self.queried(48, 6)
+        p, q = frame.p.copy(), frame.q.copy()
+        x = rng_from_seed(5).standard_normal(48)
+        y = frame.forward(x)  # a 7th pair completes the frame
+        c = frame.dense
+        assert c is not None and frame.revealed == 6
+        assert np.max(np.abs(c @ c.T - np.eye(48))) < 1e-12
+        assert np.max(np.abs(p @ c.T - q)) < 1e-12
+        assert np.array_equal(y, c @ x)
+
+    def test_query_in_revealed_span_reveals_nothing(self):
+        frame, queries, outs = self.queried(64, 5)
+        x = queries[1] - 2.0 * queries[2]
+        y = frame.forward(x)
+        assert frame.revealed == 5
+        assert np.max(np.abs(y - (outs[1] - 2.0 * outs[2]))) < 1e-12
+
+    def test_run_without_switch_forms_no_square_matrix(self, monkeypatch):
+        # a frame is completed only on a run that asks for more than N // 8
+        # pairs, and never draws an N x N Haar matrix
+        n, sizes = 64, []
+        original = dynamics._haar_orthogonal
+
+        def guarded(size, rng):
+            if size == n:
+                raise AssertionError("an N x N Haar matrix was drawn")
+            sizes.append(size)
+            return original(size, rng)
+
+        monkeypatch.setattr(dynamics, "_haar_orthogonal", guarded)
+        monkeypatch.setattr(ensembles, "_haar_orthogonal", guarded)
+        fields = dynamics._lyapunov_chunk(
+            EnsembleSpec.goe(n, 0.0, 2.0), EnsembleSpec.goe(n, 0.5, 1.0), 400, 7, 100, 0, 40
+        )
+        n_switches, reveals, completed = fields[8], fields[11], fields[12]
+        still = n_switches == 0
+        assert np.any(still) and np.any(completed)
+        assert not np.any(completed[still]) and np.all(reveals[still] <= 2)
+        assert np.all(reveals[completed] == n // 8)
+        assert sizes == [n - n // 8] * int(np.count_nonzero(completed))
 
 
 class TestWorkerCountInvariance:
@@ -554,6 +671,8 @@ class TestWorkerCountInvariance:
         assert np.array_equal(one.samples.values, two.samples.values)
         assert np.array_equal(one.samples.trapped, two.samples.trapped)
         assert np.array_equal(one.samples.cycling, two.samples.cycling)
+        for key in ("frame_reveals", "frames_completed"):
+            assert one.samples.meta[key] == two.samples.meta[key]
 
 
 class TestScalingCollapse:
@@ -669,7 +788,9 @@ class TestTopEigenvalue:
         w = np.array([0.8, 0.4, 0.2]) / math.sqrt(0.84)
         nu_b = np.array([0.2, -0.1, 0.05])
         kernel_runs = [
-            _lyapunov_kernel((nu_a, nu_b), (a, a), np.eye(3), w, 1, T, rng_from_seed(0), tw, _BLOCK)
+            _lyapunov_kernel(
+                (nu_a, nu_b), (a, a), DenseFrame(np.eye(3)), w, 1, T, rng_from_seed(0), tw, _BLOCK
+            )
             for nu_a in (np.array([1.0, -0.9997, 0.5]), np.array([1.0, -0.5, 0.3]))
         ]
         f = [np.array(x) for x in zip(*kernel_runs)]
