@@ -6,8 +6,8 @@ overflow (or underflow), so every step renormalizes and adds ln of the step
 growth to a running total.  Two equivalent evolution routes exist:
 
 * :func:`evolve` / :func:`evolve_multicone` -- literal per-step matrix
-  products, recording signs, residence intervals, trapping and cycle
-  diagnostics (the reference semantics);
+  products, recording signs, residence intervals and trapping (the
+  reference semantics);
 * :func:`lyapunov_runs` -- an eigenbasis block route for long horizons:
   whole cone-residence stretches advance through tabulated eigenvalue
   powers, and basis changes happen only at cone switches.  Within
@@ -103,8 +103,6 @@ __all__ = [
 
 # directions are quantized on this grid to detect cycles
 _CYCLE_GRID = 1e-6
-# the step-by-step route snapshots the direction every this many steps
-_CYCLE_INTERVAL = 16
 # longest block of steps the eigenbasis route advances at once
 _BLOCK = 192
 # a revealed frame is completed once N // this many of its pairs are known
@@ -161,8 +159,6 @@ class Trajectory:
     residence_intervals: list  # closed (label, tau) runs
     open_interval: tuple  # final, possibly continuing (label, tau)
     trapped: bool
-    cycle_detected: bool
-    cycle_period: int | None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -210,9 +206,6 @@ def evolve_multicone(
     signs[0] = np.sign(v[0])
     vbar1[0] = sqrt_n * v[0]
 
-    seen: dict[bytes, int] = {}
-    cycle_detected = False
-    cycle_period = None
     w = np.empty(n)
     for t in range(T):
         idx = 0
@@ -228,14 +221,6 @@ def evolve_multicone(
         v = w / nrm
         signs[t + 1] = np.sign(v[0])
         vbar1[t + 1] = sqrt_n * v[0]
-        if not cycle_detected and (t + 1) % _CYCLE_INTERVAL == 0:
-            key = np.round(v / _CYCLE_GRID).astype(np.int64).tobytes()
-            prev = seen.get(key)
-            if prev is not None:
-                cycle_detected = True
-                cycle_period = (t + 1) - prev
-            else:
-                seen[key] = t + 1
 
     runs = _runs_of(labels)
     window = _trap_window(T)
@@ -250,8 +235,6 @@ def evolve_multicone(
         residence_intervals=runs[:-1],
         open_interval=runs[-1],
         trapped=trapped,
-        cycle_detected=cycle_detected,
-        cycle_period=cycle_period,
         meta={"N": n, "p": p, "seed": seed},
     )
 
@@ -340,11 +323,10 @@ def _jacobi_first_sign_changes(diag, offdiag, z, s0, horizon, rngs) -> np.ndarra
 
 def _persistence_chunk(ensemble_a, ensemble_b, T, seed, start, stop):
     n_dim = ensemble_a.dimension
-    goe = any(e.kind == "goe" for e in (ensemble_a, ensemble_b))
-    # a GOE start needs only the first k entries of the start vector; the
-    # rest are drawn only for a dense start, which keeps the slot-0 stream
-    # of an all-dense pair exactly as the dense route has always drawn it
-    k = min(T + 1, n_dim) if goe else n_dim
+    # a GOE start needs only the first k entries of the start vector; a
+    # dense start draws the rest next, which gives the same values as one
+    # draw of all n_dim (the normal sampler keeps no state between calls)
+    k = min(T + 1, n_dim)
     times = np.empty(stop - start, dtype=np.int64)
     for lo in range(start, stop, _JACOBI_BLOCK):
         rows = []  # (index into times, z, s0, diag, offdiag, rng) of GOE starts

@@ -232,15 +232,6 @@ class EnsembleSpec:
             return self.spectral_model.nu_plus
         raise InvalidSpecError("elliptic ensembles have no real spectral edge")
 
-    @property
-    def spectral(self) -> SpectralModel:
-        """Limiting spectral density (symmetric kinds only)."""
-        if self.kind == "goe":
-            return SpectralModel.semicircle(self.center, self.radius)
-        if self.kind == "invariant":
-            return self.spectral_model
-        raise InvalidSpecError("elliptic ensembles have a complex spectrum")
-
     def sample(self, seed: int) -> np.ndarray:
         if self.kind == "goe":
             return sample_goe(self.dimension, self.center, self.radius, seed)

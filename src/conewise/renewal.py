@@ -6,9 +6,11 @@ Treating the intervals as iid draws from the discrete power law
 growth ``g(tau)`` (truncating the interval that straddles the horizon)
 turns the top growth rate ``lambda = Lambda / t`` into an occupation-time
 functional.  For ``mu < 1`` its law converges to the two-edge Lamperti
-density implemented here in closed form, with its Stieltjes-transform
-identity as an independent cross-check; for ``mu > 1`` the rate
-self-averages to ``(m1 + m2) / (2 m_tau)``.
+density implemented here in closed form, together with the closed form of
+its Stieltjes transform; for ``mu > 1`` the rate self-averages to
+``(m1 + m2) / (2 m_tau)``.  Nothing here integrates numerically: the
+quadrature routes for the CDF and the Stieltjes transform, which
+cross-check the closed forms, live in ``tests/test_renewal.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import zeta
 
 from .errors import DegenerateProcessError, InvalidSpecError
@@ -33,9 +34,7 @@ __all__ = [
     "RenewalRun",
     "lamperti_pdf",
     "lamperti_cdf",
-    "lamperti_cdf_quadrature",
     "stieltjes_rhs",
-    "stieltjes_lhs",
     "sample_power_law_intervals",
     "interval_survival",
     "sample_renewal_lyapunov",
@@ -123,32 +122,6 @@ def lamperti_cdf(params: LampertiParams, lam) -> np.ndarray:
     return out
 
 
-def _cdf_half_quadrature(mu: float, x: float) -> float:
-    """Integral of the unit-interval density from 0 to x <= 1/2, by quadrature
-    with the edge substitution u = x**mu."""
-    if x <= 0.0:
-        return 0.0
-    unit = LampertiParams(0.0, 1.0, mu)
-
-    def integrand(u: float) -> float:
-        return float(lamperti_pdf(unit, u ** (1.0 / mu))) * (1.0 / mu) * u ** (1.0 / mu - 1.0)
-
-    val, _ = quad(integrand, 0.0, x**mu, epsabs=1e-12, epsrel=1e-10, limit=200)
-    return val
-
-
-def lamperti_cdf_quadrature(params: LampertiParams, lam: float) -> float:
-    """CDF by endpoint-aware quadrature of the density (cross-check route)."""
-    x = (float(lam) - params.lo) / params.width
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    if x <= 0.5:
-        return _cdf_half_quadrature(params.mu, x)
-    return 1.0 - _cdf_half_quadrature(params.mu, 1.0 - x)
-
-
 def stieltjes_rhs(params: LampertiParams, y: float) -> float:
     """Closed form of the Stieltjes transform of the two-edge law."""
     if y <= params.hi:
@@ -156,32 +129,6 @@ def stieltjes_rhs(params: LampertiParams, y: float) -> float:
     mu = params.mu
     a, b = y - params.r1, y - params.r2
     return (a ** (mu - 1.0) + b ** (mu - 1.0)) / (a**mu + b**mu)
-
-
-def stieltjes_lhs(params: LampertiParams, y: float) -> float:
-    """Stieltjes transform by quadrature of the density against 1/(y - lam)."""
-    if y <= params.hi:
-        raise InvalidSpecError(f"transform point must exceed max(r1, r2) = {params.hi}")
-    mu = params.mu
-    width = params.width
-    ytil = (y - params.lo) / width
-    unit = LampertiParams(0.0, 1.0, mu)
-
-    def piece(shifted_pole: float) -> float:
-        # integral over x in [0, 1/2] of the unit-interval density / (shifted_pole - x)
-        def integrand(u: float) -> float:
-            xx = u ** (1.0 / mu)
-            pdf = float(lamperti_pdf(unit, xx))
-            return pdf / (shifted_pole - xx) * (1.0 / mu) * u ** (1.0 / mu - 1.0)
-
-        val, _ = quad(integrand, 0.0, 0.5**mu, epsabs=1e-13, epsrel=1e-10, limit=300)
-        return val
-
-    # split at the midpoint and mirror the upper half (the density is
-    # symmetric under x -> 1-x)
-    lower = piece(ytil)
-    upper = piece(1.0 - ytil)  # pole term flips sign: 1/(ytil-(1-w)) = -1/((1-ytil)-w)
-    return (lower - upper) / width
 
 
 def sample_power_law_intervals(rng: np.random.Generator, mu, tau_min: int, size) -> np.ndarray:

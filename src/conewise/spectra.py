@@ -27,8 +27,6 @@ from .errors import InvalidSpecError
 
 __all__ = ["SpectralModel", "inverse_cdf"]
 
-_NORM_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class SpectralModel:
@@ -99,9 +97,9 @@ class SpectralModel:
         rhos,
         alpha: float | None = None,
         edge_constant: float | None = None,
-        normalize: bool = True,
     ) -> "SpectralModel":
-        """Piecewise-linear density through the points ``(nus, rhos)``.
+        """Piecewise-linear density through the points ``(nus, rhos)``,
+        scaled to unit mass.
 
         The edge exponent cannot be inferred reliably from a finite table, so
         ``alpha``/``edge_constant`` are caller-supplied (operations that need
@@ -118,10 +116,7 @@ class SpectralModel:
         mass = float(np.trapezoid(rhos, nus))
         if mass <= 0:
             raise InvalidSpecError("tabulated density has zero mass")
-        if normalize:
-            rhos = rhos / mass
-        elif abs(mass - 1.0) > _NORM_TOL:
-            raise InvalidSpecError(f"tabulated density integrates to {mass!r}, not 1")
+        rhos = rhos / mass
         return cls(
             family="tabulated",
             params=(tuple(nus.tolist()), tuple(rhos.tolist())),

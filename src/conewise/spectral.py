@@ -19,18 +19,16 @@ one exact, vectorized route:
 The other moment functions (:func:`log_moment_array`,
 :func:`log_abs_moment`, :func:`moment_f`, :func:`correlator`,
 :func:`g_function`, :func:`g_array`) are views of :func:`log_moments`.
-:func:`log_abs_moment_quadrature` integrates any density numerically; no
-runtime path calls it, it is the independent cross-check of the engine.
+Nothing here integrates numerically: the adaptive-quadrature moment route
+that cross-checks the engine lives in ``tests/test_spectral.py``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.special import betaln, gammaln
 
 from .errors import DegenerateProcessError, InvalidSpecError, NumericalError
@@ -41,7 +39,6 @@ __all__ = [
     "log_moment_array",
     "moment_f",
     "log_abs_moment",
-    "log_abs_moment_quadrature",
     "moment_asymptotic",
     "correlator",
     "correlator_asymptotic",
@@ -63,64 +60,7 @@ THETA_TABLE: dict[int, float] = {
     5: 0.3173,
 }
 
-_QUAD_RELTOL = 1e-9
 _LOG_ZERO = -math.inf
-
-
-def _check_quad(val: float, err: float, what: str) -> float:
-    if val <= 0 or not math.isfinite(val):
-        raise NumericalError(f"quadrature for {what} returned {val!r}")
-    if err > max(_QUAD_RELTOL * abs(val), 1e-300):
-        raise NumericalError(
-            f"quadrature for {what} did not converge: value {val!r}, abs error {err!r}"
-        )
-    return val
-
-
-def _log_piece_moment(dens, w_lo: float, w_hi: float, t: int, what: str, kinks) -> float:
-    """log of integral of dens(w) * w**t over [w_lo, w_hi], 0 <= w_lo < w_hi.
-
-    ``kinks`` are the points where ``dens`` is not smooth; those inside the
-    range become quadrature breakpoints.
-    """
-    if w_hi <= 0.0:
-        return _LOG_ZERO
-    w_lo = max(w_lo, 0.0)
-    kinks = [w for w in kinks if w_lo < w < w_hi]
-    def safe(f):
-        # integrable edge divergences can evaluate to inf/nan at points that
-        # round onto the support boundary; those points carry no mass
-        def g(x: float) -> float:
-            y = f(x)
-            return y if math.isfinite(y) else 0.0
-
-        return g
-
-    with warnings.catch_warnings():
-        # the returned abserr is checked below, which is the honest gate
-        warnings.simplefilter("ignore", IntegrationWarning)
-        if t == 0:
-            val, err = quad(
-                safe(dens), w_lo, w_hi, epsabs=1e-14, epsrel=1e-12,
-                limit=300 + len(kinks), points=kinks or None,
-            )
-            return math.log(_check_quad(val, err, what))
-        # w = w_hi * exp(-s/t) concentrates the large-t mass near s = 0 and
-        # flattens the w**t factor into exp(-s).
-        s_max = math.inf if w_lo == 0.0 else t * math.log(w_hi / w_lo)
-        s_max = min(s_max, 745.0)
-        c = (t + 1.0) / t
-        points = [s for s in (t * math.log(w_hi / w) for w in kinks) if 0.0 < s < s_max]
-
-        def integrand(s: float) -> float:
-            return dens(w_hi * math.exp(-s / t)) * math.exp(-s * c)
-
-        val, err = quad(
-            safe(integrand), 0.0, s_max, epsabs=0.0, epsrel=1e-11,
-            limit=400 + len(points), points=points or None,
-        )
-    _check_quad(val, err, what)
-    return (t + 1.0) * math.log(w_hi) - math.log(t) + math.log(val)
 
 
 def _signed_log_sum(la, sa, lb, sb):
@@ -135,26 +75,6 @@ def _signed_log_sum(la, sa, lb, sb):
     zero = (hi == _LOG_ZERO) | ((sa != sb) & (ratio >= 1.0 - 1e-12))
     signs = np.where(zero, 0, np.where(la >= lb, sa, sb)).astype(np.int8)
     return np.where(zero, _LOG_ZERO, logs), signs
-
-
-def log_abs_moment_quadrature(spec: SpectralModel, t: int) -> tuple[float, int]:
-    """(log|f(t)|, sign) by adaptive quadrature; generic but slower route."""
-    if spec.is_atomic:
-        raise InvalidSpecError("atomic spectra have no density to integrate")
-    what = f"moment t={t} of {spec.describe()}"
-    dens = lambda w: float(spec.density(w))
-    nodes = spec.params[0] if spec.family == "tabulated" else ()  # kinks of a tabulated density
-    log_pos = _LOG_ZERO
-    if spec.nu_plus > 0:
-        log_pos = _log_piece_moment(dens, max(spec.nu_minus, 0.0), spec.nu_plus, t, what, nodes)
-    log_neg = _LOG_ZERO
-    if spec.nu_minus < 0:
-        dens_neg = lambda w: float(spec.density(-w))
-        log_neg = _log_piece_moment(
-            dens_neg, max(-spec.nu_plus, 0.0), -spec.nu_minus, t, what, [-w for w in nodes]
-        )
-    logf, sign = _signed_log_sum(log_pos, 1, log_neg, 1 if t % 2 == 0 else -1)
-    return float(logf), int(sign)
 
 
 def _shifted_semicircle_logs(c: float, r: float, kmax: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
 from conewise import DegenerateProcessError, InvalidSpecError, SpectralModel
@@ -15,13 +16,11 @@ from conewise.renewal import (
     _g_evals,
     interval_survival,
     lamperti_cdf,
-    lamperti_cdf_quadrature,
     lamperti_pdf,
     sample_power_law_intervals,
     sample_renewal_lyapunov,
     self_averaging_value,
     simulate_renewal_run,
-    stieltjes_lhs,
     stieltjes_rhs,
 )
 from conewise.seeding import rng_from_seed
@@ -29,6 +28,61 @@ from conewise.spectral import moment_f
 
 ARCSINE = LampertiParams(0.0, 1.0, 0.5)
 FIG3 = LampertiParams(math.log(0.05 * math.sqrt(2)), math.log(2 * math.sqrt(2)), 0.4764)
+
+
+# Quadrature references that cross-check the closed forms of conewise.renewal.
+
+
+def _cdf_half_quadrature(mu: float, x: float) -> float:
+    """Integral of the unit-interval density from 0 to x <= 1/2, by quadrature
+    with the edge substitution u = x**mu."""
+    if x <= 0.0:
+        return 0.0
+    unit = LampertiParams(0.0, 1.0, mu)
+
+    def integrand(u: float) -> float:
+        return float(lamperti_pdf(unit, u ** (1.0 / mu))) * (1.0 / mu) * u ** (1.0 / mu - 1.0)
+
+    val, _ = quad(integrand, 0.0, x**mu, epsabs=1e-12, epsrel=1e-10, limit=200)
+    return val
+
+
+def lamperti_cdf_quadrature(params: LampertiParams, lam: float) -> float:
+    """CDF by endpoint-aware quadrature of the density (cross-check route)."""
+    x = (float(lam) - params.lo) / params.width
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    if x <= 0.5:
+        return _cdf_half_quadrature(params.mu, x)
+    return 1.0 - _cdf_half_quadrature(params.mu, 1.0 - x)
+
+
+def stieltjes_lhs(params: LampertiParams, y: float) -> float:
+    """Stieltjes transform by quadrature of the density against 1/(y - lam)."""
+    if y <= params.hi:
+        raise InvalidSpecError(f"transform point must exceed max(r1, r2) = {params.hi}")
+    mu = params.mu
+    width = params.width
+    ytil = (y - params.lo) / width
+    unit = LampertiParams(0.0, 1.0, mu)
+
+    def piece(shifted_pole: float) -> float:
+        # integral over x in [0, 1/2] of the unit-interval density / (shifted_pole - x)
+        def integrand(u: float) -> float:
+            xx = u ** (1.0 / mu)
+            pdf = float(lamperti_pdf(unit, xx))
+            return pdf / (shifted_pole - xx) * (1.0 / mu) * u ** (1.0 / mu - 1.0)
+
+        val, _ = quad(integrand, 0.0, 0.5**mu, epsabs=1e-13, epsrel=1e-10, limit=300)
+        return val
+
+    # split at the midpoint and mirror the upper half (the density is
+    # symmetric under x -> 1-x)
+    lower = piece(ytil)
+    upper = piece(1.0 - ytil)  # pole term flips sign: 1/(ytil-(1-w)) = -1/((1-ytil)-w)
+    return (lower - upper) / width
 
 
 class TestLampertiPdf:
