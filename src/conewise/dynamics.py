@@ -29,7 +29,8 @@ starts in cone B uses w_B = C w_A.  :func:`lyapunov_runs` therefore draws
 per run two spectra (the tridiagonal form for GOE, the placed eigenvalues
 for invariant ensembles), one uniform a and one Haar C, and calls the one
 kernel :func:`_lyapunov_kernel`, which the tests also drive from two dense
-``eigh`` calls as the reference.
+``eigh`` calls as the reference; a run's outputs are one record of the
+structured dtype ``_RUN``, read by field name.
 
 The kernel reads C only at a cone switch, so C is revealed on demand
 (:class:`_RevealedFrame`) rather than drawn by an N x N QR.  The frame keeps
@@ -66,7 +67,7 @@ also the reference the tridiagonal route is tested against).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -79,6 +80,7 @@ from .errors import (
     DegenerateDynamicsError,
     FitError,
     InvalidSpecError,
+    check_count,
 )
 from .estimators import TRUNCATED_FIT_MIN_POINTS, empirical_cdf, fit_truncated_powerlaw
 from .parallel import map_index_chunks
@@ -374,12 +376,12 @@ def estimate_persistence_matrix(
     drawn dense and stepped by matrix-vector products.  ``threads`` is the
     number of worker processes (see :func:`~conewise.parallel.map_index_chunks`);
     results do not depend on it (per-realization seeds are index-derived).
-    ``n_realizations < 1`` and T < 1 raise :class:`InvalidSpecError`.
+    An ``n_realizations`` or T that is not an integer >= 1 raises
+    :class:`InvalidSpecError` before any draw.
     """
     if ensemble_a.dimension != ensemble_b.dimension:
         raise InvalidSpecError("ensembles must share the dimension")
-    if T < 1:
-        raise InvalidSpecError(f"horizon T must be >= 1, got {T}")
+    check_count(T, 1, f"horizon T must be an integer >= 1, got {T}")
     times = map_index_chunks(
         partial(_persistence_chunk, ensemble_a, ensemble_b, T, seed),
         n_realizations,
@@ -528,6 +530,18 @@ class LyapunovRunSet:
     cycle_period: np.ndarray  # steps between repeated cone-entry directions (0: no cycle)
 
 
+# one run of lyapunov_runs: the fields of _lyapunov_kernel in its return
+# order, then the frame's reveals and whether it was completed
+_RUN = np.dtype(
+    [
+        ("lam", float), ("lam_tail", float), ("trapped", bool), ("cycling", bool),
+        ("cycle_period", np.int64), ("final_cone", np.int8), ("nu_max_final", float),
+        ("last_change", np.int64), ("n_switches", np.int64), ("abs_nu2_final", float),
+        ("blocks", np.int64), ("frame_reveals", np.int64), ("frame_completed", bool),
+    ]
+)
+
+
 def _reflect_e1_to(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """R x for one fixed orthogonal R with R e1 = a (a a unit vector).
 
@@ -619,7 +633,8 @@ def _lyapunov_kernel(nus, first_rows, frame, w_coord, s_cur, T, rng, tail_window
     from a table of eigenvalue powers built once per cone; the basis change
     acts only at cone switches.  Directions are snapshotted (quantized) at
     every cone entry for cycle detection.  With ``tail_window >= T`` the
-    tail is the whole run.
+    tail is the whole run.  Returns the first eleven fields of ``_RUN`` in
+    order; ``cycle_period`` is 0 when the run does not cycle.
     """
     n = w_coord.size
     tables = []
@@ -639,7 +654,7 @@ def _lyapunov_kernel(nus, first_rows, frame, w_coord, s_cur, T, rng, tail_window
     tail_started = tail_window >= T
     seen: dict[bytes, int] = {}
     cycling = False
-    cycle_period = None
+    cycle_period = 0
 
     # blocks restart small after every switch and grow while the cone holds,
     # so rapid-alternation stretches do not pay full-block overhead
@@ -724,15 +739,7 @@ def _lyapunov_chunk(ensemble_a, ensemble_b, T, seed, tail_window, start, stop):
             w = frame.forward(w)
         out = _lyapunov_kernel(nus, (a, b), frame, w, s0, T, rng, tail_window, _BLOCK)
         runs.append((*out, frame.revealed, frame.dense is not None))
-    # one array per field of _lyapunov_kernel, then the frame's reveals and
-    # completion; no cycle is period 0
-    fields = list(zip(*runs))
-    fields[4] = [p or 0 for p in fields[4]]
-    dtypes = (
-        float, float, bool, bool, np.int64, np.int8, float, np.int64, np.int64, float, np.int64,
-        np.int64, bool,
-    )
-    return tuple(np.array(f, dtype=d) for f, d in zip(fields, dtypes))
+    return np.array(runs, dtype=_RUN)
 
 
 def lyapunov_runs(
@@ -759,9 +766,11 @@ def lyapunov_runs(
     of dense draws diagonalized by ``eigh`` and stepped by the same kernel,
     but the per-seed outputs differ.  ``samples.meta`` counts the revealed
     pairs over all runs (``frame_reveals``) and the runs whose frame was
-    completed (``frames_completed``).  Only symmetric ensembles have this
-    route; elliptic ones raise :class:`InvalidSpecError`, as do T < 1 and
-    ``tail_window`` < 1.  ``tail_window >= T`` makes the tail the whole run.
+    completed (``frames_completed``); both sum fields of the run record
+    ``_RUN``.  Only symmetric ensembles have this route; elliptic ones raise
+    :class:`InvalidSpecError`, as do a T that is not an integer >= 1,
+    ``tail_window`` < 1 and nu_plus = 0 (the edge rate is ln|nu_plus|).
+    ``tail_window >= T`` makes the tail the whole run.
 
     Only trapped runs have a rate near ln ``nu_max_final``; see
     :class:`LyapunovRunSet`.  ``threads`` is the number of worker processes;
@@ -769,38 +778,29 @@ def lyapunov_runs(
     """
     if ensemble_a.dimension != ensemble_b.dimension:
         raise InvalidSpecError("ensembles must share the dimension")
-    if T < 1:
-        raise InvalidSpecError(f"horizon T must be >= 1, got {T}")
+    check_count(T, 1, f"horizon T must be an integer >= 1, got {T}")
     if tail_window < 1:
         raise InvalidSpecError(f"tail_window must be >= 1, got {tail_window}")
+    for ens in (ensemble_a, ensemble_b):
+        if ens.nu_plus == 0.0:
+            raise InvalidSpecError(
+                f"the edge rate ln|nu_plus| needs nu_plus != 0; {ens.describe()} has nu_plus = 0"
+            )
     r1 = math.log(abs(ensemble_a.nu_plus))
     r2 = math.log(abs(ensemble_b.nu_plus))
-    (
-        lam,
-        lam_tail,
-        trapped,
-        cycling,
-        cycle_period,
-        final_cone,
-        nu_max_final,
-        last_change,
-        n_switches,
-        abs_nu2,
-        n_blocks,
-        frame_reveals,
-        frame_completed,
-    ) = map_index_chunks(
+    runs = map_index_chunks(
         partial(_lyapunov_chunk, ensemble_a, ensemble_b, T, seed, tail_window),
         n_realizations,
         threads,
         chunk=32,
     )
+    lam = runs["lam"]
     normalized = (lam - r1) / (r2 - r1) if r1 != r2 else np.zeros_like(lam)
     samples = LyapunovSamples(
         values=lam,
         normalized=normalized,
-        trapped=trapped,
-        cycling=cycling,
+        trapped=runs["trapped"],
+        cycling=runs["cycling"],
         meta={
             "source": "matrix",
             "route": "spectral frame",
@@ -810,22 +810,15 @@ def lyapunov_runs(
             "seed": seed,
             "rates": (r1, r2),
             "n_samples": n_realizations,
-            "switches": int(n_switches.sum()),
-            "blocks": int(n_blocks.sum()),
-            "frame_reveals": int(frame_reveals.sum()),
-            "frames_completed": int(np.count_nonzero(frame_completed)),
+            "switches": int(runs["n_switches"].sum()),
+            "blocks": int(runs["blocks"].sum()),
+            "frame_reveals": int(runs["frame_reveals"].sum()),
+            "frames_completed": int(np.count_nonzero(runs["frame_completed"])),
         },
     )
-    return LyapunovRunSet(
-        samples=samples,
-        lam_tail=lam_tail,
-        final_cone=final_cone,
-        nu_max_final=nu_max_final,
-        last_change=last_change,
-        n_switches=n_switches,
-        abs_nu2_final=abs_nu2,
-        cycle_period=cycle_period,
-    )
+    # every other attribute of the run set is the record field of its name
+    columns = {f.name: runs[f.name] for f in fields(LyapunovRunSet) if f.name != "samples"}
+    return LyapunovRunSet(samples=samples, **columns)
 
 
 # -- top eigenvalue fluctuation checks ---------------------------------------
@@ -889,8 +882,8 @@ def trapped_run_edge_pairs(
     A run is used when it is trapped, not cycling, the final cone's largest
     |nu| is its positive edge ``nu_max_final`` (which then exceeds the
     second-largest |nu_2|), and the power iteration has converged before
-    the tail window: (|nu_2| / nu_max_final)**(T - tail_window -
-    last_change) is below ``_EDGE_SETTLED_DECAY``.  Its tail growth rate
+    the tail window: (|nu_2| / nu_max_final)**max(T - tail_window -
+    last_change, 0) is below ``_EDGE_SETTLED_DECAY``.  Its tail growth rate
     then equals ln ``nu_max_final``.  Both are returned in sigma1
     normalization against the trapping cone's population edge, with the
     indices of the runs used.
@@ -900,7 +893,9 @@ def trapped_run_edge_pairs(
         [abs(ensemble_a.nu_plus), abs(ensemble_b.nu_plus)]
     )
     positive_edge = runs.nu_max_final > runs.abs_nu2_final
-    steps = T - tail_window - runs.last_change
+    # a run whose last change falls inside the tail window has not settled
+    # at all: 0 steps, decay 1
+    steps = np.maximum(T - tail_window - runs.last_change, 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         decay = (runs.abs_nu2_final / runs.nu_max_final) ** steps
     use = runs.samples.trapped & ~runs.samples.cycling

@@ -1,6 +1,7 @@
 """Random matrix sampling with reproducible seeding.
 
-Three recipes cover the experiments:
+Three recipes cover the experiments, each drawn by ``EnsembleSpec.sample``
+and by its public shorthand:
 
 * ``sample_goe`` -- symmetric Gaussian matrices whose limiting spectrum is
   the semicircle on ``[center - radius, center + radius]``,
@@ -13,7 +14,7 @@ Three recipes cover the experiments:
   transposed entries, interpolating symmetric (rho=1) and Ginibre-like
   (rho=0) statistics.
 
-All samplers are pure functions of (parameters, seed).
+All draws are pure functions of (recipe, seed).
 
 GOE recipes also have a tridiagonal sampler, ``_goe_jacobi``: the leading
 K x K block of the Householder tridiagonal form J = Q^T M Q (Q e1 = e1) of a
@@ -53,17 +54,7 @@ def sample_goe(N: int, center: float, radius: float, seed: int) -> np.ndarray:
     Off-diagonal entries have variance ``(radius/2)**2 / N`` and diagonal
     entries twice that, so the spectral edges converge to center +- radius.
     """
-    if N < 2:
-        raise InvalidSpecError(f"matrix dimension must be >= 2, got {N}")
-    if radius <= 0:
-        raise InvalidSpecError(f"radius must be > 0, got {radius}")
-    rng = rng_from_seed(seed)
-    sigma = radius / (2.0 * math.sqrt(N))
-    g = rng.standard_normal((N, N))
-    m = (g + g.T) * (sigma / math.sqrt(2.0))
-    if center != 0.0:
-        m[np.diag_indices(N)] += center
-    return m
+    return EnsembleSpec.goe(N, center, radius).sample(seed)
 
 
 def _goe_jacobi(spec: "EnsembleSpec", K: int, rng: np.random.Generator):
@@ -112,15 +103,7 @@ def sample_invariant(
     ``seed`` gives the iid eigenvalues first, then the Haar frame, so the
     frame is independent of the spectrum.
     """
-    if N < 2:
-        raise InvalidSpecError(f"matrix dimension must be >= 2, got {N}")
-    rng = rng_from_seed(seed)
-    eigs = _placed_eigenvalues(spec, N, rng, placement)
-    if spec.is_atomic:
-        return np.diag(eigs)
-    q = _haar_orthogonal(N, rng)
-    m = (q * eigs) @ q.T
-    return 0.5 * (m + m.T)
+    return EnsembleSpec.invariant(spec, N, placement).sample(seed)
 
 
 def _placed_eigenvalues(
@@ -166,21 +149,7 @@ def sample_elliptic(N: int, rho: float, radius: float, seed: int) -> np.ndarray:
     antisymmetric, entries of variance ``(radius/2)**2 / N``; rho=1 recovers
     the symmetric sampler exactly.
     """
-    if N < 2:
-        raise InvalidSpecError(f"matrix dimension must be >= 2, got {N}")
-    if not 0.0 <= rho <= 1.0:
-        raise InvalidSpecError(f"entry correlation must lie in [0, 1], got {rho}")
-    if radius <= 0:
-        raise InvalidSpecError(f"radius must be > 0, got {radius}")
-    rng = rng_from_seed(seed)
-    sigma = radius / (2.0 * math.sqrt(N))
-    g1 = rng.standard_normal((N, N))
-    h = (g1 + g1.T) * (sigma / math.sqrt(2.0))
-    if rho == 1.0:
-        return h
-    g2 = rng.standard_normal((N, N))
-    w = (g2 - g2.T) * (sigma / math.sqrt(2.0))
-    return math.sqrt((1.0 + rho) / 2.0) * h + math.sqrt((1.0 - rho) / 2.0) * w
+    return EnsembleSpec.elliptic(N, rho, radius).sample(seed)
 
 
 @dataclass(frozen=True)
@@ -233,11 +202,26 @@ class EnsembleSpec:
         raise InvalidSpecError("elliptic ensembles have no real spectral edge")
 
     def sample(self, seed: int) -> np.ndarray:
-        if self.kind == "goe":
-            return sample_goe(self.dimension, self.center, self.radius, seed)
+        """One draw of the recipe; GOE and elliptic share the symmetric part h."""
+        n = self.dimension
+        rng = rng_from_seed(seed)
         if self.kind == "invariant":
-            return sample_invariant(self.spectral_model, self.dimension, seed, self.placement)
-        return sample_elliptic(self.dimension, self.rho, self.radius, seed)
+            eigs = _placed_eigenvalues(self.spectral_model, n, rng, self.placement)
+            if self.spectral_model.is_atomic:
+                return np.diag(eigs)
+            q = _haar_orthogonal(n, rng)
+            m = (q * eigs) @ q.T
+            return 0.5 * (m + m.T)
+        sigma = self.radius / (2.0 * math.sqrt(n))
+        g = rng.standard_normal((n, n))
+        h = (g + g.T) * (sigma / math.sqrt(2.0))
+        if self.kind == "goe" and self.center != 0.0:
+            h[np.diag_indices(n)] += self.center
+        if self.kind == "goe" or self.rho == 1.0:
+            return h
+        g = rng.standard_normal((n, n))
+        w = (g - g.T) * (sigma / math.sqrt(2.0))
+        return math.sqrt((1.0 + self.rho) / 2.0) * h + math.sqrt((1.0 - self.rho) / 2.0) * w
 
     def describe(self) -> str:
         if self.kind == "goe":

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the count check."""
+
+import numbers
 
 
 class ConewiseError(Exception):
@@ -31,3 +33,10 @@ class FitError(ConewiseError, ValueError):
 
 class CollapseUndefinedError(ConewiseError, ValueError):
     """Finite-size curves do not overlap enough to define a collapse metric."""
+
+
+def check_count(value, minimum: int, message: str) -> None:
+    """Raise :class:`InvalidSpecError` with ``message`` unless ``value`` is
+    a Python or NumPy integer >= ``minimum``."""
+    if not isinstance(value, numbers.Integral) or value < minimum:
+        raise InvalidSpecError(message)

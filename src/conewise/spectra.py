@@ -114,8 +114,8 @@ class SpectralModel:
         if np.any(rhos < 0):
             raise InvalidSpecError("tabulated density must be nonnegative (CDF must be monotone)")
         mass = float(np.trapezoid(rhos, nus))
-        if mass <= 0:
-            raise InvalidSpecError("tabulated density has zero mass")
+        if not (math.isfinite(mass) and mass > 0):
+            raise InvalidSpecError(f"tabulated density needs a finite, nonzero mass, got {mass}")
         rhos = rhos / mass
         return cls(
             family="tabulated",

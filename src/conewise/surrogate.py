@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidSpecError, NumericalError
+from .errors import NumericalError, check_count
 from .records import PersistenceCurve
 from .seeding import derive_seed, rng_from_seed
 from .spectra import SpectralModel
@@ -37,8 +37,7 @@ _BLOCK_ENTRIES = _BLOCK * 1025  # one block of 4096 paths at T = 1024
 
 def _entries(spec: SpectralModel, T: int):
     """The correlation entries on times 0..T (see ``spectral._correlation``)."""
-    if T < 0:
-        raise InvalidSpecError("horizon must be >= 0")
+    check_count(T, 0, f"horizon T must be an integer >= 0, got {T}")
     return _correlation(spec, *log_moment_array(spec, 2 * T))
 
 
@@ -108,7 +107,7 @@ def _stream_first_changes(factor, n_paths, seed) -> np.ndarray:
     ``_BLOCK_ENTRIES`` path entries and is scanned once."""
     t_len, rank = factor.shape
     per_block = max(1, min(_BLOCK, _BLOCK_ENTRIES // t_len))
-    out = np.empty((2, n_paths), dtype=np.int64)
+    out = np.empty((2, n_paths), dtype=np.int32)  # times are at most T + 1
     done = 0
     block_index = 0
     while done < n_paths:
@@ -150,10 +149,11 @@ def estimate_persistence_gp(
     equals the full curve for sign-symmetric spectra.  Each path block is
     scanned once: the full curve counts the earlier of a path's first even
     and first odd change, so the subprocess curves cost no extra scan.
-    ``n_paths < 1`` raises :class:`InvalidSpecError`.
+    An ``n_paths`` that is not an integer >= 1, or a T that is not an
+    integer >= 0, raises :class:`InvalidSpecError` before any moment is
+    computed.
     """
-    if n_paths < 1:
-        raise InvalidSpecError(f"path count must be >= 1, got {n_paths}")
+    check_count(n_paths, 1, f"path count must be an integer >= 1, got {n_paths}")
     even, odd = _stream_first_changes(_gp_factor(spec, T), n_paths, seed)
     meta = _meta(spec, T, n_paths, seed)
     curve = PersistenceCurve.from_first_change_times(np.minimum(even, odd), T, grid, meta)
@@ -175,10 +175,8 @@ def joint_persistence(
 ) -> PersistenceCurve:
     """Survival of the event that p independent components all keep their
     initial signs; the decay exponent is p times the single-component one."""
-    if p < 1:
-        raise InvalidSpecError("component count must be >= 1")
-    if n_paths < 1:
-        raise InvalidSpecError(f"path count must be >= 1, got {n_paths}")
+    check_count(p, 1, f"component count must be an integer >= 1, got {p}")
+    check_count(n_paths, 1, f"path count must be an integer >= 1, got {n_paths}")
     if p == 1:
         return estimate_persistence_gp(spec, T, n_paths, seed, grid=grid)
     factor = _gp_factor(spec, T)

@@ -114,7 +114,7 @@ def blockwise_reference(mats, v0, T, rng, tail_window, block):
     w_coord = eigvecs[active].T @ v
     t, log_norm, last_change, n_switches = 0, 0.0, 0, 0
     tail_t, tail_l, tail_started = 0, 0.0, False
-    seen, cycling, cycle_period = {}, False, None
+    seen, cycling, cycle_period = {}, False, 0
     k_next = 8
     while t < T:
         k = min(k_next, block, caps[active], T - t)
@@ -473,6 +473,11 @@ class TestLyapunovRuns:
         with pytest.raises(InvalidSpecError, match="tail_window must be >= 1, got 0"):
             lyapunov_runs(ens, ens, 4, T=100, seed=0, tail_window=0)
 
+    def test_zero_upper_edge_is_typed(self):
+        # GOE(-2, 2) has nu_plus = 0, whose edge rate ln|nu_plus| is undefined
+        with pytest.raises(InvalidSpecError, match=r"ln\|nu_plus\| needs nu_plus != 0"):
+            lyapunov_runs(EnsembleSpec.goe(8, -2, 2), EnsembleSpec.goe(8), 4, T=100, seed=0)
+
     def test_tail_window_past_horizon_is_whole_run(self):
         ens = EnsembleSpec.goe(16)
         runs = lyapunov_runs(ens, ens, 6, T=100, seed=0, tail_window=500)
@@ -508,7 +513,7 @@ class TestLyapunovRuns:
                 (nu, nu), (a, a), DenseFrame(np.eye(3)), w, 1, 400, rng_from_seed(0), 100, _BLOCK
             )
             assert out[3] is cycles
-            assert out[4] == (2 if cycles else None)
+            assert out[4] == (2 if cycles else 0)
 
     def test_cycle_period_and_meta_on_sweep(self):
         ens_a = EnsembleSpec.goe(32, 0.0, 2.0)
@@ -643,7 +648,9 @@ class TestRevealedFrame:
         fields = dynamics._lyapunov_chunk(
             EnsembleSpec.goe(n, 0.0, 2.0), EnsembleSpec.goe(n, 0.5, 1.0), 400, 7, 100, 0, 40
         )
-        n_switches, reveals, completed = fields[8], fields[11], fields[12]
+        n_switches, reveals, completed = (
+            fields["n_switches"], fields["frame_reveals"], fields["frame_completed"]
+        )
         still = n_switches == 0
         assert np.any(still) and np.any(completed)
         assert not np.any(completed[still]) and np.all(reveals[still] <= 2)
@@ -777,6 +784,19 @@ class TestTopEigenvalue:
         assert np.max(np.abs(pairs["sigma1_dynamics"] - pairs["sigma1_eigenvalue"])) < 1e-9
         ratio = runs.abs_nu2_final / runs.nu_max_final
         assert np.all(ratio[used] ** (T - tw - runs.last_change[used]) < 1e-4)
+
+    @pytest.mark.filterwarnings("error")
+    def test_trapped_pairs_with_late_last_change_do_not_overflow(self):
+        # a run whose last change falls inside the tail window has no
+        # settling steps; it is left out without raising the ratio to a
+        # negative power
+        ens_a, ens_b = EnsembleSpec.goe(3, 0, 2), EnsembleSpec.goe(3, 0.5, 1)
+        T, tw = 3000, 1000
+        pairs = trapped_run_edge_pairs(ens_a, ens_b, 200, T=T, seed=0, tail_window=tw)
+        runs = lyapunov_runs(ens_a, ens_b, 200, T=T, seed=0, tail_window=tw)
+        late = np.flatnonzero(runs.last_change > T - tw)
+        assert late.size and pairs["n_trapped_used"] > 0
+        assert not np.isin(late, pairs["run_index"]).any()
 
     def test_trapped_pairs_skip_near_tie(self, monkeypatch):
         # two runs trapped in cone A from the start (a . w > 0 dominates every

@@ -177,6 +177,12 @@ class TestEnsembleSpec:
         spec = EnsembleSpec.goe(64, 0.0, 2.0)
         assert np.array_equal(spec.sample(77), sample_goe(64, 0.0, 2.0, 77))
 
+    def test_elliptic_at_rho_one_is_centred_goe(self):
+        # both draw the one symmetric Gaussian part from the same normals
+        for n, seed in ((2, 3), (64, 77)):
+            goe = EnsembleSpec.goe(n, 0.0, 1.5).sample(seed)
+            assert np.array_equal(EnsembleSpec.elliptic(n, 1.0, 1.5).sample(seed), goe)
+
     def test_nu_plus(self):
         assert EnsembleSpec.goe(64, 1.0, 2.0).nu_plus == 3.0
         b = EnsembleSpec.invariant(SpectralModel.symmetric_beta(3), 64)

@@ -2,9 +2,13 @@ import importlib
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import conewise
+from conewise import EnsembleSpec, InvalidSpecError, SpectralModel, dynamics, surrogate
+from conewise.dynamics import estimate_persistence_matrix, lyapunov_runs
+from conewise.surrogate import estimate_persistence_gp, joint_persistence
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(conewise.__path__, "conewise."))
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -23,3 +27,50 @@ def test_console_scripts_import():
     for target in scripts.values():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr))
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the sizes were checked")
+
+
+GOE16 = EnsembleSpec.goe(16)
+BETA3 = SpectralModel.symmetric_beta(3)
+
+
+@pytest.mark.parametrize(
+    "call, shown",
+    [
+        (lambda: estimate_persistence_gp(BETA3, 8, 10.0, seed=0), "10.0"),
+        (lambda: estimate_persistence_gp(BETA3, 8.0, 10, seed=0), "8.0"),
+        (lambda: joint_persistence(BETA3, 1, 8, 10.0, seed=0), "10.0"),
+        (lambda: joint_persistence(BETA3, 3, 8.0, 10, seed=0), "8.0"),
+        (lambda: joint_persistence(BETA3, 2.0, 8, 10, seed=0), "2.0"),
+        (lambda: estimate_persistence_matrix(GOE16, GOE16, 4.0, T=5, seed=0), "4.0"),
+        (lambda: estimate_persistence_matrix(GOE16, GOE16, 4, T=5.0, seed=0), "5.0"),
+        (lambda: lyapunov_runs(GOE16, GOE16, 4.0, T=50, seed=0), "4.0"),
+        (lambda: lyapunov_runs(GOE16, GOE16, 4, T=50.0, seed=0), "50.0"),
+    ],
+    ids=[
+        "gp-paths", "gp-horizon", "joint-paths", "joint-horizon", "joint-components",
+        "matrix-realizations", "matrix-horizon", "lyapunov-runs", "lyapunov-horizon",
+    ],
+)
+def test_non_integer_sizes_are_typed_before_any_work(call, shown, monkeypatch):
+    monkeypatch.setattr(surrogate, "log_moment_array", _no_work)
+    monkeypatch.setattr(dynamics, "_persistence_chunk", _no_work)
+    monkeypatch.setattr(dynamics, "_lyapunov_chunk", _no_work)
+    with pytest.raises(InvalidSpecError, match=f"integer >= [01], got {shown}"):
+        call()
+
+
+def test_numpy_integer_sizes_accepted():
+    i32, i64 = np.int32, np.int64
+    a = estimate_persistence_gp(BETA3, i64(8), i32(10), seed=0)
+    b = estimate_persistence_gp(BETA3, 8, 10, seed=0)
+    assert np.array_equal(a.q0, b.q0)
+    a = estimate_persistence_matrix(GOE16, GOE16, i32(6), T=i64(5), seed=0)
+    b = estimate_persistence_matrix(GOE16, GOE16, 6, T=5, seed=0)
+    assert np.array_equal(a.q0, b.q0)
+    a = lyapunov_runs(GOE16, GOE16, i64(3), T=i32(50), seed=0, tail_window=10)
+    b = lyapunov_runs(GOE16, GOE16, 3, T=50, seed=0, tail_window=10)
+    assert np.array_equal(a.samples.values, b.samples.values)

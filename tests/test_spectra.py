@@ -52,13 +52,15 @@ class TestConstruction:
             lambda: SpectralModel.tabulated([0, np.nan, 1], [1, 1, 1]),
             lambda: SpectralModel.tabulated([0, 0.5, np.inf], [1, 1, 1]),
             lambda: SpectralModel.tabulated([0, 0.5, 1], [1, np.nan, 1]),
+            lambda: SpectralModel.tabulated([0, 0.5, 1], [1, np.inf, 1]),
         ],
         ids=[
             "beta-nan", "beta-inf", "atomic-nan", "atomic-inf", "semicircle-inf-radius",
             "semicircle-nan-center", "tabulated-nan-node", "tabulated-inf-node",
-            "tabulated-nan-density",
+            "tabulated-nan-density", "tabulated-inf-density",
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_parameters_rejected(self, build):
         with pytest.raises(InvalidSpecError, match="finite"):
             build()

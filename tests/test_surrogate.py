@@ -131,6 +131,11 @@ class TestSampleGpPaths:
     """Path sampling through the streamed pivoted Cholesky factor, seen
     through the first sign-change times it returns."""
 
+    def test_first_change_times_are_int32(self):
+        # times are at most T + 1; 4 bytes a path keeps large calls small
+        firsts = _stream_first_changes(_factor_of(np.eye(5)), 10, seed=0)
+        assert firsts.dtype == np.int32 and firsts.max() <= 5
+
     def test_identity_covariance_coin_flips(self):
         # independent signs: no change up to tau with probability 2**-tau
         n = 100_000
