@@ -3,7 +3,9 @@
 The state is a unit direction plus an accumulated log norm: with spectral
 edges like 2*sqrt(2) (or 0.05*sqrt(2)) over 1e4 steps the raw norm would
 overflow (or underflow), so every step renormalizes and adds ln of the step
-growth to a running total.  Two equivalent evolution routes exist:
+growth to a running total.  (Persistence needs signs only; its tridiagonal
+route keeps the scale in range with exact powers of two instead, see the
+end of this docstring.)  Two equivalent evolution routes exist:
 
 * :func:`evolve` / :func:`evolve_multicone` -- literal per-step matrix
   products, recording signs, residence intervals and trapping (the
@@ -59,22 +61,34 @@ and J^t e1 lives on the first t + 1 coordinates.  J's entries are
 independent (Dumitriu-Edelman), and z is again iid N(0, 1), independent of
 J, with z[0] = v0[0], so drawing the leading min(T + 1, N) entries of J and
 z gives first-change times with exactly the law of the dense route, at a
-cost of O(tau^2) that does not depend on N.  Runs that start in an
-invariant or elliptic cone step a dense matrix (:func:`_first_sign_change`,
-also the reference the tridiagonal route is tested against).
+cost of O(tau^2) that does not depend on N.  The route draws a block of 256
+realizations from two streams (:func:`_block_draws`) and steps all its GOE
+starts together (:func:`_jacobi_first_sign_changes`).  It never normalizes
+the state: J is pre-scaled by a power of two at least its inf-norm, so the
+entries of J^t e1 cannot grow, and every few steps a power-of-two rescale
+keeps them from underflowing.  Runs that start in an invariant or elliptic
+cone step a dense matrix (:func:`_first_sign_change`, also the reference the
+tridiagonal route is tested against).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.lapack import dgeqrf, dormqr
 
-from .ensembles import EnsembleSpec, _eigenvalues, _goe_jacobi, _haar_orthogonal
+from .ensembles import (
+    EnsembleSpec,
+    _eigenvalues,
+    _goe_jacobi,
+    _haar_orthogonal,
+    _jacobi_dofs,
+    _jacobi_entries,
+)
 from .errors import (
     CollapseUndefinedError,
     DegenerateDynamicsError,
@@ -115,6 +129,8 @@ _REVEAL_TOL = 1e-12
 # realizations the tridiagonal persistence route steps together; bounds its
 # working set to a few arrays of this many rows by min(T + 1, N) columns
 _JACOBI_BLOCK = 256
+# steps between the tridiagonal route's power-of-two rescalings
+_RESCALE_EVERY = 16
 # rescaled-time grid density of the collapse comparison
 _COLLAPSE_POINTS_PER_DECADE = 24
 # a trapped run is paired with its top eigenvalue only once the subleading
@@ -252,10 +268,13 @@ def evolve(A: np.ndarray, B: np.ndarray, v0: np.ndarray, T: int, seed: int = 0) 
 # -- persistence from matrix dynamics ---------------------------------------
 
 
-def _first_sign_change(m: np.ndarray, v0: np.ndarray, horizon: int, rng) -> int:
-    """Step of the first sign change of the first component, or horizon+1."""
+def _first_sign_change(m: np.ndarray, v0: np.ndarray, horizon: int, rng, s0: int = 0) -> int:
+    """Step of the first sign change of the first component, or horizon+1.
+
+    ``s0`` is the starting sign when the caller has already resolved it;
+    with 0 it is the sign of v0[0], an exact zero resolved by a coin."""
     v = v0 / np.linalg.norm(v0)
-    s0 = _sign_with_coin(v[0], rng)
+    s0 = s0 or _sign_with_coin(v[0], rng)
     w = np.empty_like(v)
     for t in range(1, horizon + 1):
         np.matmul(m, v, out=w)
@@ -268,7 +287,7 @@ def _first_sign_change(m: np.ndarray, v0: np.ndarray, horizon: int, rng) -> int:
     return horizon + 1
 
 
-def _jacobi_first_sign_changes(diag, offdiag, z, s0, horizon, rngs) -> np.ndarray:
+def _jacobi_first_sign_changes(diag, offdiag, z, s0, horizon, coin) -> np.ndarray:
     """First sign change of v1(t) = (J^t e1) . z for stacked tridiagonal J.
 
     Row i holds the leading K x K block of one symmetric tridiagonal J
@@ -277,78 +296,112 @@ def _jacobi_first_sign_changes(diag, offdiag, z, s0, horizon, rngs) -> np.ndarra
     + 1, N) suffices because J^t e1 lives on the first t + 1 coordinates.
     Rows step together but independently: every operation on a row is
     elementwise or a reduction over that row alone, so a row's result does
-    not depend on which rows share its block.  Exact zeros of v1 are
-    resolved by a coin from ``rngs[i]``.  Returns per-row times
-    (horizon + 1 when the sign never changes).
+    not depend on which rows share its block.  An exact zero of v1 in row i
+    is resolved by ``coin(i)``, a fair +-1 from that row's own stream; a
+    row whose J^t e1 is the zero vector raises :class:`DegenerateDynamicsError`.
+    Returns per-row times (horizon + 1 when the sign never changes).
+
+    Only signs matter, so the state is never normalized.  Each row of J is
+    first divided by a power of two 2^e >= 3 max|J_ij|, which bounds its
+    inf-norm (a row of J has three entries), so no entry of J^t e1 outgrows
+    the largest one of the step before and nothing overflows; every
+    ``_RESCALE_EVERY`` steps a row is multiplied by the power of two that
+    brings its largest entry into [1/2, 1), so nothing underflows.  Both
+    scalings are exact.
     """
     rows, k = diag.shape
     times = np.full(rows, horizon + 1, dtype=np.int64)
-    s0 = np.array(s0, dtype=float)  # set to 0 once a row has changed sign
+    peak = np.maximum(np.abs(diag).max(axis=1), np.abs(offdiag).max(axis=1, initial=0.0))
+    shift = -(np.frexp(peak)[1] + 2)[:, None]
+    diag, offdiag = np.ldexp(diag, shift), np.ldexp(offdiag, shift)
+    s0 = np.asarray(s0, dtype=float)
+    zs = z * s0[:, None]  # v1(t) s0 = (J^t e1) . zs: positive until the change
     x = np.zeros((rows, k))
     x[:, 0] = 1.0
     row_of = np.arange(rows)  # original row of each stacked row
-    n_alive = rows
     for t in range(1, horizon + 1):
         c = min(t + 1, k)
         e = offdiag[:, : c - 1]
         y = diag[:, :c] * x[:, :c]
         y[:, 1:] += e * x[:, : c - 1]
         y[:, :-1] += e * x[:, 1:c]
-        peak = np.abs(y).max(axis=1)
-        if not peak.all():
-            if not peak[s0 != 0.0].all():
-                raise DegenerateDynamicsError(t)
-            peak[peak == 0.0] = 1.0  # a row that has already changed sign
-        y /= peak[:, None]
+        if t % _RESCALE_EVERY == 0:
+            y = np.ldexp(y, -np.frexp(np.abs(y).max(axis=1))[1][:, None])
         x[:, :c] = y
-        signed = (y * z[:, :c]).sum(axis=1) * s0
-        changed = signed < 0.0
-        if np.count_nonzero(signed) < n_alive:
-            for i in np.flatnonzero((signed == 0.0) & (s0 != 0.0)):
-                changed[i] = _sign_with_coin(0.0, rngs[row_of[i]]) != s0[i]
-        if not changed.any():
+        signed = np.vecdot(y, zs[:, :c])
+        if np.minimum.reduce(signed) > 0.0:
             continue
+        changed = signed < 0.0
+        for i in np.flatnonzero(signed == 0.0):
+            if not y[i].any():
+                raise DegenerateDynamicsError(t)
+            changed[i] = coin(row_of[i]) != s0[i]
         times[row_of[changed]] = t
-        s0[changed] = 0.0
-        n_alive -= int(np.count_nonzero(changed))
-        if n_alive == 0:
+        keep = ~changed
+        if not keep.any():
             break
-        # drop finished rows once they are half the block; until then they
-        # step along with s0 = 0, which keeps them out of every test above
-        if 2 * n_alive <= s0.size:
-            keep = s0 != 0.0
-            diag, offdiag, z, s0, x, row_of = (
-                a[keep] for a in (diag, offdiag, z, s0, x, row_of)
-            )
+        # finished rows leave the stack at once, so every row left is alive
+        diag, offdiag, zs, s0, x, row_of = (
+            a[keep] for a in (diag, offdiag, zs, s0, x, row_of)
+        )
     return times
 
 
+def _block_draws(seed, block, lo, hi, k, n_dim):
+    """Rows lo..hi-1 of persistence block ``block``'s draws.
+
+    One stream, slot 3 of the block index, fills a (hi, 2k) array of
+    normals: per row the first k start-vector entries, then the k diagonal
+    normals of a tridiagonal form.  A second stream, slot 4, fills (hi, k -
+    1) chi-square variates of its off-diagonal.  Both fill row by row, so a
+    row's values do not depend on ``hi``; rows before ``lo`` are drawn and
+    dropped.  Returns (heads, normals, chisq).
+    """
+    both = rng_from_seed(derive_seed(seed, block, 3)).standard_normal((hi, 2 * k))[lo:]
+    dofs = _jacobi_dofs(n_dim, k)
+    chisq = rng_from_seed(derive_seed(seed, block, 4)).chisquare(dofs, (hi, k - 1))[lo:]
+    return both[:, :k], both[:, k:], chisq
+
+
 def _persistence_chunk(ensemble_a, ensemble_b, T, seed, start, stop):
+    """First-change times of realizations start..stop-1 (seed layout in
+    :func:`estimate_persistence_matrix`)."""
     n_dim = ensemble_a.dimension
-    # a GOE start needs only the first k entries of the start vector; a
-    # dense start draws the rest next, which gives the same values as one
-    # draw of all n_dim (the normal sampler keeps no state between calls)
     k = min(T + 1, n_dim)
+
+    @cache
+    def own(r):
+        """Realization r's own stream, slot 0, opened on first use."""
+        return rng_from_seed(derive_seed(seed, r, 0))
+
     times = np.empty(stop - start, dtype=np.int64)
-    for lo in range(start, stop, _JACOBI_BLOCK):
-        rows = []  # (index into times, z, s0, diag, offdiag, rng) of GOE starts
-        for r in range(lo, min(lo + _JACOBI_BLOCK, stop)):
-            rng = rng_from_seed(derive_seed(seed, r, 0))
-            head = rng.standard_normal(k)
-            s0 = _sign_with_coin(head[0], rng)
-            ens, slot = (ensemble_a, 1) if s0 > 0 else (ensemble_b, 2)
-            if ens.kind == "goe":
-                diag, off = _goe_jacobi(ens, k, rng_from_seed(derive_seed(seed, r, slot)))
-                rows.append((r - start, head, s0, diag, off, rng))
-                continue
-            v0 = head if k == n_dim else np.concatenate([head, rng.standard_normal(n_dim - k)])
-            m = ens.sample(derive_seed(seed, r, slot))
-            times[r - start] = _first_sign_change(m, v0, T, rng)
-        if rows:
-            idx, z, s0, diag, off, rngs = zip(*rows)
-            times[list(idx)] = _jacobi_first_sign_changes(
-                np.array(diag), np.array(off), np.array(z), s0, T, rngs
+    for lo in range(start - start % _JACOBI_BLOCK, stop, _JACOBI_BLOCK):
+        first, last = max(lo, start), min(lo + _JACOBI_BLOCK, stop)
+        heads, normals, chisq = _block_draws(
+            seed, lo // _JACOBI_BLOCK, first - lo, last - lo, k, n_dim
+        )
+        s0 = np.where(heads[:, 0] > 0.0, 1, -1)
+        for i in np.flatnonzero(heads[:, 0] == 0.0).tolist():
+            s0[i] = _sign_with_coin(0.0, own(first + i))
+        in_b = s0 < 0
+        goe = np.where(in_b, ensemble_b.kind == "goe", ensemble_a.kind == "goe")
+        if goe.any():
+            rows = np.flatnonzero(goe)
+            center = np.where(in_b[rows], ensemble_b.center, ensemble_a.center)[:, None]
+            sigma = np.where(in_b[rows], ensemble_b.sigma, ensemble_a.sigma)[:, None]
+            diag, off = _jacobi_entries(center, sigma, normals[rows], chisq[rows])
+            times[first - start + rows] = _jacobi_first_sign_changes(
+                diag, off, heads[rows], s0[rows], T,
+                lambda i: _sign_with_coin(0.0, own(first + int(rows[i]))),
             )
+        for i in np.flatnonzero(~goe).tolist():
+            r = first + i
+            ens, slot = (ensemble_b, 2) if in_b[i] else (ensemble_a, 1)
+            v0 = heads[i]
+            if k < n_dim:
+                v0 = np.concatenate([v0, own(r).standard_normal(n_dim - k)])
+            m = ens.sample(derive_seed(seed, r, slot))
+            times[r - start] = _first_sign_change(m, v0, T, own(r), int(s0[i]))
     return times
 
 
@@ -365,19 +418,27 @@ def estimate_persistence_matrix(
     first sign change falls after tau.
 
     Only the starting cone's matrix acts before the first change, so the
-    other one is never materialized; seeds are assigned to both slots so the
-    statistics are those of independent pair draws.  Realization r draws
-    its start vector, then its starting sign, from seed slot 0 and the
-    starting cone's matrix from slot 1 (A) or 2 (B).  A GOE cone is drawn
-    as the leading min(T + 1, N) block of its tridiagonal form, with that
-    many start-vector entries, and stepped in stacked blocks: exact in law
-    (see the module docstring), O(tau^2) per run whatever N is, but not the
-    same per-seed times as a dense draw.  Invariant and elliptic cones are
-    drawn dense and stepped by matrix-vector products.  ``threads`` is the
-    number of worker processes (see :func:`~conewise.parallel.map_index_chunks`);
-    results do not depend on it (per-realization seeds are index-derived).
-    An ``n_realizations`` or T that is not an integer >= 1 raises
-    :class:`InvalidSpecError` before any draw.
+    other one is never materialized; the statistics are those of
+    independent pair draws.  Realizations are drawn in blocks of 256: with
+    k = min(T + 1, N), realization r is row r mod 256 of block b = r // 256.
+    One stream, ``derive_seed(seed, b, 3)``, gives each row its first k
+    start-vector entries (its head) and k diagonal normals; another,
+    ``derive_seed(seed, b, 4)``, its k - 1 chi-square variates.  Both fill
+    row by row, so r sees the same values whatever ``n_realizations`` is.
+    The starting sign is that of the head's first entry; only an exact zero
+    (probability zero) opens r's own stream, ``derive_seed(seed, r, 0)``,
+    for a coin.  A GOE cone scales the row's variates by its centre and
+    sigma into the leading k x k block of its tridiagonal form, and a
+    block's GOE starts step together: exact in law (see the module
+    docstring) and O(tau^2) per run whatever N is.  An invariant or
+    elliptic start draws the other N - k start-vector entries and its step
+    coins from r's own stream and the dense matrix from ``derive_seed(seed,
+    r, 1)`` (A) or ``derive_seed(seed, r, 2)`` (B), and steps it by
+    matrix-vector products.  ``threads`` is the number of worker processes
+    (see :func:`~conewise.parallel.map_index_chunks`), which receive whole
+    blocks; results do not depend on it.  An ``n_realizations`` or T that
+    is not an integer >= 1 raises :class:`InvalidSpecError` before any
+    draw.
     """
     if ensemble_a.dimension != ensemble_b.dimension:
         raise InvalidSpecError("ensembles must share the dimension")
@@ -386,6 +447,7 @@ def estimate_persistence_matrix(
         partial(_persistence_chunk, ensemble_a, ensemble_b, T, seed),
         n_realizations,
         threads,
+        chunk=_JACOBI_BLOCK,
     )
     meta = {
         "source": "matrix",
@@ -845,11 +907,10 @@ def top_eigenvalue_check(ensemble: EnsembleSpec, n_draws: int, seed: int) -> Top
     GOE draws come from the whole tridiagonal form (``_goe_jacobi`` with
     K = N), which has the spectrum of a dense draw, by bisection; invariant
     draws read the eigenvalues that ``sample_invariant`` places, which are
-    its matrix's spectrum at the same seed.  ``n_draws < 1`` raises
-    :class:`InvalidSpecError`.
+    its matrix's spectrum at the same seed.  An ``n_draws`` that is not an
+    integer >= 1 raises :class:`InvalidSpecError`.
     """
-    if n_draws < 1:
-        raise InvalidSpecError(f"n_draws must be >= 1, got {n_draws}")
+    check_count(n_draws, 1, f"n_draws must be an integer >= 1, got {n_draws}")
     nu_plus = ensemble.nu_plus  # raises for non-symmetric kinds
     n_dim = ensemble.dimension
     gamma = nu_plus / 2.0

@@ -21,7 +21,9 @@ K x K block of the Householder tridiagonal form J = Q^T M Q (Q e1 = e1) of a
 GOE matrix M, whose entries are independent (Dumitriu & Edelman, J. Math.
 Phys. 43 (2002) 5830; Trotter, Adv. Math. 54 (1984) 67).  It costs O(K)
 random numbers whatever N is, and serves the dynamics that only need
-powers of M applied to e1 and the top eigenvalue.  ``_eigenvalues`` gives
+powers of M applied to e1 and the top eigenvalue; persistence draws its
+standard variates for a whole block of realizations and scales them with
+``_jacobi_entries``.  ``_eigenvalues`` gives
 the spectrum of one symmetric draw without forming the matrix: for GOE from
 the whole tridiagonal form, for invariant ensembles the eigenvalues
 ``sample_invariant`` places.
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, check_count
 from .seeding import rng_from_seed
 from .spectra import SpectralModel, inverse_cdf, quantile_grid
 
@@ -66,11 +68,23 @@ def _goe_jacobi(spec: "EnsembleSpec", K: int, rng: np.random.Generator):
     1 <= K <= N; K = N gives the whole matrix, which has the spectrum law of
     ``sample_goe``.
     """
-    n = spec.dimension
-    sigma = spec.radius / (2.0 * math.sqrt(n))
-    diag = spec.center + (math.sqrt(2.0) * sigma) * rng.standard_normal(K)
-    offdiag = sigma * np.sqrt(rng.chisquare(np.arange(n - 1, n - K, -1)))
-    return diag, offdiag
+    normals = rng.standard_normal(K)
+    return _jacobi_entries(
+        spec.center, spec.sigma, normals, rng.chisquare(_jacobi_dofs(spec.dimension, K))
+    )
+
+
+def _jacobi_dofs(N: int, K: int) -> np.ndarray:
+    """Degrees of freedom N - 1, ..., N - K + 1 of the chi variates on the
+    leading off-diagonal of a GOE's tridiagonal form."""
+    return np.arange(N - 1, N - K, -1)
+
+
+def _jacobi_entries(center, sigma, normals, chisq):
+    """(diag, offdiag) of the tridiagonal form from its standard variates:
+    center + sqrt(2) sigma normals and sigma sqrt(chisq).  ``center`` and
+    ``sigma`` may be columns that scale stacked rows one cone at a time."""
+    return center + (math.sqrt(2.0) * sigma) * normals, sigma * np.sqrt(chisq)
 
 
 def sample_haar_orthogonal(N: int, seed: int) -> np.ndarray:
@@ -169,10 +183,15 @@ class EnsembleSpec:
     placement: str = "quantile"
 
     def __post_init__(self):
-        if self.dimension < 2:
-            raise InvalidSpecError(f"matrix dimension must be >= 2, got {self.dimension}")
+        check_count(
+            self.dimension, 2, f"matrix dimension must be an integer >= 2, got {self.dimension}"
+        )
         if self.kind not in ("goe", "invariant", "elliptic"):
             raise InvalidSpecError(f"unknown ensemble kind {self.kind!r}")
+        if not (math.isfinite(self.center) and math.isfinite(self.radius)):
+            raise InvalidSpecError(
+                f"center and radius must be finite, got {self.center} and {self.radius}"
+            )
         if self.kind in ("goe", "elliptic") and self.radius <= 0:
             raise InvalidSpecError(f"radius must be > 0, got {self.radius}")
         if self.kind == "elliptic" and not 0.0 <= self.rho <= 1.0:
@@ -191,6 +210,11 @@ class EnsembleSpec:
     @classmethod
     def elliptic(cls, N: int, rho: float, radius: float = 2.0):
         return cls(kind="elliptic", dimension=N, rho=rho, radius=radius)
+
+    @property
+    def sigma(self) -> float:
+        """Off-diagonal entry scale radius / (2 sqrt(N)) of GOE and elliptic draws."""
+        return self.radius / (2.0 * math.sqrt(self.dimension))
 
     @property
     def nu_plus(self) -> float:
@@ -212,7 +236,7 @@ class EnsembleSpec:
             q = _haar_orthogonal(n, rng)
             m = (q * eigs) @ q.T
             return 0.5 * (m + m.T)
-        sigma = self.radius / (2.0 * math.sqrt(n))
+        sigma = self.sigma
         g = rng.standard_normal((n, n))
         h = (g + g.T) * (sigma / math.sqrt(2.0))
         if self.kind == "goe" and self.center != 0.0:

@@ -21,8 +21,10 @@ def map_index_chunks(fn, n_items: int, threads: int, chunk: int = 128):
     pieces are joined along axis 0 in index order.  ``threads`` is the number
     of worker processes (not threads: ``fn`` runs in a process pool and must
     be picklable); with 1, or with ``n_items <= chunk``, everything runs in
-    the calling process.  An ``n_items`` that is not an integer >= 1 raises
-    :class:`InvalidSpecError`.
+    the calling process.  Every range starts at a multiple of ``chunk``, so
+    a caller that draws in blocks passes its block size (or a multiple) and
+    each worker draws whole blocks.  An ``n_items`` that is not an integer
+    >= 1 raises :class:`InvalidSpecError`.
     """
     check_count(n_items, 1, f"realization count must be an integer >= 1, got {n_items}")
     threads = max(1, int(threads))

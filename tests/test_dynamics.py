@@ -24,7 +24,9 @@ from conewise.dynamics import (
     top_eigenvalue_check,
     trapped_run_edge_pairs,
     _BLOCK,
+    _JACOBI_BLOCK,
     _RevealedFrame,
+    _block_draws,
     _first_sign_change,
     _jacobi_first_sign_changes,
     _lyapunov_kernel,
@@ -34,8 +36,9 @@ from conewise.dynamics import (
 from conewise.ensembles import _goe_jacobi
 from conewise.errors import CollapseUndefinedError, FitError
 from conewise.estimators import TRUNCATED_FIT_MIN_POINTS
-from conewise.records import LyapunovSamples, PersistenceCurve
+from conewise.records import LyapunovSamples, PersistenceCurve, log_tau_grid
 from conewise.seeding import derive_seed, rng_from_seed
+from conewise.surrogate import estimate_persistence_gp
 from scipy.linalg import eigh
 from scipy.stats import ks_2samp
 
@@ -55,6 +58,40 @@ def dense_first_changes(ens_a, ens_b, n_real, T, seed):
         ens, slot = (ens_a, 1) if s0 > 0 else (ens_b, 2)
         times[r] = _first_sign_change(ens.sample(derive_seed(seed, r, slot)), v0, T, rng)
     return times
+
+
+def route_heads(seed, n_real, k, n_dim):
+    """Start-vector heads of realizations 0..n_real-1 as the persistence
+    route draws them, one block of _JACOBI_BLOCK rows at a time."""
+    blocks = range(-(-n_real // _JACOBI_BLOCK))
+    heads = [_block_draws(seed, b, 0, _JACOBI_BLOCK, k, n_dim)[0] for b in blocks]
+    return np.concatenate(heads)[:n_real]
+
+
+def route_layout_dense_changes(ens_a, ens_b, n_real, T, seed):
+    """First-change times of fresh dense draws stepped by the reference
+    kernel, with the seed layout of estimate_persistence_matrix: the head
+    of the start vector from the block draws, the rest and the coins from
+    the realization's slot 0, the starting cone's matrix from slot 1 or 2."""
+    n_dim = ens_a.dimension
+    k = min(T + 1, n_dim)
+    times = np.empty(n_real, dtype=np.int64)
+    for r, head in enumerate(route_heads(seed, n_real, k, n_dim)):
+        rng = rng_from_seed(derive_seed(seed, r, 0))
+        s0 = _sign_with_coin(head[0], rng)
+        v0 = np.concatenate([head, rng.standard_normal(n_dim - k)])
+        ens, slot = (ens_a, 1) if s0 > 0 else (ens_b, 2)
+        times[r] = _first_sign_change(ens.sample(derive_seed(seed, r, slot)), v0, T, rng, s0)
+    return times
+
+
+def coins_of(rngs):
+    """The kernel's coin callable over one generator per row."""
+    return lambda i: _sign_with_coin(0.0, rngs[i])
+
+
+def no_coin(i):
+    raise AssertionError(f"row {i} flipped a coin")
 
 
 class DenseFrame:
@@ -344,9 +381,11 @@ class TestJacobiRoute:
         z = rng.standard_normal((30, k))
         s0 = np.sign(z[:, 0])
         rngs = [rng_from_seed(i) for i in range(30)]
-        stacked = _jacobi_first_sign_changes(diag, off, z, s0, T, rngs)
+        stacked = _jacobi_first_sign_changes(diag, off, z, s0, T, coins_of(rngs))
         alone = [
-            _jacobi_first_sign_changes(diag[i : i + 1], off[i : i + 1], z[i : i + 1], s0[i : i + 1], T, rngs[i : i + 1])[0]
+            _jacobi_first_sign_changes(
+                diag[i : i + 1], off[i : i + 1], z[i : i + 1], s0[i : i + 1], T, coins_of(rngs[i : i + 1])
+            )[0]
             for i in range(30)
         ]
         assert np.array_equal(stacked, alone)
@@ -354,19 +393,21 @@ class TestJacobiRoute:
 
     def test_exact_zero_resolved_by_own_coin(self):
         # J e1 = (0, 1, 0): v1(1) = z . (0, 1, 0) = 0 exactly
-        diag = np.zeros((2, 3))
-        off = np.ones((2, 2))
-        z = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        rngs = [rng_from_seed(5), rng_from_seed(6)]
-        coins = [_sign_with_coin(0.0, rng_from_seed(seed)) for seed in (5, 6)]
-        times = _jacobi_first_sign_changes(diag, off, z, np.ones(2), 1, rngs)
+        seeds = range(5, 13)
+        diag = np.zeros((len(seeds), 3))
+        off = np.ones((len(seeds), 2))
+        z = np.tile([1.0, 0.0, 0.0], (len(seeds), 1))
+        rngs = [rng_from_seed(seed) for seed in seeds]
+        coins = [_sign_with_coin(0.0, rng_from_seed(seed)) for seed in seeds]
+        times = _jacobi_first_sign_changes(diag, off, z, np.ones(len(seeds)), 1, coins_of(rngs))
         assert list(times) == [1 if c < 0 else 2 for c in coins]
+        assert set(times) == {1, 2}
 
     def test_zero_matrix_raises(self):
         diag, off = np.zeros((3, 4)), np.zeros((3, 3))
         z = np.ones((3, 4))
         with pytest.raises(DegenerateDynamicsError) as err:
-            _jacobi_first_sign_changes(diag, off, z, np.ones(3), 5, [None] * 3)
+            _jacobi_first_sign_changes(diag, off, z, np.ones(3), 5, no_coin)
         assert err.value.step == 1
 
     def test_mixed_kinds_route_per_start(self):
@@ -374,15 +415,74 @@ class TestJacobiRoute:
         # GOE starts take the tridiagonal route exactly as in a GOE pair
         goe = EnsembleSpec.goe(32)
         flat = EnsembleSpec.invariant(SpectralModel.atomic(1.4), 32)
-        T, n_real = 50, 200
+        T, n_real = 50, 400
         mixed = _persistence_chunk(goe, flat, T, 3, 0, n_real)
         pure = _persistence_chunk(goe, goe, T, 3, 0, n_real)
-        negative = np.array(
-            [rng_from_seed(derive_seed(3, r, 0)).standard_normal() < 0 for r in range(n_real)]
-        )
+        negative = route_heads(3, n_real, 32, 32)[:, 0] < 0
         assert np.all(mixed[negative] == T + 1)
         assert np.array_equal(mixed[~negative], pure[~negative])
         assert 0 < negative.sum() < n_real
+
+    def test_prefix_of_longer_sweep(self):
+        # a realization's draws do not depend on how many realizations run,
+        # nor on where a chunk starts inside a block
+        ens_a, ens_b = EnsembleSpec.goe(64, 0.0, 2.0), EnsembleSpec.elliptic(64, 0.5)
+        longer = _persistence_chunk(ens_a, ens_b, 60, 17, 0, 1300)
+        assert np.array_equal(_persistence_chunk(ens_a, ens_b, 60, 17, 0, 1000), longer[:1000])
+        assert np.array_equal(_persistence_chunk(ens_a, ens_b, 60, 17, 300, 1000), longer[300:1000])
+
+    def test_block_opens_two_streams(self, monkeypatch):
+        # a GOE pair draws each block from two streams; no start opens its own
+        opened = []
+
+        def counted(seed):
+            opened.append(seed)
+            return rng_from_seed(seed)
+
+        monkeypatch.setattr(dynamics, "rng_from_seed", counted)
+        ens = EnsembleSpec.goe(256)
+        _persistence_chunk(ens, ens, 120, 5, 0, 3 * _JACOBI_BLOCK)
+        assert len(opened) == 6
+
+    @pytest.mark.parametrize(
+        "scaled, plain",
+        [
+            ((0.0, 2e200, 0.0, 2e200), (0.0, 2.0, 0.0, 2.0)),
+            ((0.0, 2e-200, 0.0, 2e-200), (0.0, 2.0, 0.0, 2.0)),
+            ((0.0, 2e200, 1e200, 2e200), (0.0, 2.0, 1.0, 2.0)),
+        ],
+        ids=["radius-2e200", "radius-2e-200", "centre-1e200"],
+    )
+    def test_extreme_scales(self, scaled, plain):
+        # signs do not see the scale of J: the scaled pair must neither
+        # overflow nor underflow, and must match its unscaled counterpart
+        T, n_real = 200, 2000
+        grid = np.arange(T + 1)
+        curves = []
+        for c_a, r_a, c_b, r_b in (scaled, plain):
+            pair = EnsembleSpec.goe(64, c_a, r_a), EnsembleSpec.goe(64, c_b, r_b)
+            times = _persistence_chunk(*pair, T, 51, 0, n_real)
+            curves.append(PersistenceCurve.from_first_change_times(times, T, grid=grid))
+        sigma = np.sqrt(curves[0].stderr ** 2 + curves[1].stderr ** 2)
+        assert np.all(np.abs(curves[0].q0 - curves[1].q0) <= 4 * sigma)
+
+    def test_long_horizon_matches_dense_reference(self):
+        # runs held in a shifted cone step thousands of times: the periodic
+        # rescaling keeps them from underflowing into zero vectors
+        ens_a, ens_b = EnsembleSpec.goe(16, 0.0, 2.0), EnsembleSpec.goe(16, 1.0, 2.0)
+        T, n_real = 3000, 400
+        grid = log_tau_grid(T, points=40)
+        fast_times = _persistence_chunk(ens_a, ens_b, T, 61, 0, n_real)
+        ref_times = dense_first_changes(ens_a, ens_b, n_real, T, seed=62)
+        fast, ref = (
+            PersistenceCurve.from_first_change_times(t, T, grid=grid)
+            for t in (fast_times, ref_times)
+        )
+        assert fast.q0[-1] > 0.2
+        sigma = np.sqrt(fast.stderr**2 + ref.stderr**2)
+        inside = sigma > 0
+        assert np.all(np.abs(fast.q0 - ref.q0)[inside] <= 4 * sigma[inside])
+        assert ks_2samp(fast_times, ref_times).pvalue > 0.01
 
     @pytest.mark.parametrize(
         "ens",
@@ -393,8 +493,25 @@ class TestJacobiRoute:
         ids=["invariant", "elliptic"],
     )
     def test_dense_kinds_keep_dense_route(self, ens):
-        times = _persistence_chunk(ens, ens, 40, 9, 0, 60)
-        assert np.array_equal(times, dense_first_changes(ens, ens, 60, 40, seed=9))
+        times = _persistence_chunk(ens, ens, 40, 9, 0, 300)
+        assert np.array_equal(times, route_layout_dense_changes(ens, ens, 300, 40, seed=9))
+
+
+class TestMatrixAgainstSurrogate:
+    """The finite-N matrix route and the infinite-N Gaussian-process route
+    describe one sign process; at N = 32768 their difference is far below
+    the sampling error of these sizes."""
+
+    def test_goe_matches_gp_surrogate(self):
+        T = 60
+        grid = np.arange(T + 1)
+        ens = EnsembleSpec.goe(32768, 0.0, 2.0)
+        matrix = estimate_persistence_matrix(ens, ens, 60_000, T, seed=41, grid=grid)
+        gp = estimate_persistence_gp(
+            SpectralModel.semicircle(0.0, 2.0), T, 300_000, seed=71, grid=grid
+        )
+        sigma = np.sqrt(matrix.stderr**2 + gp.stderr**2)[1:]
+        assert np.max(np.abs(matrix.q0 - gp.q0)[1:] / sigma) < 4
 
 
 class TestLyapunovRuns:
@@ -669,6 +786,13 @@ class TestWorkerCountInvariance:
         assert np.array_equal(one.tau, two.tau)
         assert np.array_equal(one.q0, two.q0)
 
+    def test_persistence_matrix_partial_blocks(self):
+        # 1000 is no multiple of the 256-realization draw blocks
+        ens_a, ens_b = EnsembleSpec.goe(32, 0.0, 2.0), EnsembleSpec.goe(32, 0.5, 1.0)
+        one = estimate_persistence_matrix(ens_a, ens_b, 1000, T=60, seed=23, threads=1)
+        two = estimate_persistence_matrix(ens_a, ens_b, 1000, T=60, seed=23, threads=2)
+        assert np.array_equal(one.q0, two.q0)
+
     def test_lyapunov_runs(self):
         ens = EnsembleSpec.goe(16)
         one = lyapunov_runs(ens, ens, 40, T=300, seed=22, tail_window=100, threads=1)
@@ -759,9 +883,9 @@ class TestTopEigenvalue:
         with pytest.raises(InvalidSpecError):
             top_eigenvalue_check(EnsembleSpec.elliptic(32, 0.3), 5, seed=0)
 
-    @pytest.mark.parametrize("n_draws", [0, -3])
+    @pytest.mark.parametrize("n_draws", [0, -3, 3.0])
     def test_bad_draw_count_is_typed(self, n_draws):
-        with pytest.raises(InvalidSpecError, match=f"n_draws must be >= 1, got {n_draws}"):
+        with pytest.raises(InvalidSpecError, match=f"n_draws must be an integer >= 1, got {n_draws}"):
             top_eigenvalue_check(EnsembleSpec.goe(16), n_draws, seed=0)
 
     def test_trapped_pairs_match_closely(self):
@@ -851,8 +975,10 @@ class TestElliptic:
         assert fit_window_points(out[0]) >= TRUNCATED_FIT_MIN_POINTS
 
     def test_default_window_too_few_points(self):
+        # T = 7 leaves at most 7 positive points, one short of the fit's 8,
+        # whatever the draws
         with pytest.raises(FitError, match=r"window \(1\.0, .*survivors of 20 realizations"):
-            elliptic_persistence(32, [0.0], 20, T=40, seed=3)
+            elliptic_persistence(32, [0.0], 20, T=7, seed=3)
 
     def test_rho_validation(self):
         with pytest.raises(InvalidSpecError):

@@ -190,6 +190,23 @@ class TestEnsembleSpec:
         with pytest.raises(InvalidSpecError):
             EnsembleSpec.elliptic(64, 0.5).nu_plus
 
+    @pytest.mark.parametrize("n", [8.0, float("nan"), "8"])
+    def test_dimension_must_be_integer(self, n):
+        with pytest.raises(InvalidSpecError, match="dimension must be an integer >= 2"):
+            EnsembleSpec.goe(n)
+
+    @pytest.mark.parametrize(
+        "center, radius",
+        [(0.0, float("nan")), (float("nan"), 2.0), (float("inf"), 2.0), (0.0, float("inf"))],
+    )
+    def test_center_and_radius_must_be_finite(self, center, radius):
+        with pytest.raises(InvalidSpecError, match="must be finite"):
+            EnsembleSpec.goe(16, center, radius)
+
+    def test_elliptic_radius_must_be_finite(self):
+        with pytest.raises(InvalidSpecError, match="must be finite"):
+            EnsembleSpec.elliptic(16, 0.5, float("inf"))
+
     def test_validation(self):
         with pytest.raises(InvalidSpecError):
             EnsembleSpec.goe(1)

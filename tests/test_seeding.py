@@ -25,3 +25,9 @@ def test_rng_reproducible():
     x = rng_from_seed(99).standard_normal(16)
     y = rng_from_seed(99).standard_normal(16)
     assert np.array_equal(x, y)
+
+
+def test_derive_seed_takes_numpy_integers():
+    # index arrays yield NumPy integers; they fold exactly as Python ints do
+    assert derive_seed(np.int64(42), np.int64(3), np.intp(1)) == derive_seed(42, 3, 1)
+    assert derive_seed(np.uint64(2**63 + 5), np.int32(-1)) == derive_seed(2**63 + 5, -1)
