@@ -129,6 +129,10 @@ _REVEAL_TOL = 1e-12
 # realizations the tridiagonal persistence route steps together; bounds its
 # working set to a few arrays of this many rows by min(T + 1, N) columns
 _JACOBI_BLOCK = 256
+# runs per worker task in lyapunov_runs: one run of T steps costs far more
+# than starting a task, so small tasks keep the workers evenly loaded; the
+# per-run seeds make results independent of it
+_LYAPUNOV_CHUNK = 32
 # steps between the tridiagonal route's power-of-two rescalings
 _RESCALE_EVERY = 16
 # rescaled-time grid density of the collapse comparison
@@ -200,7 +204,11 @@ def evolve_multicone(
     seed: int = 0,
 ) -> Trajectory:
     """Cone-wise evolution where sign bits of the first p components select
-    one of 2**p matrices (bit i set when component i is negative)."""
+    one of 2**p matrices (bit i set when component i is negative).  A p
+    that is not an integer >= 0, or a T that is not an integer >= 1, raises
+    :class:`InvalidSpecError`."""
+    check_count(p, 0, f"component count must be an integer >= 0, got {p}")
+    check_count(T, 1, f"horizon T must be an integer >= 1, got {T}")
     if len(matrices) != 2**p:
         raise InvalidSpecError(f"need exactly {2**p} matrices for p = {p}, got {len(matrices)}")
     n = matrices[0].shape[0]
@@ -211,8 +219,8 @@ def evolve_multicone(
             raise InvalidSpecError("all matrices must share one square shape")
     v0 = np.asarray(v0, dtype=float)
     nrm0 = float(np.linalg.norm(v0))
-    if nrm0 == 0.0 or T < 1:
-        raise InvalidSpecError("need a nonzero start vector and T >= 1")
+    if nrm0 == 0.0:
+        raise InvalidSpecError("need a nonzero start vector")
     rng = rng_from_seed(seed)
     v = v0 / nrm0
     sqrt_n = math.sqrt(n)
@@ -854,7 +862,7 @@ def lyapunov_runs(
         partial(_lyapunov_chunk, ensemble_a, ensemble_b, T, seed, tail_window),
         n_realizations,
         threads,
-        chunk=32,
+        chunk=_LYAPUNOV_CHUNK,
     )
     lam = runs["lam"]
     normalized = (lam - r1) / (r2 - r1) if r1 != r2 else np.zeros_like(lam)

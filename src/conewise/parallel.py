@@ -14,7 +14,7 @@ import numpy as np
 from .errors import check_count
 
 
-def map_index_chunks(fn, n_items: int, threads: int, chunk: int = 128):
+def map_index_chunks(fn, n_items: int, threads: int, chunk: int):
     """Run ``fn(start, stop)`` over [0, n_items) and concatenate the results.
 
     ``fn`` returns one array (plain or structured) for its index range; the

@@ -50,13 +50,17 @@ class PersistenceCurve:
         """Build Q0 from per-realization first sign-change steps.
 
         ``times[i] > horizon`` means realization i never changed sign within
-        the horizon; Q0(tau) is the fraction with ``times > tau``.
+        the horizon; Q0(tau) is the fraction with ``times > tau``.  A grid
+        must strictly increase and stay within the horizon: past it, the
+        times say nothing about survival.
         """
         times = np.asarray(times)
         n = times.size
         if n == 0:
             raise InvalidSpecError("no realizations")
         grid = log_tau_grid(horizon) if grid is None else np.asarray(grid, dtype=np.int64)
+        if np.any(np.diff(grid) <= 0) or np.any(grid > horizon):
+            raise InvalidSpecError(f"grid must strictly increase within horizon {horizon}")
         sorted_times = np.sort(times)
         survivors = n - np.searchsorted(sorted_times, grid, side="right")
         q = survivors / n

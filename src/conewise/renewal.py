@@ -11,18 +11,23 @@ its Stieltjes transform; for ``mu > 1`` the rate self-averages to
 ``(m1 + m2) / (2 m_tau)``.  Nothing here integrates numerically: the
 quadrature routes for the CDF and the Stieltjes transform, which
 cross-check the closed forms, live in ``tests/test_renewal.py``.
+
+Every g is ``g(tau) = 1/2 ln f(2 tau)`` of a cone's spectral model, from
+:func:`~conewise.spectral.g_array` through one table per (cones, horizon);
+a cone with per-step rate r is the point mass at e^r, whose g(tau) = r tau.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import zeta
 
-from .errors import DegenerateProcessError, InvalidSpecError
+from .errors import DegenerateProcessError, InvalidSpecError, check_count
 from .records import LyapunovSamples
 from .seeding import rng_from_seed
 from .spectra import SpectralModel
@@ -153,37 +158,37 @@ def interval_survival(mu: float, tau_min: int, k) -> np.ndarray:
 class RenewalConfig:
     """Alternating two-cone renewal simulation parameters.
 
-    ``g_mode`` is either ``("linear", r1, r2)`` -- per-step rates, the
-    long-interval limit -- or ``("spectral", specA, specB)`` -- exact
-    per-interval log growth from the spectral moments.
+    ``cones`` holds the two cones' spectral models, the one source of every
+    g(tau) = 1/2 ln f(2 tau).  :meth:`linear_rates` cones are point masses
+    at e^r: g(tau) = r tau, the long-interval limit of a cone with edge e^r.
     """
 
     mu1: float
     mu2: float
     tau_min: int
     horizon: int
-    g_mode: tuple
+    cones: tuple[SpectralModel, SpectralModel]
     seed: int = 0
 
     def __post_init__(self):
         if self.mu1 <= 0 or self.mu2 <= 0:
             raise InvalidSpecError("tail exponents must be positive")
-        if self.tau_min < 1:
-            raise InvalidSpecError("tau_min must be >= 1")
+        check_count(self.tau_min, 1, f"tau_min must be an integer >= 1, got {self.tau_min}")
+        check_count(self.horizon, 1, f"horizon must be an integer >= 1, got {self.horizon}")
         if self.horizon < 10 * self.tau_min:
             raise InvalidSpecError("horizon must be >= 10 * tau_min")
-        if self.g_mode[0] not in ("linear", "spectral"):
-            raise InvalidSpecError(f"unknown g mode {self.g_mode[0]!r}")
-        if self.g_mode[0] == "spectral" and not all(
-            isinstance(s, SpectralModel) for s in self.g_mode[1:3]
-        ):
-            raise InvalidSpecError("spectral g mode needs two spectral models")
 
     @classmethod
     def linear_rates(
         cls, mu1: float, mu2: float, r1: float, r2: float, tau_min: int, horizon: int, seed: int = 0
     ):
-        return cls(mu1, mu2, tau_min, horizon, ("linear", float(r1), float(r2)), seed)
+        """Cones growing by e^r1 and e^r2 per step: the point masses there.
+        A rate whose e^r is not a normal float raises :class:`InvalidSpecError`."""
+        for r in (r1, r2):
+            if not math.log(sys.float_info.min) <= r < math.log(sys.float_info.max):
+                raise InvalidSpecError(f"per-step rate {r} has no normal float e^r")
+        cones = (SpectralModel.atomic(math.exp(r1)), SpectralModel.atomic(math.exp(r2)))
+        return cls(mu1, mu2, tau_min, horizon, cones, seed)
 
     @classmethod
     def exact_spectral(
@@ -196,14 +201,12 @@ class RenewalConfig:
         horizon: int,
         seed: int = 0,
     ):
-        return cls(mu1, mu2, tau_min, horizon, ("spectral", spec_a, spec_b), seed)
+        return cls(mu1, mu2, tau_min, horizon, (spec_a, spec_b), seed)
 
     @property
     def rates(self) -> tuple[float, float]:
         """Long-interval growth rates (r1, r2) = edge log-eigenvalues."""
-        if self.g_mode[0] == "linear":
-            return self.g_mode[1], self.g_mode[2]
-        a, b = self.g_mode[1], self.g_mode[2]
+        a, b = self.cones
         return math.log(abs(a.nu_plus)), math.log(abs(b.nu_plus))
 
 
@@ -224,44 +227,37 @@ class RenewalRun:
         return sum(t for _, t in self.intervals) == self.horizon
 
 
-# g is tabulated up to this order (or the horizon, if shorter); the sampler
-# never asks for g beyond the horizon
+# g is tabulated up to this order (or the horizon, if shorter); only lengths
+# in the horizon reach g, as a drawn interval past it can be ~1e300 steps
 _G_TABLE = 1 << 14
 # intervals drawn per active sample and pass; even, so every pass starts in
 # the sample's starting cone
 _CHUNK = 1024
 
 
-class _GEval:
-    """Vectorized per-interval log growth for one cone."""
-
-    def __init__(self, g_mode: tuple, horizon: int, which: int):
-        self.mode = g_mode[0]
-        if self.mode == "linear":
-            self.rate = g_mode[1 + which]
-        else:
-            self.spec = g_mode[1 + which]
-            self.table = g_array(self.spec, np.arange(1, min(horizon, _G_TABLE) + 1))
-            self.table.flags.writeable = False
-
-    def __call__(self, taus: np.ndarray) -> np.ndarray:
-        taus = np.asarray(taus, dtype=np.int64)
-        if self.mode == "linear":
-            return self.rate * taus.astype(float)
-        out = np.empty(taus.shape, dtype=float)
-        small = taus <= self.table.size
-        out[small] = self.table[taus[small] - 1]
-        big = ~small
-        if np.any(big):
-            out[big] = g_array(self.spec, taus[big])
-        return out
-
-
 @functools.lru_cache(maxsize=32)
-def _g_evals(g_mode: tuple, horizon: int) -> tuple[_GEval, _GEval]:
-    """The two cones' g evaluators, built once per (g mode, horizon), the
-    only config fields they read."""
-    return _GEval(g_mode, horizon, 0), _GEval(g_mode, horizon, 1)
+def _g_table(cones: tuple, horizon: int) -> np.ndarray:
+    """Read-only (2, L) table of g(1..L) per cone, L = min(horizon,
+    _G_TABLE), built once per (cones, horizon)."""
+    taus = np.arange(1, min(horizon, _G_TABLE) + 1)
+    table = np.stack([g_array(spec, taus) for spec in cones])
+    table.flags.writeable = False
+    return table
+
+
+def _g(cfg: RenewalConfig, labels: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """g of each length in ``taus`` (whole numbers in 1..horizon) in the cone
+    of its label: from the table, or from :func:`g_array` past its end."""
+    table = _g_table(cfg.cones, cfg.horizon)
+    size = table.shape[1]
+    g = table[labels, np.minimum(taus, size).astype(np.int64) - 1]
+    past = taus > size
+    if past.any():
+        for which, spec in enumerate(cfg.cones):
+            m = past & (labels == which)
+            if m.any():
+                g[m] = g_array(spec, taus[m].astype(np.int64))
+    return g
 
 
 def sample_renewal_lyapunov(cfg: RenewalConfig, n_samples: int) -> LyapunovSamples:
@@ -271,7 +267,9 @@ def sample_renewal_lyapunov(cfg: RenewalConfig, n_samples: int) -> LyapunovSampl
     strictly, and residence times are drawn from the discrete power law of
     the active cone.  An interval that ends before the horizon adds its full
     g(tau); the one that straddles the horizon adds g of its in-horizon
-    length only.  The rate is the sum divided by the horizon.
+    length only.  The rate is the sum divided by the horizon.  Each pass
+    reads g (``g_array``, r tau for a point mass at e^r) through one lookup
+    for its closed and one for its straddling intervals.
 
     For mu < 1 the rate's law reaches the two-edge Lamperti law only as the
     horizon grows (g(tau) has an O(ln tau) correction to the edge rate, and
@@ -281,10 +279,8 @@ def sample_renewal_lyapunov(cfg: RenewalConfig, n_samples: int) -> LyapunovSampl
     0.020 at 1e5 and 0.0066-0.0080 at 1e6, falling about 3x per decade; a
     sample of more than (1.63 / distance)**2 values tells the two laws apart.
     """
-    if n_samples < 1:
-        raise InvalidSpecError("need at least one sample")
+    check_count(n_samples, 1, f"sample count must be an integer >= 1, got {n_samples}")
     rng = rng_from_seed(cfg.seed)
-    g_eval = _g_evals(cfg.g_mode, cfg.horizon)
     mus = np.array([cfg.mu1, cfg.mu2])
     horizon = float(cfg.horizon)
 
@@ -299,22 +295,21 @@ def sample_renewal_lyapunov(cfg: RenewalConfig, n_samples: int) -> LyapunovSampl
         taus = sample_power_law_intervals(rng, mus[labels], cfg.tau_min, (active.size, _CHUNK))
         csum = t_done[active, None] + np.cumsum(taus, axis=1)
         closed = csum < horizon  # intervals that end inside the horizon
-        g = np.zeros(taus.shape)
-        for which in (0, 1):
-            m = closed & (labels == which)
-            g[m] = g_eval[which](taus[m])
-        lam_total[active] += g.sum(axis=1)
         # rows whose straddling interval is in this pass; csum is
         # non-decreasing, so the count of closed intervals is its column
         rows = np.flatnonzero(~closed[:, -1])
         k = closed[rows].sum(axis=1)
         before = np.where(k > 0, csum[rows, k - 1], t_done[active[rows]])
-        remain = (horizon - before).astype(np.int64)
-        lab = labels[rows, k]
-        for which in (0, 1):
-            m = lab == which
-            lam_total[active[rows[m]]] += g_eval[which](remain[m])
         t_done[active] = csum[:, -1]
+        del csum  # its block is free for the full-width lookup below
+        straddle = _g(cfg, labels[rows, k], (horizon - before).astype(np.int64))
+        # cut lengths may pass the horizon, so they read g(1), then zero
+        cut = ~closed
+        np.copyto(taus, 1.0, where=cut)
+        g = _g(cfg, labels, taus)
+        g[cut] = 0.0
+        lam_total[active] += g.sum(axis=1)
+        lam_total[active[rows]] += straddle
         active = active[closed[:, -1]]
 
     values = lam_total / horizon
@@ -339,7 +334,6 @@ def sample_renewal_lyapunov(cfg: RenewalConfig, n_samples: int) -> LyapunovSampl
 def simulate_renewal_run(cfg: RenewalConfig, seed: int | None = None) -> RenewalRun:
     """Single renewal realization with full interval bookkeeping."""
     rng = rng_from_seed(cfg.seed if seed is None else seed)
-    g_eval = _g_evals(cfg.g_mode, cfg.horizon)
     mus = (cfg.mu1, cfg.mu2)
     label = int(rng.integers(0, 2))
     t = 0
@@ -348,7 +342,7 @@ def simulate_renewal_run(cfg: RenewalConfig, seed: int | None = None) -> Renewal
     while t < cfg.horizon:
         tau_f = float(sample_power_law_intervals(rng, mus[label], cfg.tau_min, ()))
         tau = int(min(tau_f, cfg.horizon - t))  # truncate the straddling interval
-        lam += float(g_eval[label](np.array([tau]))[0])
+        lam += float(_g(cfg, np.array([label]), np.array([tau]))[0])
         intervals.append((label, tau))
         t += tau
         label = 1 - label
@@ -369,8 +363,7 @@ def self_averaging_value(
         raise DegenerateProcessError(
             f"mean residence time diverges for mu = {mu} <= 1; no self-averaging value"
         )
-    if tau_min < 1:
-        raise InvalidSpecError("tau_min must be >= 1")
+    check_count(tau_min, 1, f"tau_min must be an integer >= 1, got {tau_min}")
     # E[tau] = (tau_min - 1) + tau_min^mu * Hurwitz_zeta(mu, tau_min)
     m_tau = (tau_min - 1.0) + tau_min**mu * float(zeta(mu, tau_min))
 

@@ -164,12 +164,26 @@ def _tabulated_log_moments(spec: SpectralModel, ks: np.ndarray):
     return logs, signs
 
 
+def _orders(ks) -> np.ndarray:
+    """``ks`` as an int64 array; an integer array passes as it is, and a
+    non-finite or non-integral order raises :class:`InvalidSpecError`."""
+    ks = np.asarray(ks)
+    if ks.dtype.kind in "iu":
+        return ks.astype(np.int64, copy=False)
+    f = np.asarray(ks, dtype=float)
+    whole = (np.floor(f) == f) & (np.abs(f) < 2.0**63)
+    if not np.all(whole):
+        raise InvalidSpecError(f"moment orders must be finite integers, got {f[~whole]}")
+    return f.astype(np.int64)
+
+
 def log_moments(spec: SpectralModel, ks) -> tuple[np.ndarray, np.ndarray]:
-    """(log|f(k)|, sign) over an integer array of orders k >= 0.
+    """(log|f(k)|, sign) over an array of integer orders k >= 0; integral
+    floats count as integers, other orders raise :class:`InvalidSpecError`.
 
     The sign is +1, -1, or 0 for an exactly vanishing moment (log -inf).
     """
-    ks = np.asarray(ks, dtype=np.int64)
+    ks = _orders(ks)
     if np.any(ks < 0):
         raise InvalidSpecError(f"moment order must be >= 0, got {int(ks.min())}")
     if spec.family == "beta":
@@ -207,7 +221,7 @@ def log_moment_array(spec: SpectralModel, kmax: int) -> tuple[np.ndarray, np.nda
 
 def log_abs_moment(spec: SpectralModel, t: int) -> tuple[float, int]:
     """(log|f(t)|, sign) for one order."""
-    logs, signs = log_moments(spec, [int(t)])
+    logs, signs = log_moments(spec, [t])
     return float(logs[0]), int(signs[0])
 
 
@@ -261,7 +275,9 @@ def _correlation(spec: SpectralModel, logs: np.ndarray, signs: np.ndarray):
 
 
 def correlator(spec: SpectralModel, t: int, s: int) -> float:
-    """Normalized two-time correlation f(t+s) / sqrt(f(2t) f(2s))."""
+    """Normalized two-time correlation f(t+s) / sqrt(f(2t) f(2s)); times
+    are integers (or integral floats) >= 0."""
+    t, s = _orders([t, s]).tolist()
     if min(t, s) < 0:
         raise InvalidSpecError(f"correlator times must be >= 0, got ({t}, {s})")
     val = float(_correlation(spec, *log_moment_array(spec, 2 * max(t, s)))(t, s))
@@ -287,7 +303,7 @@ def g_function(spec: SpectralModel, tau: int) -> float:
 
 def g_array(spec: SpectralModel, taus: np.ndarray) -> np.ndarray:
     """g(tau) over an integer array of residence times tau >= 1."""
-    taus = np.asarray(taus, dtype=np.int64)
+    taus = _orders(taus)
     if np.any(taus < 1):
         raise InvalidSpecError(f"g is defined for tau >= 1, got {int(taus.min())}")
     logs, signs = log_moments(spec, 2 * taus)

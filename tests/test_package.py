@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import conewise
-from conewise import EnsembleSpec, InvalidSpecError, SpectralModel, dynamics, surrogate
-from conewise.dynamics import estimate_persistence_matrix, lyapunov_runs
+from conewise import EnsembleSpec, InvalidSpecError, SpectralModel, dynamics, renewal, surrogate
+from conewise.dynamics import estimate_persistence_matrix, evolve, evolve_multicone, lyapunov_runs
+from conewise.renewal import RenewalConfig, sample_renewal_lyapunov, self_averaging_value
 from conewise.surrogate import estimate_persistence_gp, joint_persistence
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(conewise.__path__, "conewise."))
@@ -35,6 +36,8 @@ def _no_work(*args, **kwargs):
 
 GOE16 = EnsembleSpec.goe(16)
 BETA3 = SpectralModel.symmetric_beta(3)
+EYE = np.eye(4)
+RENEWAL = RenewalConfig.exact_spectral(0.5, 0.5, BETA3, BETA3, tau_min=1, horizon=100)
 
 
 @pytest.mark.parametrize(
@@ -49,16 +52,28 @@ BETA3 = SpectralModel.symmetric_beta(3)
         (lambda: estimate_persistence_matrix(GOE16, GOE16, 4, T=5.0, seed=0), "5.0"),
         (lambda: lyapunov_runs(GOE16, GOE16, 4.0, T=50, seed=0), "4.0"),
         (lambda: lyapunov_runs(GOE16, GOE16, 4, T=50.0, seed=0), "50.0"),
+        (lambda: evolve(EYE, EYE, np.ones(4), 5.0), "5.0"),
+        (lambda: evolve_multicone([EYE, EYE], 1, np.ones(4), 5.0), "5.0"),
+        (lambda: evolve_multicone([EYE, EYE], 1.0, np.ones(4), 5), "1.0"),
+        (lambda: sample_renewal_lyapunov(RENEWAL, 10.0), "10.0"),
+        (lambda: RenewalConfig.exact_spectral(0.5, 0.5, BETA3, BETA3, 1, 1000.5), "1000.5"),
+        (lambda: RenewalConfig.exact_spectral(0.5, 0.5, BETA3, BETA3, 2.5, 1000), "2.5"),
+        (lambda: self_averaging_value(BETA3, BETA3, 1.5, tau_min=1.5), "1.5"),
     ],
     ids=[
         "gp-paths", "gp-horizon", "joint-paths", "joint-horizon", "joint-components",
         "matrix-realizations", "matrix-horizon", "lyapunov-runs", "lyapunov-horizon",
+        "evolve-horizon", "multicone-horizon", "multicone-components", "renewal-samples",
+        "renewal-horizon", "renewal-tau-min", "self-averaging-tau-min",
     ],
 )
 def test_non_integer_sizes_are_typed_before_any_work(call, shown, monkeypatch):
     monkeypatch.setattr(surrogate, "log_moment_array", _no_work)
     monkeypatch.setattr(dynamics, "_persistence_chunk", _no_work)
     monkeypatch.setattr(dynamics, "_lyapunov_chunk", _no_work)
+    monkeypatch.setattr(dynamics, "rng_from_seed", _no_work)
+    monkeypatch.setattr(renewal, "rng_from_seed", _no_work)
+    monkeypatch.setattr(renewal, "g_array", _no_work)
     with pytest.raises(InvalidSpecError, match=f"integer >= [01], got {shown}"):
         call()
 

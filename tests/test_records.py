@@ -9,3 +9,13 @@ def test_empty_curve_is_typed():
         PersistenceCurve.from_first_change_times([1, 2, 3], 5, grid=[])
     with pytest.raises(InvalidSpecError, match="Q0"):
         PersistenceCurve(tau=[], q0=[], stderr=[])
+
+
+def test_grid_must_increase_within_horizon():
+    # 3 of the 5 realizations survive the horizon; nothing is known past it
+    times = [1, 2, 11, 11, 11]
+    for grid in ([0, 5, 10, 11, 20], [0, 5, 5, 10], [0, 7, 3]):
+        with pytest.raises(InvalidSpecError, match="grid"):
+            PersistenceCurve.from_first_change_times(times, horizon=10, grid=grid)
+    curve = PersistenceCurve.from_first_change_times(times, horizon=10, grid=[0, 5, 10])
+    assert curve.q0.tolist() == [1.0, 0.6, 0.6]

@@ -13,7 +13,7 @@ from conewise.records import log_tau_grid
 from conewise.renewal import (
     LampertiParams,
     RenewalConfig,
-    _g_evals,
+    _g_table,
     interval_survival,
     lamperti_cdf,
     lamperti_pdf,
@@ -277,17 +277,41 @@ class TestRenewalSimulator:
         spec = SpectralModel.semicircle(0.5, 1.0)
         cfg = RenewalConfig.exact_spectral(0.5, 0.5, spec, spec, tau_min=1, horizon=200, seed=3)
         sample_renewal_lyapunov(cfg, 50)
-        assert [g.table.size for g in _g_evals(cfg.g_mode, cfg.horizon)] == [200, 200]
+        assert _g_table(cfg.cones, cfg.horizon).shape == (2, 200)
 
     def test_g_tables_built_once_per_config(self):
         cfg = RenewalConfig.exact_spectral(
             0.5, 0.5, SpectralModel.symmetric_beta(3), SpectralModel.semicircle(0, 1.5),
             tau_min=1, horizon=2000, seed=4,
         )
-        _g_evals.cache_clear()
+        _g_table.cache_clear()
         for k in range(50):
             simulate_renewal_run(cfg, seed=k)
-        assert _g_evals.cache_info().misses == 1
+        assert _g_table.cache_info().misses == 1
+
+    @pytest.mark.parametrize("n, horizon", [(300, 2000), (40, 20_000)])
+    def test_linear_rates_are_point_mass_cones(self, n, horizon):
+        # the second horizon passes the g table, so lengths past it take g_array
+        r1, r2 = -0.4, 0.7
+        lin = RenewalConfig.linear_rates(0.5, 0.6, r1, r2, tau_min=1, horizon=horizon, seed=6)
+        cones = SpectralModel.atomic(math.exp(r1)), SpectralModel.atomic(math.exp(r2))
+        exact = RenewalConfig.exact_spectral(0.5, 0.6, *cones, tau_min=1, horizon=horizon, seed=6)
+        assert lin == exact
+        a, b = (sample_renewal_lyapunov(c, n).values for c in (lin, exact))
+        assert np.array_equal(a, b)
+        # g(tau) = r tau, on the table and past it
+        longest = 0
+        for k in range(30):
+            run = simulate_renewal_run(lin, seed=k)
+            direct = sum((r1, r2)[label] * tau for label, tau in run.intervals)
+            assert run.lam_accumulator == pytest.approx(direct, rel=1e-12, abs=1e-12)
+            longest = max(longest, max(tau for _, tau in run.intervals))
+        assert horizon < 1 << 14 or longest > 1 << 14
+
+    @pytest.mark.parametrize("rate", [800.0, -800.0, math.nan])
+    def test_linear_rate_without_float_growth_rejected(self, rate):
+        with pytest.raises(InvalidSpecError, match="rate"):
+            RenewalConfig.linear_rates(0.5, 0.5, 0.0, rate, tau_min=1, horizon=100)
 
     def test_shifted_semicircle_cone_long_horizon(self):
         # intervals beyond the 16384-order g table extend the moment table once
@@ -319,6 +343,10 @@ class TestSelfAveraging:
         va, vb = 1.7, 0.4
         out = self_averaging_value(SpectralModel.atomic(va), SpectralModel.atomic(vb), mu=1.5)
         assert out == pytest.approx(0.5 * (math.log(va) + math.log(vb)), rel=1e-12)
+
+    def test_linear_cones_reach_the_series(self):
+        cones = (SpectralModel.atomic(math.exp(r)) for r in (0.1, 0.7))
+        assert self_averaging_value(*cones, mu=1.5) == pytest.approx(0.4, abs=1e-12)
 
     def test_divergent_mean_rejected(self):
         with pytest.raises(DegenerateProcessError):

@@ -235,6 +235,29 @@ class TestMomentEngine:
         with pytest.raises(InvalidSpecError):
             log_moments(BETA3, [2, -1])
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s: moment_f(s, 2.5),
+            lambda s: g_array(s, [3.7]),
+            lambda s: log_abs_moment(s, math.inf),
+            lambda s: log_abs_moment(s, math.nan),
+            lambda s: log_moments(s, np.array([2.0, -math.inf])),
+            lambda s: correlator(s, 1.5, 2),
+            lambda s: correlator(s, 2, math.nan),
+        ],
+        ids=["moment", "g", "inf", "nan", "array-inf", "correlator", "correlator-nan"],
+    )
+    def test_non_integral_orders_rejected(self, call):
+        with pytest.raises(InvalidSpecError, match="finite integers"):
+            call(SpectralModel.semicircle(0.5, 1.0))
+
+    def test_integral_float_orders_count_as_integers(self):
+        spec = SpectralModel.semicircle(0.5, 1.0)
+        assert moment_f(spec, 2.0) == moment_f(spec, 2) == pytest.approx(0.5, rel=1e-15)
+        assert np.array_equal(g_array(spec, [3.0, 5]), g_array(spec, [3, 5]))
+        assert correlator(spec, 2.0, 3.0) == correlator(spec, 2, 3)
+
     @pytest.mark.parametrize("spec, rel", zip(_TABLES, [1e-13, 1e-13, 1e-12]), ids=_TABLE_IDS)
     def test_tabulated_moments_exact(self, spec, rel):
         # every table node is a kink of the density
