@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the count check."""
+"""Exception types shared across the package, and the integer checks."""
 
 import numbers
+
+import numpy as np
 
 
 class ConewiseError(Exception):
@@ -40,3 +42,17 @@ def check_count(value, minimum: int, message: str) -> None:
     a Python or NumPy integer >= ``minimum``."""
     if not isinstance(value, numbers.Integral) or value < minimum:
         raise InvalidSpecError(message)
+
+
+def integer_array(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array; an integer array passes as it is, an
+    integral float is cast, and a non-finite or non-integral entry raises
+    :class:`InvalidSpecError` naming ``what``."""
+    values = np.asarray(values)
+    if values.dtype.kind in "iu":
+        return values.astype(np.int64, copy=False)
+    f = np.asarray(values, dtype=float)
+    whole = (np.floor(f) == f) & (np.abs(f) < 2.0**63)
+    if not np.all(whole):
+        raise InvalidSpecError(f"{what} must be finite integers, got {f[~whole]}")
+    return f.astype(np.int64)

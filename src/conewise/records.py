@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, integer_array
 
 __all__ = ["PersistenceCurve", "LyapunovSamples", "log_tau_grid"]
 
@@ -51,14 +51,15 @@ class PersistenceCurve:
 
         ``times[i] > horizon`` means realization i never changed sign within
         the horizon; Q0(tau) is the fraction with ``times > tau``.  A grid
-        must strictly increase and stay within the horizon: past it, the
-        times say nothing about survival.
+        holds integers (integral floats count) that strictly increase and
+        stay within the horizon: past it, the times say nothing about
+        survival.
         """
         times = np.asarray(times)
         n = times.size
         if n == 0:
             raise InvalidSpecError("no realizations")
-        grid = log_tau_grid(horizon) if grid is None else np.asarray(grid, dtype=np.int64)
+        grid = log_tau_grid(horizon) if grid is None else integer_array(grid, "grid points")
         if np.any(np.diff(grid) <= 0) or np.any(grid > horizon):
             raise InvalidSpecError(f"grid must strictly increase within horizon {horizon}")
         sorted_times = np.sort(times)

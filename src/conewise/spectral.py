@@ -31,7 +31,7 @@ import math
 import numpy as np
 from scipy.special import betaln, gammaln
 
-from .errors import DegenerateProcessError, InvalidSpecError, NumericalError
+from .errors import DegenerateProcessError, InvalidSpecError, NumericalError, integer_array
 from .spectra import SpectralModel
 
 __all__ = [
@@ -164,26 +164,13 @@ def _tabulated_log_moments(spec: SpectralModel, ks: np.ndarray):
     return logs, signs
 
 
-def _orders(ks) -> np.ndarray:
-    """``ks`` as an int64 array; an integer array passes as it is, and a
-    non-finite or non-integral order raises :class:`InvalidSpecError`."""
-    ks = np.asarray(ks)
-    if ks.dtype.kind in "iu":
-        return ks.astype(np.int64, copy=False)
-    f = np.asarray(ks, dtype=float)
-    whole = (np.floor(f) == f) & (np.abs(f) < 2.0**63)
-    if not np.all(whole):
-        raise InvalidSpecError(f"moment orders must be finite integers, got {f[~whole]}")
-    return f.astype(np.int64)
-
-
 def log_moments(spec: SpectralModel, ks) -> tuple[np.ndarray, np.ndarray]:
     """(log|f(k)|, sign) over an array of integer orders k >= 0; integral
     floats count as integers, other orders raise :class:`InvalidSpecError`.
 
     The sign is +1, -1, or 0 for an exactly vanishing moment (log -inf).
     """
-    ks = _orders(ks)
+    ks = integer_array(ks, "moment orders")
     if np.any(ks < 0):
         raise InvalidSpecError(f"moment order must be >= 0, got {int(ks.min())}")
     if spec.family == "beta":
@@ -215,8 +202,9 @@ def log_moments(spec: SpectralModel, ks) -> tuple[np.ndarray, np.ndarray]:
 
 
 def log_moment_array(spec: SpectralModel, kmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """(log|f(k)|, sign) for k = 0..kmax."""
-    return log_moments(spec, np.arange(kmax + 1))
+    """(log|f(k)|, sign) for k = 0..kmax; an integral float ``kmax`` counts
+    as an integer, another raises :class:`InvalidSpecError`."""
+    return log_moments(spec, np.arange(integer_array(kmax, "moment orders") + 1))
 
 
 def log_abs_moment(spec: SpectralModel, t: int) -> tuple[float, int]:
@@ -277,7 +265,7 @@ def _correlation(spec: SpectralModel, logs: np.ndarray, signs: np.ndarray):
 def correlator(spec: SpectralModel, t: int, s: int) -> float:
     """Normalized two-time correlation f(t+s) / sqrt(f(2t) f(2s)); times
     are integers (or integral floats) >= 0."""
-    t, s = _orders([t, s]).tolist()
+    t, s = integer_array([t, s], "correlator times").tolist()
     if min(t, s) < 0:
         raise InvalidSpecError(f"correlator times must be >= 0, got ({t}, {s})")
     val = float(_correlation(spec, *log_moment_array(spec, 2 * max(t, s)))(t, s))
@@ -303,7 +291,7 @@ def g_function(spec: SpectralModel, tau: int) -> float:
 
 def g_array(spec: SpectralModel, taus: np.ndarray) -> np.ndarray:
     """g(tau) over an integer array of residence times tau >= 1."""
-    taus = _orders(taus)
+    taus = integer_array(taus, "residence times")
     if np.any(taus < 1):
         raise InvalidSpecError(f"g is defined for tau >= 1, got {int(taus.min())}")
     logs, signs = log_moments(spec, 2 * taus)

@@ -6,9 +6,11 @@ centered Gaussians with normalized two-time correlation
 be measured on sampled GP paths instead of matrix products.  The correlator
 depends on log time, so its matrix is numerically low-rank: paths are drawn
 in blocks with derived seeds through a pivoted Cholesky factor of rank
-r << T+1.  Survival is counted by first sign mismatch against t=0, in one
-scan per block that finds the first even-time and first odd-time mismatch;
-a path's first mismatch is the earlier of the two.
+r << T+1.  Survival is counted by first sign mismatch against t=0.  A
+block's paths are formed in time blocks of doubling width, and a path
+stops being formed once its first even-time and first odd-time mismatch
+are known (most settle early, as Q0 decays as a power law); a path's
+first mismatch is the earlier of the two.
 """
 
 from __future__ import annotations
@@ -32,7 +34,10 @@ __all__ = [
 _TOL = 1e-10
 _PSD_FLOOR = -1e-8
 _BLOCK = 4096
-_BLOCK_ENTRIES = _BLOCK * 1025  # one block of 4096 paths at T = 1024
+# Paths per block, and so the seed layout, is min(_BLOCK, _BLOCK_ENTRIES //
+# (T+1)); a block forms at most _BLOCK_ENTRIES path entries, in time blocks
+# of at most about half of them each.
+_BLOCK_ENTRIES = _BLOCK * 1025
 
 
 def _entries(spec: SpectralModel, T: int):
@@ -84,42 +89,71 @@ def _gp_factor(spec: SpectralModel, T: int) -> np.ndarray:
     return _pivoted_cholesky(lambda p: entries(idx, p), T + 1, f"{spec.describe()}, T = {T}")
 
 
-def _first_even_odd_changes(paths: np.ndarray) -> np.ndarray:
-    """Rows (first even, first odd) time whose sign differs from the t=0
-    sign, per column of the (T+1, n) path block, T+1 where there is none;
-    overwrites the block with its products with the t=0 row."""
-    t_len, n = paths.shape
-    paths[1:] *= paths[0]
-    ok = paths > 0.0
-    cols = np.arange(n)
-    firsts = np.full((2, n), t_len)
-    for k, start in enumerate((2, 1)):
+def _changes_in(ok: np.ndarray, t0: int, none: int) -> np.ndarray:
+    """Rows (first even, first odd) time of a False entry per column of
+    ``ok``, whose row i is time t0 + i; ``none`` where there is none."""
+    firsts = np.full((2, ok.shape[1]), none)
+    cols = np.arange(ok.shape[1])
+    for start in (0, 1):
         rows = ok[start::2]
         if len(rows):
             i = np.argmin(rows, axis=0)
-            firsts[k] = np.where(rows[i, cols], t_len, start + 2 * i)
+            firsts[(t0 + start) % 2] = np.where(rows[i, cols], none, t0 + start + 2 * i)
     return firsts
 
 
-def _stream_first_changes(factor, n_paths, seed) -> np.ndarray:
-    """Rows (first even, first odd) change times over streamed path blocks.
-    Block b draws its normals from ``derive_seed(seed, b)``, holds at most
-    ``_BLOCK_ENTRIES`` path entries and is scanned once."""
+def _block_first_changes(factor: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rows (first even, first odd) time whose sign differs from the t=0
+    sign, per path ``factor @ z``, T+1 where there is none; and the number
+    of path entries computed.
+
+    Times 0..8 are formed for every path.  Later times follow in blocks of
+    doubling width (9..24, 25..56, ...), each formed only for the paths
+    that still lack a first even or a first odd change.  A product with
+    the t=0 entry that is not > 0 (zero or NaN) counts as a change."""
+    t_len = factor.shape[0]
+    head = factor[:9] @ z
+    x0 = head[0]
+    head[1:] *= x0
+    firsts = _changes_in(head[1:] > 0.0, 1, t_len)
+    entries = head.size
+    t0, width = len(head), 16
+    while t0 < t_len:
+        alive = np.flatnonzero((firsts == t_len).any(axis=0))
+        if not alive.size:
+            break
+        t1 = min(t0 + width, t_len)
+        paths = factor[t0:t1] @ z[:, alive]
+        paths *= x0[alive]
+        entries += paths.size
+        firsts[:, alive] = np.minimum(firsts[:, alive], _changes_in(paths > 0.0, t0, t_len))
+        t0, width = t1, 2 * width
+    return firsts, entries
+
+
+def _stream_first_changes(factor, n_paths, seed) -> tuple[np.ndarray, int]:
+    """Rows (first even, first odd) change times over streamed path blocks,
+    and the number of path entries computed.  Block b draws its normals
+    from ``derive_seed(seed, b)`` and is scanned in time blocks, so a path
+    is formed only through the time block that holds its last needed
+    change."""
     t_len, rank = factor.shape
     per_block = max(1, min(_BLOCK, _BLOCK_ENTRIES // t_len))
     out = np.empty((2, n_paths), dtype=np.int32)  # times are at most T + 1
+    entries = 0
     done = 0
     block_index = 0
     while done < n_paths:
         b = min(per_block, n_paths - done)
         rng = rng_from_seed(derive_seed(seed, block_index))
-        out[:, done : done + b] = _first_even_odd_changes(factor @ rng.standard_normal((rank, b)))
+        out[:, done : done + b], count = _block_first_changes(factor, rng.standard_normal((rank, b)))
+        entries += count
         done += b
         block_index += 1
-    return out
+    return out, entries
 
 
-def _meta(spec: SpectralModel, T: int, n_paths: int, seed: int) -> dict:
+def _meta(spec: SpectralModel, T: int, n_paths: int, seed: int, path_entries: int) -> dict:
     return {
         "source": "gp",
         "spec": spec.describe(),
@@ -127,6 +161,7 @@ def _meta(spec: SpectralModel, T: int, n_paths: int, seed: int) -> dict:
         "n_samples": n_paths,
         "T": T,
         "seed": seed,
+        "path_entries": path_entries,
     }
 
 
@@ -147,15 +182,17 @@ def estimate_persistence_gp(
     ``subprocesses=True`` also returns the even-time and odd-time survival
     curves (signs at even/odd times matching the t=0 sign), whose product
     equals the full curve for sign-symmetric spectra.  Each path block is
-    scanned once: the full curve counts the earlier of a path's first even
-    and first odd change, so the subprocess curves cost no extra scan.
+    formed and scanned in time blocks of doubling width, and a path leaves
+    once its first even and first odd change are known: the full curve
+    counts the earlier of the two, so the subprocess curves cost no extra
+    scan.  ``meta["path_entries"]`` counts the path entries formed.
     An ``n_paths`` that is not an integer >= 1, or a T that is not an
     integer >= 0, raises :class:`InvalidSpecError` before any moment is
     computed.
     """
     check_count(n_paths, 1, f"path count must be an integer >= 1, got {n_paths}")
-    even, odd = _stream_first_changes(_gp_factor(spec, T), n_paths, seed)
-    meta = _meta(spec, T, n_paths, seed)
+    (even, odd), entries = _stream_first_changes(_gp_factor(spec, T), n_paths, seed)
+    meta = _meta(spec, T, n_paths, seed, entries)
     curve = PersistenceCurve.from_first_change_times(np.minimum(even, odd), T, grid, meta)
     if not subprocesses:
         return curve
@@ -182,7 +219,8 @@ def joint_persistence(
     factor = _gp_factor(spec, T)
     # component c streams with seed derive_seed(seed, c), whose block b is
     # derive_seed(seed, c, b)
-    streams = (_stream_first_changes(factor, n_paths, derive_seed(seed, c)) for c in range(p))
-    times = np.min([np.minimum(*firsts) for firsts in streams], axis=0)
-    meta = {**_meta(spec, T, n_paths, seed), "components": p}
+    streams = [_stream_first_changes(factor, n_paths, derive_seed(seed, c)) for c in range(p)]
+    times = np.min([np.minimum(*firsts) for firsts, _ in streams], axis=0)
+    entries = sum(count for _, count in streams)
+    meta = {**_meta(spec, T, n_paths, seed, entries), "components": p}
     return PersistenceCurve.from_first_change_times(times, T, grid, meta)

@@ -19,3 +19,13 @@ def test_grid_must_increase_within_horizon():
             PersistenceCurve.from_first_change_times(times, horizon=10, grid=grid)
     curve = PersistenceCurve.from_first_change_times(times, horizon=10, grid=[0, 5, 10])
     assert curve.q0.tolist() == [1.0, 0.6, 0.6]
+
+
+def test_grid_points_must_be_integers():
+    times = [1, 2, 11, 11, 11]
+    # [0, 2.2, 2.7] would otherwise read as a repeated point 2
+    for grid in ([0, 2.5, 9.9], [0, 2.2, 2.7], [0, 3, float("nan")], [0, 3, float("inf")]):
+        with pytest.raises(InvalidSpecError, match="grid points must be finite integers"):
+            PersistenceCurve.from_first_change_times(times, horizon=10, grid=grid)
+    curve = PersistenceCurve.from_first_change_times(times, horizon=10, grid=[0.0, 2.0, 10.0])
+    assert curve.tau.tolist() == [0, 2, 10] and curve.q0.tolist() == [1.0, 0.6, 0.6]

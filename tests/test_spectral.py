@@ -252,8 +252,16 @@ class TestMomentEngine:
         with pytest.raises(InvalidSpecError, match="finite integers"):
             call(SpectralModel.semicircle(0.5, 1.0))
 
+    @pytest.mark.parametrize("kmax", [2.5, 3.7, math.inf, -math.inf, math.nan])
+    def test_non_integral_top_order_rejected(self, kmax):
+        with pytest.raises(InvalidSpecError, match="finite integers"):
+            log_moment_array(SpectralModel.semicircle(0.5, 1.0), kmax)
+
     def test_integral_float_orders_count_as_integers(self):
         spec = SpectralModel.semicircle(0.5, 1.0)
+        assert all(
+            np.array_equal(a, b) for a, b in zip(log_moment_array(spec, 4.0), log_moment_array(spec, 4))
+        )
         assert moment_f(spec, 2.0) == moment_f(spec, 2) == pytest.approx(0.5, rel=1e-15)
         assert np.array_equal(g_array(spec, [3.0, 5]), g_array(spec, [3, 5]))
         assert correlator(spec, 2.0, 3.0) == correlator(spec, 2, 3)

@@ -9,8 +9,11 @@ from conewise import InvalidSpecError, SpectralModel, surrogate
 from conewise.errors import DegenerateProcessError, NumericalError
 from conewise.estimators import fit_powerlaw
 from conewise.records import log_tau_grid
+from conewise.seeding import derive_seed, rng_from_seed
 from conewise.surrogate import (
-    _first_even_odd_changes,
+    _BLOCK,
+    _BLOCK_ENTRIES,
+    _block_first_changes,
     _gp_factor,
     _pivoted_cholesky,
     _stream_first_changes,
@@ -31,7 +34,37 @@ def _factor_of(matrix):
 
 def _first_changes(factor, n_paths, seed):
     """First change times at any t >= 1: the earlier of the even and odd ones."""
-    return np.min(_stream_first_changes(factor, n_paths, seed=seed), axis=0)
+    return np.min(_stream_first_changes(factor, n_paths, seed=seed)[0], axis=0)
+
+
+def _first_even_odd_changes(paths: np.ndarray) -> np.ndarray:
+    """Dense reference scan: rows (first even, first odd) time whose sign
+    differs from the t=0 sign, per column of the (T+1, n) path block, T+1
+    where there is none; overwrites the block with its products with the
+    t=0 row."""
+    t_len, n = paths.shape
+    paths[1:] *= paths[0]
+    ok = paths > 0.0
+    cols = np.arange(n)
+    firsts = np.full((2, n), t_len)
+    for k, start in enumerate((2, 1)):
+        rows = ok[start::2]
+        if len(rows):
+            i = np.argmin(rows, axis=0)
+            firsts[k] = np.where(rows[i, cols], t_len, start + 2 * i)
+    return firsts
+
+
+def dense_stream_first_changes(factor, n_paths, seed):
+    """The dense reference over the same block draws as the streamed scan:
+    every path is formed at every time, then scanned."""
+    t_len, rank = factor.shape
+    per_block = max(1, min(_BLOCK, _BLOCK_ENTRIES // t_len))
+    blocks = []
+    for b, start in enumerate(range(0, n_paths, per_block)):
+        z = rng_from_seed(derive_seed(seed, b)).standard_normal((rank, min(per_block, n_paths - start)))
+        blocks.append(_first_even_odd_changes(factor @ z))
+    return np.concatenate(blocks, axis=1)
 
 
 class TestBuildCovariance:
@@ -133,7 +166,7 @@ class TestSampleGpPaths:
 
     def test_first_change_times_are_int32(self):
         # times are at most T + 1; 4 bytes a path keeps large calls small
-        firsts = _stream_first_changes(_factor_of(np.eye(5)), 10, seed=0)
+        firsts, _ = _stream_first_changes(_factor_of(np.eye(5)), 10, seed=0)
         assert firsts.dtype == np.int32 and firsts.max() <= 5
 
     def test_identity_covariance_coin_flips(self):
@@ -168,11 +201,11 @@ class TestSampleGpPaths:
 
     def test_reproducible(self):
         factor = _gp_factor(BETA3, 16)
-        a = _stream_first_changes(factor, 5000, seed=9)
-        b = _stream_first_changes(factor, 5000, seed=9)
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
-        c = _stream_first_changes(factor, 5000, seed=10)[0]
-        assert not np.array_equal(a[0], c)
+        a, a_entries = _stream_first_changes(factor, 5000, seed=9)
+        b, b_entries = _stream_first_changes(factor, 5000, seed=9)
+        assert np.array_equal(a, b) and a_entries == b_entries
+        c, _ = _stream_first_changes(factor, 5000, seed=10)
+        assert not np.array_equal(a[0], c[0])
 
 
 def _brute_first_changes(paths):
@@ -188,7 +221,7 @@ def _brute_first_changes(paths):
 
 
 class TestFirstEvenOddChanges:
-    @pytest.mark.parametrize("t_len", [1, 2, 3, 8, 9])
+    @pytest.mark.parametrize("t_len", [1, 2, 3, 8, 9, 10, 40, 130])
     def test_matches_brute_force_scan(self, t_len):
         rng = np.random.default_rng(t_len)
         # random signs with exact zeros, including zeros at t = 0
@@ -196,17 +229,87 @@ class TestFirstEvenOddChanges:
         # never-changing columns of either sign
         paths[:, :20] = np.abs(paths[:, :20]) + 0.1
         paths[:, 20:40] = -np.abs(paths[:, 20:40]) - 0.1
+        # columns whose even and odd signs each flip once, at a random time
+        flips = rng.integers(1, t_len + 1, size=(2, 100))
+        t = np.arange(t_len)[:, None]
+        flipped = np.where(t % 2 == 0, t >= flips[0], t >= flips[1])
+        paths[:, 40:140] = np.where(flipped, -1.0, 1.0) * rng.uniform(0.5, 2.0, (t_len, 100))
         expected = _brute_first_changes(paths)
         got = _first_even_odd_changes(paths.copy())
         assert np.array_equal(got, expected)
         assert np.all(got[:, :40] == t_len)
         assert got.dtype == np.int64
+        # the time-blocked kernel on the same block: factor = paths, z = identity
+        blocked, entries = _block_first_changes(paths, np.eye(300))
+        assert np.array_equal(blocked, expected)
+        assert paths.size >= entries >= min(t_len, 9) * 300
 
     def test_horizon_zero_on_explicit_grid(self):
         curves = estimate_persistence_gp(BETA3, 0, 50, seed=0, grid=[0], subprocesses=True)
         joint = joint_persistence(BETA3, 3, 0, 50, seed=0, grid=[0])
         for curve in (*curves, joint):
             assert curve.tau.tolist() == [0] and curve.q0.tolist() == [1.0]
+
+
+def _rotating_factor(t_len, zero_row, nan_row):
+    """Rank-2 paths that turn slowly, so most change sign late; one row of
+    exact zeros and one of NaN."""
+    angle = 0.02 * np.arange(t_len)
+    factor = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    factor[zero_row] = 0.0
+    factor[nan_row] = np.nan
+    return factor
+
+
+_TABLE = SpectralModel.tabulated(np.linspace(0.1, 1.2, 11), np.linspace(0.2, 1, 11) ** 2)
+_SCAN_CASES = [
+    *((f"semicircle-T{T}", lambda T=T: _gp_factor(SEMI, T)) for T in (0, 1, 2, 8, 9, 10, 300, 1024)),
+    ("shifted-T256", lambda: _gp_factor(SHIFTED, 256)),
+    ("beta3-T200", lambda: _gp_factor(BETA3, 200)),
+    ("atomic+0.9-T50", lambda: _gp_factor(SpectralModel.atomic(0.9), 50)),
+    ("atomic-0.9-T50", lambda: _gp_factor(SpectralModel.atomic(-0.9), 50)),
+    ("table-T128", lambda: _gp_factor(_TABLE, 128)),
+    ("zero-and-nan-rows", lambda: _rotating_factor(150, zero_row=30, nan_row=61)),
+]
+
+
+class TestTimeBlockedScan:
+    """The time-blocked scan against the dense reference on the same draws."""
+
+    @pytest.mark.parametrize("make_factor", [f for _, f in _SCAN_CASES], ids=[i for i, _ in _SCAN_CASES])
+    def test_matches_dense_reference(self, make_factor):
+        # 5000 paths leave a partial last block: 4096 + 904 up to T = 1024
+        factor = make_factor()
+        got, entries = _stream_first_changes(factor, 5000, seed=17)
+        assert np.array_equal(got, dense_stream_first_changes(factor, 5000, seed=17))
+        # a path is formed through its last needed change, and at most
+        # through the end of the doubling block that holds it
+        t_len = factor.shape[0]
+        needed = np.minimum(got.max(axis=0), t_len - 1).astype(np.int64) + 1
+        assert needed.sum() <= entries <= (2 * needed + 9).sum()
+
+
+class TestPathEntries:
+    def test_far_below_dense_count_and_repeatable(self):
+        n, T = 4096, 1024
+        curve, even, odd = estimate_persistence_gp(SEMI, T, n, seed=3, subprocesses=True)
+        entries = curve.meta["path_entries"]
+        assert entries < 0.45 * n * (T + 1)
+        assert even.meta["path_entries"] == odd.meta["path_entries"] == entries
+        assert estimate_persistence_gp(SEMI, T, n, seed=3).meta["path_entries"] == entries
+
+    def test_dense_count_when_no_path_changes(self):
+        atom = SpectralModel.atomic(0.9)
+        n, T = 5000, 100
+        assert estimate_persistence_gp(atom, T, n, seed=0).meta["path_entries"] == n * (T + 1)
+        assert joint_persistence(atom, 3, T, n, seed=0).meta["path_entries"] == 3 * n * (T + 1)
+
+    def test_joint_sums_its_components(self):
+        joint = joint_persistence(SEMI, 3, 300, 2000, seed=8)
+        factor = _gp_factor(SEMI, 300)
+        parts = [_stream_first_changes(factor, 2000, derive_seed(8, c))[1] for c in range(3)]
+        assert joint.meta["path_entries"] == sum(parts)
+        assert joint_persistence(SEMI, 3, 300, 2000, seed=8).meta["path_entries"] == sum(parts)
 
 
 class TestPersistence:
