@@ -3,7 +3,7 @@
 The state is a unit direction plus an accumulated log norm: with spectral
 edges like 2*sqrt(2) (or 0.05*sqrt(2)) over 1e4 steps the raw norm would
 overflow (or underflow), so every step renormalizes and adds ln of the step
-growth to a running total.  (Persistence needs signs only; its tridiagonal
+growth to a running total.  (Persistence needs signs only; its Hessenberg
 route keeps the scale in range with exact powers of two instead, see the
 end of this docstring.)  Two equivalent evolution routes exist:
 
@@ -54,28 +54,44 @@ by no more than round-off does.  Per run, slot 3 gives a, then the normals
 of each reveal's u in query order, then the completion's H.
 
 Persistence (:func:`estimate_persistence_matrix`) only follows a run to its
-first sign change, when only the starting cone's matrix M has acted.  A run
-that starts in a GOE cone takes the tridiagonal route: with J = Q^T M Q the
-Householder tridiagonal form fixing e1, v1(t) = (J^t e1) . z for z = Q^T v0,
-and J^t e1 lives on the first t + 1 coordinates.  J's entries are
-independent (Dumitriu-Edelman), and z is again iid N(0, 1), independent of
-J, with z[0] = v0[0], so drawing the leading min(T + 1, N) entries of J and
-z gives first-change times with exactly the law of the dense route, at a
-cost of O(tau^2) that does not depend on N.  The route draws a block of 256
-realizations from two streams (:func:`_block_draws`) and steps all its GOE
-starts together (:func:`_jacobi_first_sign_changes`).  It never normalizes
-the state: J is pre-scaled by a power of two at least its inf-norm, so the
-entries of J^t e1 cannot grow, and every few steps a power-of-two rescale
-keeps them from underflowing.  Runs that start in an invariant or elliptic
-cone step a dense matrix (:func:`_first_sign_change`, also the reference the
-tridiagonal route is tested against).
+first sign change, when only the starting cone's matrix M has acted, and it
+never forms M.  Two representations of v1(t) = e1^T M^t v0 cover every cone
+kind; both cost a number of operations that depends on the horizon (and,
+for invariant cones, on N) but no N x N draw:
+
+* GOE and elliptic cones: v1(t) = (H^t e1) . z, H = Q^T M^T Q the
+  Householder upper-Hessenberg form of M^T with Q e1 = e1 and z = Q^T v0.
+  H's entries are independent (law in :mod:`conewise.ensembles`; for GOE H
+  is the symmetric tridiagonal form, Dumitriu-Edelman), and z is again iid
+  N(0, 1), independent of H, with z[0] = v0[0].  H^t e1 lives on the first
+  t + 1 coordinates, so drawing the leading min(T + 1, N) block of H and
+  entries of z gives first-change times with exactly the law of the dense
+  route, at a cost per run of O(tau^2) for GOE and O(tau^3) for elliptic
+  cones, whatever N is.  A block's starts step together
+  (:func:`_hessenberg_first_sign_changes`), never normalized: H is
+  pre-scaled by a power of two at least its inf-norm, so the entries of
+  H^t e1 cannot grow, and every few steps a power-of-two rescale keeps them
+  from underflowing.
+* Invariant cones: v1(t) = sum_i nu_i^t a_i w_i with a = U^T e1 and w =
+  U^T v0.  U is Haar and independent of nu and v0, so a is uniform on the
+  sphere and w = v0[0] a + P_{a-perp} g with g ~ N(0, I_N) independent (the
+  argument above for w_A).  With the power table (nu_i / max|nu|)^t,
+  t = 0..T, as the factor and a o w as the path normals, these are the
+  paths of the Gaussian-process scan (``surrogate._block_first_changes``),
+  which forms times 0..8 and then doubling time blocks only for paths still
+  alive.  Its start sign is that of the t = 0 product, v0[0] up to
+  round-off, and it counts an exact zero of v1 as a change; both differ
+  from the dense route only on events of probability zero.
+
+The dense reference that both are tested against steps a drawn matrix by
+matrix-vector products; it lives in the tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
@@ -86,8 +102,10 @@ from .ensembles import (
     _eigenvalues,
     _goe_jacobi,
     _haar_orthogonal,
+    _hessenberg_entries,
+    _hessenberg_upper,
     _jacobi_dofs,
-    _jacobi_entries,
+    _placed_eigenvalues,
 )
 from .errors import (
     CollapseUndefinedError,
@@ -100,6 +118,8 @@ from .estimators import TRUNCATED_FIT_MIN_POINTS, empirical_cdf, fit_truncated_p
 from .parallel import map_index_chunks
 from .records import LyapunovSamples, PersistenceCurve, log_tau_grid
 from .seeding import derive_seed, rng_from_seed
+from .spectra import inverse_cdf
+from .surrogate import _block_first_changes
 
 __all__ = [
     "Trajectory",
@@ -126,14 +146,17 @@ _FRAME_COMPLETE_AT = 8
 # a frame query this close to the revealed span, relative to its norm,
 # reveals nothing (see the module docstring)
 _REVEAL_TOL = 1e-12
-# realizations the tridiagonal persistence route steps together; bounds its
+# realizations per persistence draw block; bounds the Hessenberg route's
 # working set to a few arrays of this many rows by min(T + 1, N) columns
 _JACOBI_BLOCK = 256
 # runs per worker task in lyapunov_runs: one run of T steps costs far more
 # than starting a task, so small tasks keep the workers evenly loaded; the
 # per-run seeds make results independent of it
 _LYAPUNOV_CHUNK = 32
-# steps between the tridiagonal route's power-of-two rescalings
+# elliptic starts step in pieces of at most this many entries of their
+# (rows, k, k) upper parts (64 MB); the piece size depends on k alone
+_UPPER_ENTRIES = 1 << 23
+# steps between the Hessenberg route's power-of-two rescalings
 _RESCALE_EVERY = 16
 # rescaled-time grid density of the collapse comparison
 _COLLAPSE_POINTS_PER_DECADE = 24
@@ -276,54 +299,43 @@ def evolve(A: np.ndarray, B: np.ndarray, v0: np.ndarray, T: int, seed: int = 0) 
 # -- persistence from matrix dynamics ---------------------------------------
 
 
-def _first_sign_change(m: np.ndarray, v0: np.ndarray, horizon: int, rng, s0: int = 0) -> int:
-    """Step of the first sign change of the first component, or horizon+1.
+def _hessenberg_first_sign_changes(diag, offdiag, upper, z, s0, horizon, coin) -> np.ndarray:
+    """First sign change of v1(t) = (H^t e1) . z for stacked Hessenberg H.
 
-    ``s0`` is the starting sign when the caller has already resolved it;
-    with 0 it is the sign of v0[0], an exact zero resolved by a coin."""
-    v = v0 / np.linalg.norm(v0)
-    s0 = s0 or _sign_with_coin(v[0], rng)
-    w = np.empty_like(v)
-    for t in range(1, horizon + 1):
-        np.matmul(m, v, out=w)
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0.0:
-            raise DegenerateDynamicsError(t)
-        np.divide(w, nrm, out=v)
-        if _sign_with_coin(v[0], rng) != s0:
-            return t
-    return horizon + 1
+    Row i holds the leading K x K block of one upper-Hessenberg H: its
+    symmetric tridiagonal part (``diag`` K entries, ``offdiag`` K - 1 on both
+    sides of the diagonal) plus ``upper``, the (rows, K, K) strictly upper
+    rest, or None when every H of the stack is tridiagonal (GOE).  With it
+    the first K entries of the start vector ``z`` and the starting sign
+    ``s0`` (+-1); K >= min(horizon + 1, N) suffices because H^t e1 lives on
+    the first t + 1 coordinates.  Rows step together but independently:
+    every operation on a row is elementwise or a reduction over that row
+    alone, so a row's result does not depend on which rows share its block.
+    An exact zero of v1 in row i is resolved by ``coin(i)``, a fair +-1 from
+    that row's own stream; a row whose H^t e1 is the zero vector raises
+    :class:`DegenerateDynamicsError`.  Returns per-row times (horizon + 1
+    when the sign never changes).
 
-
-def _jacobi_first_sign_changes(diag, offdiag, z, s0, horizon, coin) -> np.ndarray:
-    """First sign change of v1(t) = (J^t e1) . z for stacked tridiagonal J.
-
-    Row i holds the leading K x K block of one symmetric tridiagonal J
-    (``diag`` K entries, ``offdiag`` K - 1), the first K entries of its
-    start vector ``z`` and its starting sign ``s0`` (+-1); K >= min(horizon
-    + 1, N) suffices because J^t e1 lives on the first t + 1 coordinates.
-    Rows step together but independently: every operation on a row is
-    elementwise or a reduction over that row alone, so a row's result does
-    not depend on which rows share its block.  An exact zero of v1 in row i
-    is resolved by ``coin(i)``, a fair +-1 from that row's own stream; a
-    row whose J^t e1 is the zero vector raises :class:`DegenerateDynamicsError`.
-    Returns per-row times (horizon + 1 when the sign never changes).
-
-    Only signs matter, so the state is never normalized.  Each row of J is
-    first divided by a power of two 2^e >= 3 max|J_ij|, which bounds its
-    inf-norm (a row of J has three entries), so no entry of J^t e1 outgrows
-    the largest one of the step before and nothing overflows; every
-    ``_RESCALE_EVERY`` steps a row is multiplied by the power of two that
-    brings its largest entry into [1/2, 1), so nothing underflows.  Both
-    scalings are exact.
+    Only signs matter, so the state is never normalized.  Each row of H is
+    first divided by a power of two 2^e >= 4 p, p the largest of its
+    tridiagonal entries and of the row sums of ``|upper|``; that bounds its
+    inf-norm (a row has at most three tridiagonal entries), so no entry of
+    H^t e1 outgrows the largest one of the step before and nothing
+    overflows; every ``_RESCALE_EVERY`` steps a row is multiplied by the
+    power of two that brings its largest entry into [1/2, 1), so nothing
+    underflows.  Both scalings are exact.
     """
     rows, k = diag.shape
     times = np.full(rows, horizon + 1, dtype=np.int64)
     peak = np.maximum(np.abs(diag).max(axis=1), np.abs(offdiag).max(axis=1, initial=0.0))
+    if upper is not None:
+        peak = np.maximum(peak, np.abs(upper).sum(axis=2).max(axis=1))
     shift = -(np.frexp(peak)[1] + 2)[:, None]
     diag, offdiag = np.ldexp(diag, shift), np.ldexp(offdiag, shift)
+    if upper is not None:
+        upper = np.ldexp(upper, shift[:, :, None])
     s0 = np.asarray(s0, dtype=float)
-    zs = z * s0[:, None]  # v1(t) s0 = (J^t e1) . zs: positive until the change
+    zs = z * s0[:, None]  # v1(t) s0 = (H^t e1) . zs: positive until the change
     x = np.zeros((rows, k))
     x[:, 0] = 1.0
     row_of = np.arange(rows)  # original row of each stacked row
@@ -333,6 +345,9 @@ def _jacobi_first_sign_changes(diag, offdiag, z, s0, horizon, coin) -> np.ndarra
         y = diag[:, :c] * x[:, :c]
         y[:, 1:] += e * x[:, : c - 1]
         y[:, :-1] += e * x[:, 1:c]
+        if upper is not None:
+            # rows that left the stack stay in upper: gather only this step's corner
+            y[:, :-1] += np.matmul(upper[row_of, : c - 1, 1:c], x[:, 1:c, None])[:, :, 0]
         if t % _RESCALE_EVERY == 0:
             y = np.ldexp(y, -np.frexp(np.abs(y).max(axis=1))[1][:, None])
         x[:, :c] = y
@@ -355,20 +370,60 @@ def _jacobi_first_sign_changes(diag, offdiag, z, s0, horizon, coin) -> np.ndarra
     return times
 
 
-def _block_draws(seed, block, lo, hi, k, n_dim):
-    """Rows lo..hi-1 of persistence block ``block``'s draws.
+def _block_draws(seed, block, lo, hi, k):
+    """Rows lo..hi-1 of persistence block ``block``'s slot-3 draws.
 
-    One stream, slot 3 of the block index, fills a (hi, 2k) array of
-    normals: per row the first k start-vector entries, then the k diagonal
-    normals of a tridiagonal form.  A second stream, slot 4, fills (hi, k -
-    1) chi-square variates of its off-diagonal.  Both fill row by row, so a
-    row's values do not depend on ``hi``; rows before ``lo`` are drawn and
-    dropped.  Returns (heads, normals, chisq).
+    The stream fills a (hi, 2k) array of normals row by row: per row the
+    first k start-vector entries (its head), then the k diagonal normals of
+    a Hessenberg form; so a row's values do not depend on ``hi``, and rows
+    before ``lo`` are drawn and dropped.  Returns (heads, normals).  Every
+    other block stream of :func:`estimate_persistence_matrix` fills its
+    rows the same way.
     """
     both = rng_from_seed(derive_seed(seed, block, 3)).standard_normal((hi, 2 * k))[lo:]
-    dofs = _jacobi_dofs(n_dim, k)
-    chisq = rng_from_seed(derive_seed(seed, block, 4)).chisquare(dofs, (hi, k - 1))[lo:]
-    return both[:, :k], both[:, k:], chisq
+    return both[:, :k], both[:, k:]
+
+
+def _power_table(nu: np.ndarray, T: int) -> np.ndarray:
+    """(T + 1) x N table of (nu / max|nu|)^t, t = 0..T.
+
+    Dividing by max|nu|^t keeps every sign and every entry in [-1, 1].
+    Entries below the smallest normal float are flushed to zero: subnormals
+    would slow every product with the table several fold.  An all-zero
+    spectrum maps the start vector to zero at the first step and raises
+    :class:`DegenerateDynamicsError`.
+    """
+    top = float(np.max(np.abs(nu)))
+    if top == 0.0:
+        raise DegenerateDynamicsError(1)
+    table = np.empty((T + 1, nu.size))
+    table[0] = 1.0
+    np.cumprod(np.broadcast_to(nu / top, (T, nu.size)), axis=0, out=table[1:])
+    table[np.abs(table) < np.finfo(float).tiny] = 0.0
+    return table
+
+
+@lru_cache(maxsize=4)
+def _quantile_table(model, n_dim: int, T: int) -> np.ndarray:
+    """Read-only :func:`_power_table` of the quantile-placed spectrum of
+    ``model``, built once per (model, N, T); the cache holds at most four
+    tables of (T + 1) N floats."""
+    table = _power_table(_placed_eigenvalues(model, n_dim, None, "quantile"), T)
+    table.flags.writeable = False
+    return table
+
+
+def _invariant_weights(v0_head: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Rows a o w of invariant starts, so that v1(t) = sum_i nu_i^t (a o w)_i.
+
+    Per row, a = U^T e1 is the first half of ``normals`` made a unit vector
+    (uniform on the sphere) and w = U^T v0 = v0[0] a + P_{a-perp} g, g the
+    second half; ``v0_head`` holds the rows' v0[0] (module docstring)."""
+    n_dim = normals.shape[1] // 2
+    x, g = normals[:, :n_dim], normals[:, n_dim:]
+    a = x / np.linalg.norm(x, axis=1, keepdims=True)
+    w = v0_head[:, None] * a + (g - a * np.vecdot(a, g)[:, None])
+    return a * w
 
 
 def _persistence_chunk(ensemble_a, ensemble_b, T, seed, start, stop):
@@ -376,6 +431,13 @@ def _persistence_chunk(ensemble_a, ensemble_b, T, seed, start, stop):
     :func:`estimate_persistence_matrix`)."""
     n_dim = ensemble_a.dimension
     k = min(T + 1, n_dim)
+    pair = (ensemble_a, ensemble_b)
+    invariant = np.array([ens.kind == "invariant" for ens in pair])
+    elliptic = np.array([ens.kind == "elliptic" and ens.rho < 1.0 for ens in pair])
+    # the centre shifts GOE draws only, as in EnsembleSpec.sample
+    center = np.array([e.center if e.kind == "goe" else 0.0 for e in pair])
+    sigma, rho = np.array([e.sigma for e in pair]), np.array([e.rho for e in pair])
+    per = max(1, _UPPER_ENTRIES // (k * k))
 
     @cache
     def own(r):
@@ -385,31 +447,64 @@ def _persistence_chunk(ensemble_a, ensemble_b, T, seed, start, stop):
     times = np.empty(stop - start, dtype=np.int64)
     for lo in range(start - start % _JACOBI_BLOCK, stop, _JACOBI_BLOCK):
         first, last = max(lo, start), min(lo + _JACOBI_BLOCK, stop)
-        heads, normals, chisq = _block_draws(
-            seed, lo // _JACOBI_BLOCK, first - lo, last - lo, k, n_dim
-        )
+        block, i0, i1 = lo // _JACOBI_BLOCK, first - lo, last - lo
+        heads, normals = _block_draws(seed, block, i0, i1, k)
         s0 = np.where(heads[:, 0] > 0.0, 1, -1)
         for i in np.flatnonzero(heads[:, 0] == 0.0).tolist():
             s0[i] = _sign_with_coin(0.0, own(first + i))
-        in_b = s0 < 0
-        goe = np.where(in_b, ensemble_b.kind == "goe", ensemble_a.kind == "goe")
-        if goe.any():
-            rows = np.flatnonzero(goe)
-            center = np.where(in_b[rows], ensemble_b.center, ensemble_a.center)[:, None]
-            sigma = np.where(in_b[rows], ensemble_b.sigma, ensemble_a.sigma)[:, None]
-            diag, off = _jacobi_entries(center, sigma, normals[rows], chisq[rows])
-            times[first - start + rows] = _jacobi_first_sign_changes(
-                diag, off, heads[rows], s0[rows], T,
-                lambda i: _sign_with_coin(0.0, own(first + int(rows[i]))),
-            )
-        for i in np.flatnonzero(~goe).tolist():
-            r = first + i
-            ens, slot = (ensemble_b, 2) if in_b[i] else (ensemble_a, 1)
-            v0 = heads[i]
-            if k < n_dim:
-                v0 = np.concatenate([v0, own(r).standard_normal(n_dim - k)])
-            m = ens.sample(derive_seed(seed, r, slot))
-            times[r - start] = _first_sign_change(m, v0, T, own(r), int(s0[i]))
+        cone = (s0 < 0).astype(np.intp)  # 0 for cone A, 1 for cone B
+        out = times[first - start : last - start]
+
+        def coin_of(rows):
+            return lambda i: _sign_with_coin(0.0, own(first + int(rows[i])))
+
+        if not invariant.all():
+            chisq = rng_from_seed(derive_seed(seed, block, 4)).chisquare(
+                _jacobi_dofs(n_dim, k), (i1, k - 1)
+            )[i0:]
+            c_col, s_col, r_col = (a[cone][:, None] for a in (center, sigma, rho))
+            diag, sub = _hessenberg_entries(c_col, s_col, r_col, normals, chisq)
+            tri = np.flatnonzero(~invariant[cone] & ~elliptic[cone])
+            if tri.size:
+                out[tri] = _hessenberg_first_sign_changes(
+                    diag[tri], sub[tri], None, heads[tri], s0[tri], T, coin_of(tri)
+                )
+            if elliptic.any():
+                # elliptic rows step in pieces of `per` block rows, each with
+                # the next rows of the upper parts' stream
+                upper_rng = rng_from_seed(derive_seed(seed, block, 7))
+                at = np.flatnonzero(elliptic[cone]) + i0  # block positions
+                for p0 in range(0, i1, per):
+                    draws = upper_rng.standard_normal((min(per, i1 - p0), k * (k - 1) // 2))
+                    rows = at[(at >= p0) & (at < p0 + per)] - i0
+                    if rows.size:
+                        upper = _hessenberg_upper(
+                            s_col[rows], r_col[rows], sub[rows], draws[rows + i0 - p0]
+                        )
+                        out[rows] = _hessenberg_first_sign_changes(
+                            diag[rows], sub[rows], upper, heads[rows], s0[rows], T, coin_of(rows)
+                        )
+        if invariant.any():
+            frame = rng_from_seed(derive_seed(seed, block, 5)).standard_normal((i1, 2 * n_dim))[i0:]
+            if any(ens.kind == "invariant" and ens.placement == "iid" for ens in pair):
+                uniforms = rng_from_seed(derive_seed(seed, block, 6)).random((i1, n_dim))[i0:]
+            # both cones' rows form one stack when the cones share a recipe
+            stacks = [(ensemble_a, invariant[cone])] if ensemble_a == ensemble_b else [
+                (ens, cone == c) for c, ens in enumerate(pair) if ens.kind == "invariant"
+            ]
+            for ens, member in stacks:
+                rows = np.flatnonzero(member)
+                if not rows.size:
+                    continue
+                # the scan's paths are factor @ z; a zero counts as a change
+                weights = _invariant_weights(heads[rows, 0], frame[rows])
+                if ens.placement == "quantile":
+                    factor, z = _quantile_table(ens.spectral_model, n_dim, T), weights.T
+                else:  # a table per row: the rows' paths, (T + 1) x rows, at once
+                    nus = inverse_cdf(ens.spectral_model, uniforms[rows])
+                    factor = np.stack([_power_table(nu, T) @ w for nu, w in zip(nus, weights)], 1)
+                    z = np.eye(rows.size)
+                out[rows] = np.minimum(*_block_first_changes(factor, z)[0])
     return times
 
 
@@ -425,28 +520,42 @@ def estimate_persistence_matrix(
     """Q0(tau) = fraction of fresh (matrix pair, start vector) draws whose
     first sign change falls after tau.
 
-    Only the starting cone's matrix acts before the first change, so the
-    other one is never materialized; the statistics are those of
+    Only the starting cone's matrix acts before the first change, and no
+    matrix is formed (module docstring); the statistics are those of
     independent pair draws.  Realizations are drawn in blocks of 256: with
-    k = min(T + 1, N), realization r is row r mod 256 of block b = r // 256.
-    One stream, ``derive_seed(seed, b, 3)``, gives each row its first k
-    start-vector entries (its head) and k diagonal normals; another,
-    ``derive_seed(seed, b, 4)``, its k - 1 chi-square variates.  Both fill
-    row by row, so r sees the same values whatever ``n_realizations`` is.
-    The starting sign is that of the head's first entry; only an exact zero
-    (probability zero) opens r's own stream, ``derive_seed(seed, r, 0)``,
-    for a coin.  A GOE cone scales the row's variates by its centre and
-    sigma into the leading k x k block of its tridiagonal form, and a
-    block's GOE starts step together: exact in law (see the module
-    docstring) and O(tau^2) per run whatever N is.  An invariant or
-    elliptic start draws the other N - k start-vector entries and its step
-    coins from r's own stream and the dense matrix from ``derive_seed(seed,
-    r, 1)`` (A) or ``derive_seed(seed, r, 2)`` (B), and steps it by
-    matrix-vector products.  ``threads`` is the number of worker processes
-    (see :func:`~conewise.parallel.map_index_chunks`), which receive whole
-    blocks; results do not depend on it.  An ``n_realizations`` or T that
-    is not an integer >= 1 raises :class:`InvalidSpecError` before any
-    draw.
+    k = min(T + 1, N), realization r is row r mod 256 of block b = r // 256,
+    and every block stream ``derive_seed(seed, b, slot)`` fills its array
+    row by row, so r sees the same values whatever ``n_realizations``, the
+    chunking or ``threads`` is.  The slots:
+
+    * 3: per row the first k start-vector entries (its head), then k
+      diagonal normals; the starting sign is that of the head's first
+      entry, v0[0];
+    * 4: k - 1 chi-square variates of the subdiagonal (pairs with a GOE or
+      elliptic cone);
+    * 7: k (k - 1) / 2 normals of the upper part, for elliptic cones with
+      rho < 1, drawn in pieces of at most 2^23 // k^2 rows, so the (rows, k,
+      k) upper parts stay within 64 MB;
+    * 5: 2N normals, a's and then g's (pairs with an invariant cone);
+    * 6: N uniforms of the iid spectrum (iid placement), apart from the
+      frame so that the two are independent.
+
+    Slot 0, ``derive_seed(seed, r, 0)``, is r's own stream; it is opened only
+    for a coin on an exact zero (probability zero): of v0[0], or of v1 on
+    the Hessenberg route.  Slots 1 and 2 are unused.  A GOE or elliptic cone
+    scales the row's variates by its centre, sigma and rho into the leading
+    k x k block of its Hessenberg form, and a block's starts in such cones
+    step together, GOE and elliptic ones in separate stacks: exact in law
+    and O(tau^2) (GOE) or O(tau^3) (elliptic) per run whatever N is.  An
+    invariant cone turns the row's slot-5 normals into a o w and scans the
+    paths of its power table, where an exact zero of v1 counts as a change
+    (probability zero); the quantile-placed table is built once per (model,
+    N, T), and an iid start scans its own table.  ``threads`` is the
+    number of worker processes (see
+    :func:`~conewise.parallel.map_index_chunks`), which receive whole
+    blocks.  An ``n_realizations`` or T that is not an integer >= 1 raises
+    :class:`InvalidSpecError` before any draw, and an all-zero invariant
+    spectrum :class:`DegenerateDynamicsError` at step 1.
     """
     if ensemble_a.dimension != ensemble_b.dimension:
         raise InvalidSpecError("ensembles must share the dimension")
@@ -506,15 +615,18 @@ def scaling_collapse(
 
     ``T`` is the horizon at the largest N; smaller sizes run to the same
     maximal rescaled time u = T * max(N)^{-2/3}.  ``threads`` is the number
-    of worker processes per size.
+    of worker processes per size.  A size that is not an integer >= 2, or a
+    ``mu`` that is not finite and > 0, raises :class:`InvalidSpecError`.
     """
+    for n in n_list:
+        check_count(n, 2, f"sizes must be integers >= 2, got {n}")
     n_list = sorted(int(n) for n in n_list)
     if len(n_list) < 3:
         raise CollapseUndefinedError("need at least 3 sizes for a collapse")
     if n_list[-1] < 8 * n_list[0]:
         raise CollapseUndefinedError("sizes must span at least a factor of 8")
-    if mu <= 0:
-        raise InvalidSpecError("rescaling exponent must be positive")
+    if not (math.isfinite(mu) and mu > 0):
+        raise InvalidSpecError(f"rescaling exponent mu must be finite and > 0, got {mu}")
     n_max = n_list[-1]
     u_max = T * n_max ** (-2.0 / 3.0)
     curves = []
@@ -838,8 +950,8 @@ def lyapunov_runs(
     pairs over all runs (``frame_reveals``) and the runs whose frame was
     completed (``frames_completed``); both sum fields of the run record
     ``_RUN``.  Only symmetric ensembles have this route; elliptic ones raise
-    :class:`InvalidSpecError`, as do a T that is not an integer >= 1,
-    ``tail_window`` < 1 and nu_plus = 0 (the edge rate is ln|nu_plus|).
+    :class:`InvalidSpecError`, as do a T or a ``tail_window`` that is not an
+    integer >= 1 and nu_plus = 0 (the edge rate is ln|nu_plus|).
     ``tail_window >= T`` makes the tail the whole run.
 
     Only trapped runs have a rate near ln ``nu_max_final``; see
@@ -849,8 +961,9 @@ def lyapunov_runs(
     if ensemble_a.dimension != ensemble_b.dimension:
         raise InvalidSpecError("ensembles must share the dimension")
     check_count(T, 1, f"horizon T must be an integer >= 1, got {T}")
-    if tail_window < 1:
-        raise InvalidSpecError(f"tail_window must be >= 1, got {tail_window}")
+    check_count(
+        tail_window, 1, f"tail_window must be >= 1, got {tail_window}; it counts steps, so an integer"
+    )
     for ens in (ensemble_a, ensemble_b):
         if ens.nu_plus == 0.0:
             raise InvalidSpecError(
@@ -955,7 +1068,9 @@ def trapped_run_edge_pairs(
     last_change, 0) is below ``_EDGE_SETTLED_DECAY``.  Its tail growth rate
     then equals ln ``nu_max_final``.  Both are returned in sigma1
     normalization against the trapping cone's population edge, with the
-    indices of the runs used.
+    indices of the runs used.  A T or ``tail_window`` that is not an
+    integer >= 1 raises :class:`InvalidSpecError` (from
+    :func:`lyapunov_runs`, before any run).
     """
     runs = lyapunov_runs(ensemble_a, ensemble_b, n_runs, T, seed, tail_window=tail_window)
     edges = np.array(
@@ -1024,7 +1139,11 @@ def elliptic_persistence(
     from ``EnsembleSpec.elliptic(N, rho, radius)`` and seed
     ``derive_seed(seed, i)`` for the i-th rho, run on ``threads`` worker
     processes; the curve's ``meta`` records ``rho`` and the caller's
-    ``seed``.
+    ``seed``.  The starts step the leading min(T + 1, N) block of the
+    Hessenberg form of M^T, with independent entries (module docstrings of
+    this module and of :mod:`conewise.ensembles`), so no N x N matrix is
+    drawn: a run costs O(tau^3) operations and O(T^2) normals whatever N is,
+    and rho = 1 is the GOE tridiagonal route.
 
     Without ``window`` the fit runs over [1, tau_hi] ([10, tau_hi] when
     tau_hi >= 60), tau_hi being the last grid point with at least 25

@@ -16,16 +16,29 @@ and by its public shorthand:
 
 All draws are pure functions of (recipe, seed).
 
-GOE recipes also have a tridiagonal sampler, ``_goe_jacobi``: the leading
-K x K block of the Householder tridiagonal form J = Q^T M Q (Q e1 = e1) of a
-GOE matrix M, whose entries are independent (Dumitriu & Edelman, J. Math.
-Phys. 43 (2002) 5830; Trotter, Adv. Math. 54 (1984) 67).  It costs O(K)
-random numbers whatever N is, and serves the dynamics that only need
-powers of M applied to e1 and the top eigenvalue; persistence draws its
-standard variates for a whole block of realizations and scales them with
-``_jacobi_entries``.  ``_eigenvalues`` gives
-the spectrum of one symmetric draw without forming the matrix: for GOE from
-the whole tridiagonal form, for invariant ensembles the eigenvalues
+GOE and elliptic recipes also have a Hessenberg form: H = Q^T M^T Q, the
+Householder upper-Hessenberg form of M^T with Q e1 = e1 (M^T has M's law).
+With sigma = radius / (2 sqrt(N)) its entries are independent:
+
+* H[k, k] = center + sqrt(1 + rho) sigma N(0, 1), the centre for GOE only
+  (``sample`` shifts GOE draws only),
+* H[k+1, k] = sigma chi_{N-k-1},
+* H[k, k+1] = rho H[k+1, k] + sqrt(1 - rho^2) sigma N(0, 1),
+* H[k, j] = sqrt(1 - rho^2) sigma N(0, 1) for j >= k + 2, zero below the
+  subdiagonal.
+
+Each Householder step fixes e1 and is built from the first row of M; the
+first column of M is rho times that row plus an independent part, and the
+trailing block is again elliptic and independent of what came before.  At
+rho = 1 (GOE) H is the symmetric tridiagonal form J (Dumitriu & Edelman,
+J. Math. Phys. 43 (2002) 5830; Trotter, Adv. Math. 54 (1984) 67), and
+``_goe_jacobi`` draws its leading K x K block from O(K) random numbers
+whatever N is, for the dynamics that only need powers of M applied to e1
+and for the top eigenvalue.  Persistence draws the standard variates for a
+whole block of realizations and scales them with ``_hessenberg_entries``
+and, for rho < 1, ``_hessenberg_upper``.  ``_eigenvalues`` gives the
+spectrum of one symmetric draw without forming the matrix: for GOE from the
+whole tridiagonal form, for invariant ensembles the eigenvalues
 ``sample_invariant`` places.
 """
 
@@ -50,6 +63,10 @@ __all__ = [
 ]
 
 
+# eigenvalue placements of invariant recipes (see ``sample_invariant``)
+_PLACEMENTS = ("quantile", "iid")
+
+
 def sample_goe(N: int, center: float, radius: float, seed: int) -> np.ndarray:
     """Symmetric Gaussian matrix with limiting semicircle on the given support.
 
@@ -69,8 +86,8 @@ def _goe_jacobi(spec: "EnsembleSpec", K: int, rng: np.random.Generator):
     ``sample_goe``.
     """
     normals = rng.standard_normal(K)
-    return _jacobi_entries(
-        spec.center, spec.sigma, normals, rng.chisquare(_jacobi_dofs(spec.dimension, K))
+    return _hessenberg_entries(
+        spec.center, spec.sigma, spec.rho, normals, rng.chisquare(_jacobi_dofs(spec.dimension, K))
     )
 
 
@@ -80,11 +97,31 @@ def _jacobi_dofs(N: int, K: int) -> np.ndarray:
     return np.arange(N - 1, N - K, -1)
 
 
-def _jacobi_entries(center, sigma, normals, chisq):
-    """(diag, offdiag) of the tridiagonal form from its standard variates:
-    center + sqrt(2) sigma normals and sigma sqrt(chisq).  ``center`` and
-    ``sigma`` may be columns that scale stacked rows one cone at a time."""
-    return center + (math.sqrt(2.0) * sigma) * normals, sigma * np.sqrt(chisq)
+def _hessenberg_entries(center, sigma, rho, normals, chisq):
+    """(diag, subdiag) of the Hessenberg form from its standard variates:
+    center + sqrt(1 + rho) sigma normals and sigma sqrt(chisq); at rho = 1
+    the tridiagonal form's diagonal and off-diagonal.  ``center``, ``sigma``
+    and ``rho`` may be columns that scale stacked rows one cone at a time."""
+    return center + (np.sqrt(1.0 + rho) * sigma) * normals, sigma * np.sqrt(chisq)
+
+
+def _hessenberg_upper(sigma, rho, subdiag, normals):
+    """(rows, K, K) strictly upper part E = H - tridiag(subdiag, diag,
+    subdiag) of stacked leading Hessenberg blocks: E[i, i+1] = (rho - 1)
+    subdiag[i] + sqrt(1 - rho^2) sigma N(0, 1) and E[i, j] = sqrt(1 - rho^2)
+    sigma N(0, 1) for j >= i + 2.  ``normals`` holds K (K - 1) / 2 standard
+    normals per row, in ``np.triu_indices(K, 1)`` order; ``sigma`` and
+    ``rho`` are columns, one value per row."""
+    rows, k = subdiag.shape[0], subdiag.shape[1] + 1
+    scale = np.sqrt(1.0 - rho**2) * sigma
+    upper = np.zeros((rows, k, k))
+    start = 0
+    for i in range(k - 1):  # row i of the triangle: k - 1 - i normals
+        upper[:, i, i + 1 :] = scale * normals[:, start : start + k - 1 - i]
+        start += k - 1 - i
+    diag = np.arange(k - 1)
+    upper[:, diag, diag + 1] += (rho - 1.0) * subdiag
+    return upper
 
 
 def sample_haar_orthogonal(N: int, seed: int) -> np.ndarray:
@@ -125,17 +162,15 @@ def _placed_eigenvalues(
 ) -> np.ndarray:
     """The eigenvalues ``sample_invariant`` puts on its Haar frame.
 
-    ``iid`` placement draws N uniforms from ``rng``; the other placements
-    draw nothing.  The quantile grid is cached per (model, N) and must not
+    ``iid`` placement draws N uniforms from ``rng``; ``quantile`` placement
+    draws nothing.  The quantile grid is cached per (model, N) and must not
     be written to.
     """
     if spec.is_atomic:
         return np.full(N, float(spec.params[0]))
     if placement == "quantile":
         return quantile_grid(spec, N)
-    if placement == "iid":
-        return inverse_cdf(spec, rng.random(N))
-    raise InvalidSpecError(f"unknown eigenvalue placement {placement!r}")
+    return inverse_cdf(spec, rng.random(N))
 
 
 def _eigenvalues(ens: "EnsembleSpec", seed: int) -> np.ndarray:
@@ -198,6 +233,10 @@ class EnsembleSpec:
             raise InvalidSpecError(f"entry correlation must lie in [0, 1], got {self.rho}")
         if self.kind == "invariant" and self.spectral_model is None:
             raise InvalidSpecError("invariant ensembles need a spectral model")
+        if self.placement not in _PLACEMENTS:
+            raise InvalidSpecError(
+                f"unknown eigenvalue placement {self.placement!r}; use one of {_PLACEMENTS}"
+            )
 
     @classmethod
     def goe(cls, N: int, center: float = 0.0, radius: float = 2.0):

@@ -9,7 +9,7 @@ the same stream no matter how many workers run.
 
 Opening a generator costs tens of microseconds, so a routine with cheap
 realizations derives its streams per block of realizations, not per
-realization: matrix persistence keys two streams by the index of each block
+realization: matrix persistence keys its streams by the index of each block
 of 256 and fills its arrays row by row, so realization r still sees the
 same values whatever the realization count or chunking.
 """

@@ -15,6 +15,7 @@ first mismatch is the earlier of the two.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -83,10 +84,22 @@ def _pivoted_cholesky(column, n: int, what: str) -> np.ndarray:
 
 
 def _gp_factor(spec: SpectralModel, T: int) -> np.ndarray:
-    """Pivoted Cholesky factor of the correlation matrix on times 0..T."""
+    """Read-only pivoted Cholesky factor of the correlation matrix on times
+    0..T, built once per (spec, T) and then served from a cache of at most
+    four factors of (T + 1) x rank floats (rank 41 for semicircle(0, 2) at
+    T = 1024: 0.34 MB).  T is checked first, as the cache would serve
+    T = 8.0 the factor of T = 8."""
+    check_count(T, 0, f"horizon T must be an integer >= 0, got {T}")
+    return _cached_factor(spec, T)
+
+
+@functools.lru_cache(maxsize=4)
+def _cached_factor(spec: SpectralModel, T: int) -> np.ndarray:
     entries = _entries(spec, T)
     idx = np.arange(T + 1)
-    return _pivoted_cholesky(lambda p: entries(idx, p), T + 1, f"{spec.describe()}, T = {T}")
+    factor = _pivoted_cholesky(lambda p: entries(idx, p), T + 1, f"{spec.describe()}, T = {T}")
+    factor.flags.writeable = False
+    return factor
 
 
 def _changes_in(ok: np.ndarray, t0: int, none: int) -> np.ndarray:

@@ -27,8 +27,7 @@ from conewise.dynamics import (
     _JACOBI_BLOCK,
     _RevealedFrame,
     _block_draws,
-    _first_sign_change,
-    _jacobi_first_sign_changes,
+    _hessenberg_first_sign_changes,
     _lyapunov_kernel,
     _persistence_chunk,
     _sign_with_coin,
@@ -47,9 +46,28 @@ def gaussian(n, seed):
     return rng_from_seed(seed).standard_normal(n)
 
 
+def _first_sign_change(m, v0, horizon, rng):
+    """Step of the first sign change of the first component of m^t v0, or
+    horizon + 1: the dense reference kernel, one normalized matrix-vector
+    product per step, exact zeros resolved by a coin from ``rng``."""
+    v = v0 / np.linalg.norm(v0)
+    s0 = _sign_with_coin(v[0], rng)
+    w = np.empty_like(v)
+    for t in range(1, horizon + 1):
+        np.matmul(m, v, out=w)
+        nrm = float(np.linalg.norm(w))
+        if nrm == 0.0:
+            raise DegenerateDynamicsError(t)
+        np.divide(w, nrm, out=v)
+        if _sign_with_coin(v[0], rng) != s0:
+            return t
+    return horizon + 1
+
+
 def dense_first_changes(ens_a, ens_b, n_real, T, seed):
     """First-change times of fresh dense draws stepped by the reference
-    kernel, with the seed slots of estimate_persistence_matrix."""
+    kernel: slot 0 for the start vector and coins, slots 1 and 2 for the
+    matrices of cones A and B."""
     times = np.empty(n_real, dtype=np.int64)
     for r in range(n_real):
         rng = rng_from_seed(derive_seed(seed, r, 0))
@@ -60,34 +78,21 @@ def dense_first_changes(ens_a, ens_b, n_real, T, seed):
     return times
 
 
-def route_heads(seed, n_real, k, n_dim):
+def route_heads(seed, n_real, k):
     """Start-vector heads of realizations 0..n_real-1 as the persistence
     route draws them, one block of _JACOBI_BLOCK rows at a time."""
     blocks = range(-(-n_real // _JACOBI_BLOCK))
-    heads = [_block_draws(seed, b, 0, _JACOBI_BLOCK, k, n_dim)[0] for b in blocks]
+    heads = [_block_draws(seed, b, 0, _JACOBI_BLOCK, k)[0] for b in blocks]
     return np.concatenate(heads)[:n_real]
-
-
-def route_layout_dense_changes(ens_a, ens_b, n_real, T, seed):
-    """First-change times of fresh dense draws stepped by the reference
-    kernel, with the seed layout of estimate_persistence_matrix: the head
-    of the start vector from the block draws, the rest and the coins from
-    the realization's slot 0, the starting cone's matrix from slot 1 or 2."""
-    n_dim = ens_a.dimension
-    k = min(T + 1, n_dim)
-    times = np.empty(n_real, dtype=np.int64)
-    for r, head in enumerate(route_heads(seed, n_real, k, n_dim)):
-        rng = rng_from_seed(derive_seed(seed, r, 0))
-        s0 = _sign_with_coin(head[0], rng)
-        v0 = np.concatenate([head, rng.standard_normal(n_dim - k)])
-        ens, slot = (ens_a, 1) if s0 > 0 else (ens_b, 2)
-        times[r] = _first_sign_change(ens.sample(derive_seed(seed, r, slot)), v0, T, rng, s0)
-    return times
 
 
 def coins_of(rngs):
     """The kernel's coin callable over one generator per row."""
     return lambda i: _sign_with_coin(0.0, rngs[i])
+
+
+def no_runs(*args, **kwargs):
+    raise AssertionError("work started before the inputs were checked")
 
 
 def no_coin(i):
@@ -201,6 +206,44 @@ def fit_window_points(entry):
     lo, hi = entry["fit"].window
     tau, _, _ = entry["curve"].positive_part()
     return np.count_nonzero((tau >= lo) & (tau <= hi))
+
+
+SEMI = SpectralModel.semicircle(0.5, 1.0)
+BETA3 = SpectralModel.symmetric_beta(3)
+
+# one pair per route and mix of routes, with the block streams each opens
+PAIRS = [
+    (EnsembleSpec.goe(64, 0.0, 2.0), EnsembleSpec.goe(64, 0.0, 2.0)),
+    (EnsembleSpec.goe(64, 0.0, 2.0), EnsembleSpec.elliptic(64, 0.5)),
+    (EnsembleSpec.invariant(SEMI, 64), EnsembleSpec.invariant(SEMI, 64)),
+    (EnsembleSpec.invariant(SEMI, 64, "iid"), EnsembleSpec.invariant(BETA3, 64, "iid")),
+    (EnsembleSpec.elliptic(64, 0.3), EnsembleSpec.elliptic(64, 0.7)),
+    (EnsembleSpec.goe(64, 0.5, 1.0), EnsembleSpec.invariant(BETA3, 64)),
+]
+PAIR_IDS = ["goe", "goe-elliptic", "invariant-quantile", "invariant-iid", "elliptic", "goe-invariant"]
+PAIR_STREAMS = [2, 3, 2, 3, 3, 3]
+
+
+def _law_grid():
+    """The equivalence grid: (cone A, cone B, dense realizations) cases."""
+    inv, ell, goe = EnsembleSpec.invariant, EnsembleSpec.elliptic, EnsembleSpec.goe
+    cases = []
+    for n, n_dense in ((16, 4000), (64, 1500)):
+        pairs = {
+            "invariant-quantile": (inv(SEMI, n), inv(SEMI, n), n_dense),
+            "invariant-iid": (inv(SEMI, n, "iid"), inv(SEMI, n, "iid"), n_dense // 4),
+            **{f"elliptic-{rho}": (ell(n, rho), ell(n, rho), n_dense) for rho in (0.0, 0.3, 0.7, 1.0)},
+            "goe-invariant": (goe(n), inv(BETA3, n), n_dense),
+            "goe-elliptic": (goe(n, 0.5, 1.0), ell(n, 0.5), n_dense),
+        }
+        cases += [pytest.param(*case, id=f"{n}-{name}") for name, case in pairs.items()]
+    return cases + [
+        pytest.param(inv(SEMI, 256), inv(SEMI, 256), 400, id="256-invariant-quantile"),
+        pytest.param(ell(256, 0.3), ell(256, 0.3), 600, id="256-elliptic-0.3"),
+    ]
+
+
+LAW_GRID = _law_grid()
 
 
 class TestEvolve:
@@ -328,6 +371,13 @@ class TestPersistenceMatrix:
         fit = fit_powerlaw(curve, window=(5, 120))
         assert fit.exponent == pytest.approx(-0.476, abs=0.12)
 
+    @pytest.mark.parametrize("placement", ["quantile", "iid"])
+    def test_zero_spectrum_raises_at_first_step(self, placement):
+        ens = EnsembleSpec.invariant(SpectralModel.atomic(0.0), 16, placement)
+        with pytest.raises(DegenerateDynamicsError) as err:
+            estimate_persistence_matrix(ens, ens, 10, T=5, seed=0)
+        assert err.value.step == 1
+
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidSpecError):
             estimate_persistence_matrix(
@@ -351,8 +401,10 @@ class TestPersistenceMatrix:
 
 
 class TestJacobiRoute:
-    """GOE starts step the leading block of the tridiagonal form; in law the
-    first-change times equal those of dense draws and the reference kernel."""
+    """Persistence starts step the leading block of the Hessenberg form (GOE
+    and elliptic cones) or scan the paths of a power table (invariant
+    cones); in law the first-change times equal those of dense draws and
+    the reference kernel."""
 
     @pytest.mark.parametrize(
         "n_dim, T, n_real, mixed",
@@ -381,10 +433,11 @@ class TestJacobiRoute:
         z = rng.standard_normal((30, k))
         s0 = np.sign(z[:, 0])
         rngs = [rng_from_seed(i) for i in range(30)]
-        stacked = _jacobi_first_sign_changes(diag, off, z, s0, T, coins_of(rngs))
+        stacked = _hessenberg_first_sign_changes(diag, off, None, z, s0, T, coins_of(rngs))
         alone = [
-            _jacobi_first_sign_changes(
-                diag[i : i + 1], off[i : i + 1], z[i : i + 1], s0[i : i + 1], T, coins_of(rngs[i : i + 1])
+            _hessenberg_first_sign_changes(
+                diag[i : i + 1], off[i : i + 1], None, z[i : i + 1], s0[i : i + 1], T,
+                coins_of(rngs[i : i + 1]),
             )[0]
             for i in range(30)
         ]
@@ -399,7 +452,9 @@ class TestJacobiRoute:
         z = np.tile([1.0, 0.0, 0.0], (len(seeds), 1))
         rngs = [rng_from_seed(seed) for seed in seeds]
         coins = [_sign_with_coin(0.0, rng_from_seed(seed)) for seed in seeds]
-        times = _jacobi_first_sign_changes(diag, off, z, np.ones(len(seeds)), 1, coins_of(rngs))
+        times = _hessenberg_first_sign_changes(
+            diag, off, None, z, np.ones(len(seeds)), 1, coins_of(rngs)
+        )
         assert list(times) == [1 if c < 0 else 2 for c in coins]
         assert set(times) == {1, 2}
 
@@ -407,7 +462,7 @@ class TestJacobiRoute:
         diag, off = np.zeros((3, 4)), np.zeros((3, 3))
         z = np.ones((3, 4))
         with pytest.raises(DegenerateDynamicsError) as err:
-            _jacobi_first_sign_changes(diag, off, z, np.ones(3), 5, no_coin)
+            _hessenberg_first_sign_changes(diag, off, None, z, np.ones(3), 5, no_coin)
         assert err.value.step == 1
 
     def test_mixed_kinds_route_per_start(self):
@@ -418,21 +473,34 @@ class TestJacobiRoute:
         T, n_real = 50, 400
         mixed = _persistence_chunk(goe, flat, T, 3, 0, n_real)
         pure = _persistence_chunk(goe, goe, T, 3, 0, n_real)
-        negative = route_heads(3, n_real, 32, 32)[:, 0] < 0
+        negative = route_heads(3, n_real, 32)[:, 0] < 0
         assert np.all(mixed[negative] == T + 1)
         assert np.array_equal(mixed[~negative], pure[~negative])
         assert 0 < negative.sum() < n_real
 
-    def test_prefix_of_longer_sweep(self):
+    @pytest.mark.parametrize("ens_a, ens_b", PAIRS, ids=PAIR_IDS)
+    def test_prefix_of_longer_sweep(self, ens_a, ens_b):
         # a realization's draws do not depend on how many realizations run,
         # nor on where a chunk starts inside a block
-        ens_a, ens_b = EnsembleSpec.goe(64, 0.0, 2.0), EnsembleSpec.elliptic(64, 0.5)
         longer = _persistence_chunk(ens_a, ens_b, 60, 17, 0, 1300)
         assert np.array_equal(_persistence_chunk(ens_a, ens_b, 60, 17, 0, 1000), longer[:1000])
         assert np.array_equal(_persistence_chunk(ens_a, ens_b, 60, 17, 300, 1000), longer[300:1000])
 
-    def test_block_opens_two_streams(self, monkeypatch):
-        # a GOE pair draws each block from two streams; no start opens its own
+    def test_upper_pieces_do_not_change_times(self, monkeypatch):
+        # elliptic rows step in pieces of the upper parts' stream; the rows
+        # of a piece and their draws do not depend on its size
+        ens_a, ens_b = EnsembleSpec.elliptic(64, 0.3), EnsembleSpec.goe(64, 0.5, 1.0)
+        whole = _persistence_chunk(ens_a, ens_b, 60, 19, 100, 700)
+        monkeypatch.setattr(dynamics, "_UPPER_ENTRIES", 5 * 61 * 61)
+        assert np.array_equal(_persistence_chunk(ens_a, ens_b, 60, 19, 100, 700), whole)
+
+    @pytest.mark.parametrize(
+        "ens_a, ens_b, streams", [(a, b, n) for (a, b), n in zip(PAIRS, PAIR_STREAMS)], ids=PAIR_IDS
+    )
+    def test_block_opens_fixed_streams(self, ens_a, ens_b, streams, monkeypatch):
+        # each block draws from a fixed set of block streams (slot 3; slot 4
+        # for a GOE or elliptic cone, 7 for an elliptic one, 5 for an
+        # invariant one and 6 for iid placement); no start opens its own
         opened = []
 
         def counted(seed):
@@ -440,9 +508,26 @@ class TestJacobiRoute:
             return rng_from_seed(seed)
 
         monkeypatch.setattr(dynamics, "rng_from_seed", counted)
-        ens = EnsembleSpec.goe(256)
-        _persistence_chunk(ens, ens, 120, 5, 0, 3 * _JACOBI_BLOCK)
-        assert len(opened) == 6
+        _persistence_chunk(ens_a, ens_b, 60, 5, 0, 3 * _JACOBI_BLOCK)
+        assert len(opened) == 3 * streams
+        assert len(set(opened)) == len(opened)
+
+    @pytest.mark.parametrize("ens_a, ens_b, n_dense", LAW_GRID)
+    def test_matrix_free_routes_match_dense_reference(self, ens_a, ens_b, n_dense):
+        # the invariant scan and the Hessenberg route against dense draws:
+        # Q0 within 4 sigma at every tau and a two-sample KS test at 1%
+        T = 40
+        grid = np.arange(T + 1)
+        fast_times = _persistence_chunk(ens_a, ens_b, T, 31, 0, 4 * n_dense)
+        ref_times = dense_first_changes(ens_a, ens_b, n_dense, T, seed=32)
+        fast, ref = (
+            PersistenceCurve.from_first_change_times(t, T, grid=grid)
+            for t in (fast_times, ref_times)
+        )
+        sigma = np.sqrt(fast.stderr**2 + ref.stderr**2)
+        inside = sigma > 0
+        assert np.all(np.abs(fast.q0 - ref.q0)[inside] <= 4 * sigma[inside])
+        assert ks_2samp(fast_times, ref_times).pvalue > 0.01
 
     @pytest.mark.parametrize(
         "scaled, plain",
@@ -484,17 +569,17 @@ class TestJacobiRoute:
         assert np.all(np.abs(fast.q0 - ref.q0)[inside] <= 4 * sigma[inside])
         assert ks_2samp(fast_times, ref_times).pvalue > 0.01
 
-    @pytest.mark.parametrize(
-        "ens",
-        [
-            EnsembleSpec.invariant(SpectralModel.semicircle(0.5, 1.0), 32),
-            EnsembleSpec.elliptic(32, 0.5),
-        ],
-        ids=["invariant", "elliptic"],
-    )
-    def test_dense_kinds_keep_dense_route(self, ens):
-        times = _persistence_chunk(ens, ens, 40, 9, 0, 300)
-        assert np.array_equal(times, route_layout_dense_changes(ens, ens, 300, 40, seed=9))
+    @pytest.mark.parametrize("ens_a, ens_b", PAIRS[1:], ids=PAIR_IDS[1:])
+    def test_no_dense_draw(self, ens_a, ens_b, monkeypatch):
+        # no persistence start draws a dense matrix or a Haar frame
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the persistence route drew a dense matrix")
+
+        monkeypatch.setattr(EnsembleSpec, "sample", forbidden)
+        monkeypatch.setattr(ensembles, "_haar_orthogonal", forbidden)
+        monkeypatch.setattr(dynamics, "_haar_orthogonal", forbidden)
+        curve = estimate_persistence_matrix(ens_a, ens_b, 300, T=60, seed=2)
+        assert curve.meta["ensembles"] == (ens_a.describe(), ens_b.describe())
 
 
 class TestMatrixAgainstSurrogate:
@@ -510,6 +595,18 @@ class TestMatrixAgainstSurrogate:
         gp = estimate_persistence_gp(
             SpectralModel.semicircle(0.0, 2.0), T, 300_000, seed=71, grid=grid
         )
+        sigma = np.sqrt(matrix.stderr**2 + gp.stderr**2)[1:]
+        assert np.max(np.abs(matrix.q0 - gp.q0)[1:] / sigma) < 4
+
+
+    @pytest.mark.parametrize("spec", [SEMI, BETA3], ids=["semicircle", "beta3"])
+    def test_invariant_matches_gp_surrogate(self, spec):
+        # tau <= N^{2/3} / 16 keeps the finite-N correction below the errors
+        T = 25
+        grid = np.arange(T + 1)
+        ens = EnsembleSpec.invariant(spec, 8192)
+        matrix = estimate_persistence_matrix(ens, ens, 4000, T, seed=43, grid=grid)
+        gp = estimate_persistence_gp(spec, T, 200_000, seed=73, grid=grid)
         sigma = np.sqrt(matrix.stderr**2 + gp.stderr**2)[1:]
         assert np.max(np.abs(matrix.q0 - gp.q0)[1:] / sigma) < 4
 
@@ -584,6 +681,14 @@ class TestLyapunovRuns:
         ens = EnsembleSpec.goe(16)
         with pytest.raises(InvalidSpecError, match="got -5"):
             lyapunov_runs(ens, ens, 4, T=-5, seed=0)
+
+    @pytest.mark.parametrize("tail_window", [2.5, 100.0, 0, "100"])
+    @pytest.mark.parametrize("entry", [lyapunov_runs, trapped_run_edge_pairs])
+    def test_tail_window_must_be_integer(self, entry, tail_window, monkeypatch):
+        monkeypatch.setattr(dynamics, "map_index_chunks", no_runs)
+        ens = EnsembleSpec.goe(16)
+        with pytest.raises(InvalidSpecError, match=f"tail_window must be >= 1, got {tail_window}"):
+            entry(ens, ens, 4, T=200, seed=0, tail_window=tail_window)
 
     def test_zero_tail_window_is_typed(self):
         ens = EnsembleSpec.goe(16)
@@ -793,6 +898,12 @@ class TestWorkerCountInvariance:
         two = estimate_persistence_matrix(ens_a, ens_b, 1000, T=60, seed=23, threads=2)
         assert np.array_equal(one.q0, two.q0)
 
+    @pytest.mark.parametrize("ens_a, ens_b", PAIRS[1:], ids=PAIR_IDS[1:])
+    def test_persistence_matrix_all_routes(self, ens_a, ens_b):
+        one = estimate_persistence_matrix(ens_a, ens_b, 600, T=60, seed=24, threads=1)
+        two = estimate_persistence_matrix(ens_a, ens_b, 600, T=60, seed=24, threads=2)
+        assert np.array_equal(one.q0, two.q0)
+
     def test_lyapunov_runs(self):
         ens = EnsembleSpec.goe(16)
         one = lyapunov_runs(ens, ens, 40, T=300, seed=22, tail_window=100, threads=1)
@@ -807,6 +918,20 @@ class TestWorkerCountInvariance:
 
 
 class TestScalingCollapse:
+    @pytest.mark.parametrize("mu", [float("nan"), float("inf"), -float("inf"), 0.0, -0.5])
+    def test_mu_must_be_finite_and_positive(self, mu, monkeypatch):
+        monkeypatch.setattr(dynamics, "estimate_persistence_matrix", no_runs)
+        with pytest.raises(InvalidSpecError, match="mu must be finite and > 0"):
+            scaling_collapse([16, 64, 256], goe_family(), 100, T=100, mu=mu, seed=0)
+
+    @pytest.mark.parametrize(
+        "sizes, shown", [([16.7, 64, 256], "16.7"), ([16, 64.0, 256], "64.0"), ([1, 16, 64], "1")]
+    )
+    def test_sizes_must_be_integers(self, sizes, shown, monkeypatch):
+        monkeypatch.setattr(dynamics, "estimate_persistence_matrix", no_runs)
+        with pytest.raises(InvalidSpecError, match=f"integers >= 2, got {shown}"):
+            scaling_collapse(sizes, goe_family(), 100, T=100, mu=0.476, seed=0)
+
     def test_needs_three_sizes(self):
         with pytest.raises(CollapseUndefinedError):
             scaling_collapse([64, 512], goe_family(), 100, T=100, mu=0.476, seed=0)

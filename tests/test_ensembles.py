@@ -207,6 +207,11 @@ class TestEnsembleSpec:
         with pytest.raises(InvalidSpecError, match="must be finite"):
             EnsembleSpec.elliptic(16, 0.5, float("inf"))
 
+    @pytest.mark.parametrize("placement", ["bogus", "Quantile", "", None])
+    def test_unknown_placement_rejected_at_construction(self, placement):
+        with pytest.raises(InvalidSpecError, match="unknown eigenvalue placement"):
+            EnsembleSpec.invariant(SpectralModel.semicircle(0.5, 1.0), 16, placement)
+
     def test_validation(self):
         with pytest.raises(InvalidSpecError):
             EnsembleSpec.goe(1)

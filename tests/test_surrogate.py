@@ -325,6 +325,20 @@ class TestPersistence:
             with pytest.raises(InvalidSpecError, match=f"got {n_paths}"):
                 joint_persistence(BETA3, p, 16, n_paths, seed=0)
 
+    def test_factor_built_once_per_spectrum_and_horizon(self, monkeypatch):
+        first = estimate_persistence_gp(SHIFTED, 64, 500, seed=3, subprocesses=True)
+        joint = joint_persistence(SHIFTED, 2, 64, 500, seed=3)
+
+        def no_factor(*args, **kwargs):
+            raise AssertionError("the factor was built again")
+
+        monkeypatch.setattr(surrogate, "_pivoted_cholesky", no_factor)
+        again = estimate_persistence_gp(SHIFTED, 64, 500, seed=3, subprocesses=True)
+        for a, b in zip(first, again):
+            assert np.array_equal(a.q0, b.q0) and np.array_equal(a.stderr, b.stderr)
+        assert np.array_equal(joint_persistence(SHIFTED, 2, 64, 500, seed=3).q0, joint.q0)
+        assert not _gp_factor(SHIFTED, 64).flags.writeable
+
     def test_atomic_never_changes_sign(self):
         curve = estimate_persistence_gp(SpectralModel.atomic(0.9), T=100, n_paths=10, seed=0)
         assert np.all(curve.q0 == 1.0)
