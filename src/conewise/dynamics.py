@@ -16,6 +16,12 @@ end of this docstring.)  Two equivalent evolution routes exist:
   floating-point limits both describe the same dynamics; the blocked route
   makes ensemble sweeps at N ~ 1e3, T ~ 1e4 tractable.
 
+Exact zeros follow two fixed rules on every route.  Cone A's matrix acts
+while v1 >= 0 and cone B's while v1 < 0 (with more cones, bit i of the
+index is set when component i is negative).  A start keeps its sign
+through tau when v1(0) v1(t) > 0 for every 1 <= t <= tau, so a zero of v1,
+at the start or later, counts as a sign change.
+
 The block route needs neither matrix, only four things: the spectra nu_A
 and nu_B, the basis change C = U_B^T U_A between the eigenbases, their first
 rows a = U_A^T e1 and b = U_B^T e1, and the start w = U^T v0 / |v0| in the
@@ -79,9 +85,10 @@ for invariant cones, on N) but no N x N draw:
   t = 0..T, as the factor and a o w as the path normals, these are the
   paths of the Gaussian-process scan (``surrogate._block_first_changes``),
   which forms times 0..8 and then doubling time blocks only for paths still
-  alive.  Its start sign is that of the t = 0 product, v0[0] up to
-  round-off, and it counts an exact zero of v1 as a change; both differ
-  from the dense route only on events of probability zero.
+  alive.  Its start sign is that of the t = 0 product, which is v0[0] up
+  to round-off; a start at v0[0] = 0 is given its change at t = 1
+  directly, so only a start with 0 < |v0[0]| at round-off level can take
+  another sign than under the fixed rules.
 
 The dense reference that both are tested against steps a drawn matrix by
 matrix-vector products; it lives in the tests.
@@ -91,7 +98,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
@@ -119,7 +126,7 @@ from .parallel import map_index_chunks
 from .records import LyapunovSamples, PersistenceCurve, log_tau_grid
 from .seeding import derive_seed, rng_from_seed
 from .spectra import inverse_cdf
-from .surrogate import _block_first_changes
+from .surrogate import _block_first_changes, _changes_in
 
 __all__ = [
     "Trajectory",
@@ -165,16 +172,6 @@ _COLLAPSE_POINTS_PER_DECADE = 24
 # before the tail window opens; with start weights of order one its tail
 # rate is then within about 1e-8 / (2 tail_window) of ln nu_1
 _EDGE_SETTLED_DECAY = 1e-4
-
-
-def _sign_with_coin(value: float, rng: np.random.Generator) -> int:
-    """Sign of a component; exact zeros resolved by a fair coin from the
-    run's stream (probability zero in float dynamics, handled anyway)."""
-    if value > 0.0:
-        return 1
-    if value < 0.0:
-        return -1
-    return 1 if rng.random() < 0.5 else -1
 
 
 def _runs_of(labels: np.ndarray) -> list[tuple[int, int]]:
@@ -224,7 +221,6 @@ def evolve_multicone(
     p: int,
     v0: np.ndarray,
     T: int,
-    seed: int = 0,
 ) -> Trajectory:
     """Cone-wise evolution where sign bits of the first p components select
     one of 2**p matrices (bit i set when component i is negative).  A p
@@ -244,7 +240,6 @@ def evolve_multicone(
     nrm0 = float(np.linalg.norm(v0))
     if nrm0 == 0.0:
         raise InvalidSpecError("need a nonzero start vector")
-    rng = rng_from_seed(seed)
     v = v0 / nrm0
     sqrt_n = math.sqrt(n)
 
@@ -259,7 +254,7 @@ def evolve_multicone(
     for t in range(T):
         idx = 0
         for comp in range(p):
-            if _sign_with_coin(v[comp], rng) < 0:
+            if v[comp] < 0.0:
                 idx |= 1 << comp
         labels[t] = idx
         np.matmul(matrices[idx], v, out=w)
@@ -284,22 +279,22 @@ def evolve_multicone(
         residence_intervals=runs[:-1],
         open_interval=runs[-1],
         trapped=trapped,
-        meta={"N": n, "p": p, "seed": seed},
+        meta={"N": n, "p": p},
     )
 
 
-def evolve(A: np.ndarray, B: np.ndarray, v0: np.ndarray, T: int, seed: int = 0) -> Trajectory:
-    """Two-cone evolution: A acts while the first component is positive,
-    B while it is negative (exact zeros: fair coin)."""
+def evolve(A: np.ndarray, B: np.ndarray, v0: np.ndarray, T: int) -> Trajectory:
+    """Two-cone evolution: A acts while the first component is >= 0, B
+    while it is < 0."""
     if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidSpecError("A and B must be square matrices of one dimension")
-    return evolve_multicone([A, B], 1, v0, T, seed=seed)
+    return evolve_multicone([A, B], 1, v0, T)
 
 
 # -- persistence from matrix dynamics ---------------------------------------
 
 
-def _hessenberg_first_sign_changes(diag, offdiag, upper, z, s0, horizon, coin) -> np.ndarray:
+def _hessenberg_first_sign_changes(diag, offdiag, upper, z, s0, horizon) -> np.ndarray:
     """First sign change of v1(t) = (H^t e1) . z for stacked Hessenberg H.
 
     Row i holds the leading K x K block of one upper-Hessenberg H: its
@@ -307,14 +302,15 @@ def _hessenberg_first_sign_changes(diag, offdiag, upper, z, s0, horizon, coin) -
     sides of the diagonal) plus ``upper``, the (rows, K, K) strictly upper
     rest, or None when every H of the stack is tridiagonal (GOE).  With it
     the first K entries of the start vector ``z`` and the starting sign
-    ``s0`` (+-1); K >= min(horizon + 1, N) suffices because H^t e1 lives on
-    the first t + 1 coordinates.  Rows step together but independently:
-    every operation on a row is elementwise or a reduction over that row
-    alone, so a row's result does not depend on which rows share its block.
-    An exact zero of v1 in row i is resolved by ``coin(i)``, a fair +-1 from
-    that row's own stream; a row whose H^t e1 is the zero vector raises
-    :class:`DegenerateDynamicsError`.  Returns per-row times (horizon + 1
-    when the sign never changes).
+    ``s0`` (+-1, or 0 for a start at v1 = 0); K >= min(horizon + 1, N)
+    suffices because H^t e1 lives on the first t + 1 coordinates.  Rows
+    step together but independently: every operation on a row is
+    elementwise or a reduction over that row alone, so a row's result does
+    not depend on which rows share its block.  A row changes at the first t
+    where s0 v1(t) is not > 0, so an exact zero of v1 counts as a change
+    and s0 = 0 changes at t = 1; a row whose H^t e1 is the zero vector
+    raises :class:`DegenerateDynamicsError`.  Returns per-row times
+    (horizon + 1 when the sign never changes).
 
     Only signs matter, so the state is never normalized.  Each row of H is
     first divided by a power of two 2^e >= 4 p, p the largest of its
@@ -354,19 +350,15 @@ def _hessenberg_first_sign_changes(diag, offdiag, upper, z, s0, horizon, coin) -
         signed = np.vecdot(y, zs[:, :c])
         if np.minimum.reduce(signed) > 0.0:
             continue
-        changed = signed < 0.0
-        for i in np.flatnonzero(signed == 0.0):
-            if not y[i].any():
-                raise DegenerateDynamicsError(t)
-            changed[i] = coin(row_of[i]) != s0[i]
+        if not y[signed == 0.0].any(axis=1).all():
+            raise DegenerateDynamicsError(t)
+        changed = ~(signed > 0.0)
         times[row_of[changed]] = t
         keep = ~changed
         if not keep.any():
             break
         # finished rows leave the stack at once, so every row left is alive
-        diag, offdiag, zs, s0, x, row_of = (
-            a[keep] for a in (diag, offdiag, zs, s0, x, row_of)
-        )
+        diag, offdiag, zs, x, row_of = (a[keep] for a in (diag, offdiag, zs, x, row_of))
     return times
 
 
@@ -434,30 +426,17 @@ def _persistence_chunk(ensemble_a, ensemble_b, T, seed, start, stop):
     pair = (ensemble_a, ensemble_b)
     invariant = np.array([ens.kind == "invariant" for ens in pair])
     elliptic = np.array([ens.kind == "elliptic" and ens.rho < 1.0 for ens in pair])
-    # the centre shifts GOE draws only, as in EnsembleSpec.sample
-    center = np.array([e.center if e.kind == "goe" else 0.0 for e in pair])
+    center = np.array([e.center for e in pair])
     sigma, rho = np.array([e.sigma for e in pair]), np.array([e.rho for e in pair])
     per = max(1, _UPPER_ENTRIES // (k * k))
-
-    @cache
-    def own(r):
-        """Realization r's own stream, slot 0, opened on first use."""
-        return rng_from_seed(derive_seed(seed, r, 0))
-
     times = np.empty(stop - start, dtype=np.int64)
     for lo in range(start - start % _JACOBI_BLOCK, stop, _JACOBI_BLOCK):
         first, last = max(lo, start), min(lo + _JACOBI_BLOCK, stop)
         block, i0, i1 = lo // _JACOBI_BLOCK, first - lo, last - lo
         heads, normals = _block_draws(seed, block, i0, i1, k)
-        s0 = np.where(heads[:, 0] > 0.0, 1, -1)
-        for i in np.flatnonzero(heads[:, 0] == 0.0).tolist():
-            s0[i] = _sign_with_coin(0.0, own(first + i))
+        s0 = np.sign(heads[:, 0])
         cone = (s0 < 0).astype(np.intp)  # 0 for cone A, 1 for cone B
         out = times[first - start : last - start]
-
-        def coin_of(rows):
-            return lambda i: _sign_with_coin(0.0, own(first + int(rows[i])))
-
         if not invariant.all():
             chisq = rng_from_seed(derive_seed(seed, block, 4)).chisquare(
                 _jacobi_dofs(n_dim, k), (i1, k - 1)
@@ -467,7 +446,7 @@ def _persistence_chunk(ensemble_a, ensemble_b, T, seed, start, stop):
             tri = np.flatnonzero(~invariant[cone] & ~elliptic[cone])
             if tri.size:
                 out[tri] = _hessenberg_first_sign_changes(
-                    diag[tri], sub[tri], None, heads[tri], s0[tri], T, coin_of(tri)
+                    diag[tri], sub[tri], None, heads[tri], s0[tri], T
                 )
             if elliptic.any():
                 # elliptic rows step in pieces of `per` block rows, each with
@@ -482,7 +461,7 @@ def _persistence_chunk(ensemble_a, ensemble_b, T, seed, start, stop):
                             s_col[rows], r_col[rows], sub[rows], draws[rows + i0 - p0]
                         )
                         out[rows] = _hessenberg_first_sign_changes(
-                            diag[rows], sub[rows], upper, heads[rows], s0[rows], T, coin_of(rows)
+                            diag[rows], sub[rows], upper, heads[rows], s0[rows], T
                         )
         if invariant.any():
             frame = rng_from_seed(derive_seed(seed, block, 5)).standard_normal((i1, 2 * n_dim))[i0:]
@@ -496,15 +475,18 @@ def _persistence_chunk(ensemble_a, ensemble_b, T, seed, start, stop):
                 rows = np.flatnonzero(member)
                 if not rows.size:
                     continue
-                # the scan's paths are factor @ z; a zero counts as a change
                 weights = _invariant_weights(heads[rows, 0], frame[rows])
                 if ens.placement == "quantile":
-                    factor, z = _quantile_table(ens.spectral_model, n_dim, T), weights.T
+                    # the scan's paths are the table @ weights.T
+                    table = _quantile_table(ens.spectral_model, n_dim, T)
+                    firsts = _block_first_changes(table, weights.T)[0]
                 else:  # a table per row: the rows' paths, (T + 1) x rows, at once
                     nus = inverse_cdf(ens.spectral_model, uniforms[rows])
-                    factor = np.stack([_power_table(nu, T) @ w for nu, w in zip(nus, weights)], 1)
-                    z = np.eye(rows.size)
-                out[rows] = np.minimum(*_block_first_changes(factor, z)[0])
+                    paths = np.stack([_power_table(nu, T) @ w for nu, w in zip(nus, weights)], 1)
+                    firsts = _changes_in(paths[1:] * paths[0] > 0.0, 1, T + 1)
+                # the scan reads its start sign off the t = 0 product, so a
+                # start at v0[0] = 0 is given its change at t = 1 here
+                out[rows] = np.where(s0[rows] == 0.0, 1, np.minimum(*firsts))
     return times
 
 
@@ -530,7 +512,8 @@ def estimate_persistence_matrix(
 
     * 3: per row the first k start-vector entries (its head), then k
       diagonal normals; the starting sign is that of the head's first
-      entry, v0[0];
+      entry, v0[0], and a start at v0[0] = 0 is in cone A and changes at
+      t = 1;
     * 4: k - 1 chi-square variates of the subdiagonal (pairs with a GOE or
       elliptic cone);
     * 7: k (k - 1) / 2 normals of the upper part, for elliptic cones with
@@ -540,18 +523,16 @@ def estimate_persistence_matrix(
     * 6: N uniforms of the iid spectrum (iid placement), apart from the
       frame so that the two are independent.
 
-    Slot 0, ``derive_seed(seed, r, 0)``, is r's own stream; it is opened only
-    for a coin on an exact zero (probability zero): of v0[0], or of v1 on
-    the Hessenberg route.  Slots 1 and 2 are unused.  A GOE or elliptic cone
-    scales the row's variates by its centre, sigma and rho into the leading
-    k x k block of its Hessenberg form, and a block's starts in such cones
-    step together, GOE and elliptic ones in separate stacks: exact in law
-    and O(tau^2) (GOE) or O(tau^3) (elliptic) per run whatever N is.  An
-    invariant cone turns the row's slot-5 normals into a o w and scans the
-    paths of its power table, where an exact zero of v1 counts as a change
-    (probability zero); the quantile-placed table is built once per (model,
-    N, T), and an iid start scans its own table.  ``threads`` is the
-    number of worker processes (see
+    Slots 0, 1 and 2 are unused.  A GOE or elliptic cone scales the row's
+    variates by its centre, sigma and rho into the leading k x k block of
+    its Hessenberg form, and a block's starts in such cones step together,
+    GOE and elliptic ones in separate stacks: exact in law and O(tau^2)
+    (GOE) or O(tau^3) (elliptic) per run whatever N is.  An invariant cone
+    turns the row's slot-5 normals into a o w and scans the paths of its
+    power table; the quantile-placed table is built once per (model, N, T),
+    and an iid start checks the signs of its own path.  On every route an
+    exact zero of v1 counts as a change (module docstring).  ``threads`` is
+    the number of worker processes (see
     :func:`~conewise.parallel.map_index_chunks`), which receive whole
     blocks.  An ``n_realizations`` or T that is not an integer >= 1 raises
     :class:`InvalidSpecError` before any draw, and an all-zero invariant
@@ -615,8 +596,9 @@ def scaling_collapse(
 
     ``T`` is the horizon at the largest N; smaller sizes run to the same
     maximal rescaled time u = T * max(N)^{-2/3}.  ``threads`` is the number
-    of worker processes per size.  A size that is not an integer >= 2, or a
-    ``mu`` that is not finite and > 0, raises :class:`InvalidSpecError`.
+    of worker processes per size.  A size that is not an integer >= 2, a
+    ``mu`` that is not finite and > 0, or a T that is not an integer >= 1
+    raises :class:`InvalidSpecError` before any draw.
     """
     for n in n_list:
         check_count(n, 2, f"sizes must be integers >= 2, got {n}")
@@ -627,6 +609,7 @@ def scaling_collapse(
         raise CollapseUndefinedError("sizes must span at least a factor of 8")
     if not (math.isfinite(mu) and mu > 0):
         raise InvalidSpecError(f"rescaling exponent mu must be finite and > 0, got {mu}")
+    check_count(T, 1, f"horizon T must be an integer >= 1, got {T}")
     n_max = n_list[-1]
     u_max = T * n_max ** (-2.0 / 3.0)
     curves = []
@@ -803,20 +786,22 @@ class _RevealedFrame:
         self.dense = dormqr("R", "T", qr_p, tau_p, mid, lwork, overwrite_c=1)[0]
 
 
-def _lyapunov_kernel(nus, first_rows, frame, w_coord, s_cur, T, rng, tail_window, block):
+def _lyapunov_kernel(nus, first_rows, frame, w_coord, active, T, tail_window, block):
     """One run of the eigenbasis block evolution from spectral data.
 
     Cone c's matrix is U_c diag(``nus[c]``) U_c^T; ``first_rows[c]`` is
     U_c^T e1; ``frame.forward`` applies C = U_1^T U_0, which maps cone-0
     coordinates to cone-1 coordinates, and ``frame.transpose`` applies C^T;
     ``w_coord`` is the unit start direction in the coordinates of the
-    starting cone, 0 when ``s_cur`` > 0 and 1 otherwise.
-    While the sign holds, first components for a whole block of steps come
-    from a table of eigenvalue powers built once per cone; the basis change
-    acts only at cone switches.  Directions are snapshotted (quantized) at
-    every cone entry for cycle detection.  With ``tail_window >= T`` the
-    tail is the whole run.  Returns the first eleven fields of ``_RUN`` in
-    order; ``cycle_period`` is 0 when the run does not cycle.
+    starting cone ``active`` (0 or 1).
+    While the cone holds (v1 >= 0 in cone 0, v1 < 0 in cone 1), first
+    components for a whole block of steps come from a table of eigenvalue
+    powers built once per cone; a block stops at the first step that leaves
+    the cone, and the basis change acts only at these switches.  Directions
+    are snapshotted (quantized) at every cone entry for cycle detection.
+    With ``tail_window >= T`` the tail is the whole run.  Returns the first
+    eleven fields of ``_RUN`` in order; ``cycle_period`` is 0 when the run
+    does not cycle.
     """
     n = w_coord.size
     tables = []
@@ -825,7 +810,6 @@ def _lyapunov_kernel(nus, first_rows, frame, w_coord, s_cur, T, rng, tail_window
         cap = max(1, int(600.0 / max(abs(math.log(top)), 1e-3))) if top > 0 else block
         # row i is nu**(i + 1): the cumulative product of one block's powers
         tables.append(np.cumprod(np.broadcast_to(nu, (min(block, cap), n)), axis=0))
-    active = 0 if s_cur > 0 else 1
 
     t = 0
     log_norm = 0.0
@@ -846,10 +830,7 @@ def _lyapunov_kernel(nus, first_rows, frame, w_coord, s_cur, T, rng, tail_window
         k = min(k_next, table.shape[0], T - t)
         powers = table[:k]
         v1 = powers @ (first_rows[active] * w_coord)
-        if s_cur > 0:
-            bad = v1 <= 0.0
-        else:
-            bad = v1 >= 0.0
+        bad = v1 < 0.0 if active == 0 else v1 >= 0.0
         j = int(np.argmax(bad)) if bad.any() else -1
         adv = k if j < 0 else j + 1
         w_coord = w_coord * powers[adv - 1]
@@ -864,25 +845,23 @@ def _lyapunov_kernel(nus, first_rows, frame, w_coord, s_cur, T, rng, tail_window
         w_coord /= nrm
         t += adv
         n_blocks += 1
-        k_next = k if j >= 0 else min(4 * k, block)
-        if j >= 0:
-            new_s = _sign_with_coin(float(v1[j]), rng)
-            if new_s != s_cur:
-                k_next = 8
-                s_cur = new_s
-                last_change = t
-                n_switches += 1
-                w_coord = frame.forward(w_coord) if active == 0 else frame.transpose(w_coord)
-                w_coord /= np.linalg.norm(w_coord)  # orthogonality round-off only
-                active = 1 - active
-                if not cycling:
-                    key = np.round(w_coord / _CYCLE_GRID).astype(np.int64).tobytes()
-                    prev = seen.get((active, key))
-                    if prev is not None:
-                        cycling = True
-                        cycle_period = t - prev
-                    else:
-                        seen[(active, key)] = t
+        if j < 0:
+            k_next = min(4 * k, block)
+        else:
+            k_next = 8
+            last_change = t
+            n_switches += 1
+            w_coord = frame.forward(w_coord) if active == 0 else frame.transpose(w_coord)
+            w_coord /= np.linalg.norm(w_coord)  # orthogonality round-off only
+            active = 1 - active
+            if not cycling:
+                key = np.round(w_coord / _CYCLE_GRID).astype(np.int64).tobytes()
+                prev = seen.get((active, key))
+                if prev is not None:
+                    cycling = True
+                    cycle_period = t - prev
+                else:
+                    seen[(active, key)] = t
         if not tail_started and t >= T - tail_window:
             tail_t, tail_l = t, log_norm
             tail_started = True
@@ -903,8 +882,7 @@ def _lyapunov_chunk(ensemble_a, ensemble_b, T, seed, tail_window, start, stop):
     n = ensemble_a.dimension
     runs = []
     for r in range(start, stop):
-        rng = rng_from_seed(derive_seed(seed, r, 0))
-        v0 = rng.standard_normal(n)
+        v0 = rng_from_seed(derive_seed(seed, r, 0)).standard_normal(n)
         nus = (
             _eigenvalues(ensemble_a, derive_seed(seed, r, 1)),
             _eigenvalues(ensemble_b, derive_seed(seed, r, 2)),
@@ -915,11 +893,11 @@ def _lyapunov_chunk(ensemble_a, ensemble_b, T, seed, tail_window, start, stop):
         frame = _RevealedFrame(n, stream)
         b = frame.forward(a)
         x = v0 / np.linalg.norm(v0)
-        s0 = _sign_with_coin(x[0], rng)
+        cone = int(x[0] < 0.0)  # cone A holds v1 >= 0
         w = _reflect_e1_to(a, x)
-        if s0 < 0:
+        if cone:
             w = frame.forward(w)
-        out = _lyapunov_kernel(nus, (a, b), frame, w, s0, T, rng, tail_window, _BLOCK)
+        out = _lyapunov_kernel(nus, (a, b), frame, w, cone, T, tail_window, _BLOCK)
         runs.append((*out, frame.revealed, frame.dense is not None))
     return np.array(runs, dtype=_RUN)
 
@@ -943,7 +921,7 @@ def lyapunov_runs(
     reveals in the order the run asks for them, then, once N // 8 pairs are
     known and the run asks for a new one, the rest of the frame at once (see
     the module docstring).
-    Slot 0 gives the start vector, then its sign and every coin of the run.
+    Slot 0 gives only the start vector.
     No matrix of the cones is formed and no ``eigh`` runs; the law is that
     of dense draws diagonalized by ``eigh`` and stepped by the same kernel,
     but the per-seed outputs differ.  ``samples.meta`` counts the revealed

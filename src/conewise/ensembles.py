@@ -20,8 +20,8 @@ GOE and elliptic recipes also have a Hessenberg form: H = Q^T M^T Q, the
 Householder upper-Hessenberg form of M^T with Q e1 = e1 (M^T has M's law).
 With sigma = radius / (2 sqrt(N)) its entries are independent:
 
-* H[k, k] = center + sqrt(1 + rho) sigma N(0, 1), the centre for GOE only
-  (``sample`` shifts GOE draws only),
+* H[k, k] = center + sqrt(1 + rho) sigma N(0, 1) (only GOE recipes take a
+  centre; elliptic ones have center = 0),
 * H[k+1, k] = sigma chi_{N-k-1},
 * H[k, k+1] = rho H[k+1, k] + sqrt(1 - rho^2) sigma N(0, 1),
 * H[k, j] = sqrt(1 - rho^2) sigma N(0, 1) for j >= k + 2, zero below the
@@ -206,7 +206,8 @@ class EnsembleSpec:
     """Recipe for sampling one N x N random matrix.
 
     ``kind`` selects the sampler: ``goe(center, radius)``,
-    ``invariant(spec)`` or ``elliptic(rho, radius)``.
+    ``invariant(spec)`` or ``elliptic(rho, radius)``.  A nonzero ``center``
+    on another kind than GOE raises :class:`InvalidSpecError`.
     """
 
     kind: str
@@ -226,6 +227,10 @@ class EnsembleSpec:
         if not (math.isfinite(self.center) and math.isfinite(self.radius)):
             raise InvalidSpecError(
                 f"center and radius must be finite, got {self.center} and {self.radius}"
+            )
+        if self.kind != "goe" and self.center != 0.0:
+            raise InvalidSpecError(
+                f"only GOE recipes take a centre; a {self.kind} recipe got {self.center}"
             )
         if self.kind in ("goe", "elliptic") and self.radius <= 0:
             raise InvalidSpecError(f"radius must be > 0, got {self.radius}")
@@ -278,7 +283,7 @@ class EnsembleSpec:
         sigma = self.sigma
         g = rng.standard_normal((n, n))
         h = (g + g.T) * (sigma / math.sqrt(2.0))
-        if self.kind == "goe" and self.center != 0.0:
+        if self.center != 0.0:
             h[np.diag_indices(n)] += self.center
         if self.kind == "goe" or self.rho == 1.0:
             return h

@@ -2,10 +2,10 @@
 
 Every stochastic routine in the package takes an explicit 64-bit seed and
 builds its generator through :func:`rng_from_seed` (NumPy PCG64).  Sub-tasks
-(realizations, path blocks, per-trajectory coin streams) use seeds derived
-with :func:`derive_seed`, which folds indices through SplitMix64.  Results
-are therefore independent of scheduling or chunking: task ``k`` always sees
-the same stream no matter how many workers run.
+(realizations, their matrix and start-vector draws, path blocks) use seeds
+derived with :func:`derive_seed`, which folds indices through SplitMix64.
+Results are therefore independent of scheduling or chunking: task ``k``
+always sees the same stream no matter how many workers run.
 
 Opening a generator costs tens of microseconds, so a routine with cheap
 realizations derives its streams per block of realizations, not per

@@ -30,7 +30,6 @@ from conewise.dynamics import (
     _hessenberg_first_sign_changes,
     _lyapunov_kernel,
     _persistence_chunk,
-    _sign_with_coin,
 )
 from conewise.ensembles import _goe_jacobi
 from conewise.errors import CollapseUndefinedError, FitError
@@ -46,12 +45,13 @@ def gaussian(n, seed):
     return rng_from_seed(seed).standard_normal(n)
 
 
-def _first_sign_change(m, v0, horizon, rng):
+def _first_sign_change(m, v0, horizon):
     """Step of the first sign change of the first component of m^t v0, or
     horizon + 1: the dense reference kernel, one normalized matrix-vector
-    product per step, exact zeros resolved by a coin from ``rng``."""
+    product per step.  The sign holds while v1(0) v1(t) > 0, so an exact
+    zero of v1 counts as a change."""
     v = v0 / np.linalg.norm(v0)
-    s0 = _sign_with_coin(v[0], rng)
+    s0 = np.sign(v[0])
     w = np.empty_like(v)
     for t in range(1, horizon + 1):
         np.matmul(m, v, out=w)
@@ -59,22 +59,20 @@ def _first_sign_change(m, v0, horizon, rng):
         if nrm == 0.0:
             raise DegenerateDynamicsError(t)
         np.divide(w, nrm, out=v)
-        if _sign_with_coin(v[0], rng) != s0:
+        if not s0 * v[0] > 0.0:
             return t
     return horizon + 1
 
 
 def dense_first_changes(ens_a, ens_b, n_real, T, seed):
     """First-change times of fresh dense draws stepped by the reference
-    kernel: slot 0 for the start vector and coins, slots 1 and 2 for the
-    matrices of cones A and B."""
+    kernel: slot 0 for the start vector, slots 1 and 2 for the matrices of
+    cones A (v0[0] >= 0) and B."""
     times = np.empty(n_real, dtype=np.int64)
     for r in range(n_real):
-        rng = rng_from_seed(derive_seed(seed, r, 0))
-        v0 = rng.standard_normal(ens_a.dimension)
-        s0 = _sign_with_coin(v0[0], rng)
-        ens, slot = (ens_a, 1) if s0 > 0 else (ens_b, 2)
-        times[r] = _first_sign_change(ens.sample(derive_seed(seed, r, slot)), v0, T, rng)
+        v0 = rng_from_seed(derive_seed(seed, r, 0)).standard_normal(ens_a.dimension)
+        ens, slot = (ens_a, 1) if v0[0] >= 0.0 else (ens_b, 2)
+        times[r] = _first_sign_change(ens.sample(derive_seed(seed, r, slot)), v0, T)
     return times
 
 
@@ -86,17 +84,8 @@ def route_heads(seed, n_real, k):
     return np.concatenate(heads)[:n_real]
 
 
-def coins_of(rngs):
-    """The kernel's coin callable over one generator per row."""
-    return lambda i: _sign_with_coin(0.0, rngs[i])
-
-
 def no_runs(*args, **kwargs):
     raise AssertionError("work started before the inputs were checked")
-
-
-def no_coin(i):
-    raise AssertionError(f"row {i} flipped a coin")
 
 
 class DenseFrame:
@@ -112,34 +101,33 @@ class DenseFrame:
         return self.cross.T @ y
 
 
-def dense_lyapunov_single(mats, v0, T, rng, tail_window, block):
+def dense_lyapunov_single(mats, v0, T, tail_window, block):
     """One run of the block evolution from two dense symmetric matrices:
     both diagonalized by ``eigh``, then stepped by the one kernel.  The
     reference that lyapunov_runs and the step-by-step evolve are tested
     against."""
     (nu_a, u_a), (nu_b, u_b) = (np.linalg.eigh(m) for m in mats)
     v = v0 / np.linalg.norm(v0)
-    s0 = _sign_with_coin(v[0], rng)
-    w = (u_a if s0 > 0 else u_b).T @ v
+    cone = int(v[0] < 0.0)
+    w = (u_a, u_b)[cone].T @ v
     return _lyapunov_kernel(
-        (nu_a, nu_b), (u_a[0, :], u_b[0, :]), DenseFrame(u_b.T @ u_a), w, s0, T, rng,
-        tail_window, block,
+        (nu_a, nu_b), (u_a[0, :], u_b[0, :]), DenseFrame(u_b.T @ u_a), w, cone, T, tail_window,
+        block,
     )
 
 
 def dense_lyapunov_runs(ens_a, ens_b, n_real, T, seed, tail_window):
     """Kernel tuples of fresh dense draws stepped by the dense wrapper, with
-    slot 0 for the start vector and coins and slots 1, 2 for the matrices."""
+    slot 0 for the start vector and slots 1, 2 for the matrices."""
     runs = []
     for r in range(n_real):
-        rng = rng_from_seed(derive_seed(seed, r, 0))
-        v0 = rng.standard_normal(ens_a.dimension)
+        v0 = rng_from_seed(derive_seed(seed, r, 0)).standard_normal(ens_a.dimension)
         mats = (ens_a.sample(derive_seed(seed, r, 1)), ens_b.sample(derive_seed(seed, r, 2)))
-        runs.append(dense_lyapunov_single(mats, v0, T, rng, tail_window, _BLOCK))
+        runs.append(dense_lyapunov_single(mats, v0, T, tail_window, _BLOCK))
     return runs
 
 
-def blockwise_reference(mats, v0, T, rng, tail_window, block):
+def blockwise_reference(mats, v0, T, tail_window, block):
     """The block evolution with one cumprod of eigenvalue powers per block:
     the reference the kernel's power tables must reproduce bit for bit."""
     n = v0.size
@@ -151,8 +139,7 @@ def blockwise_reference(mats, v0, T, rng, tail_window, block):
         top = float(np.max(np.abs(w)))
         caps.append(max(1, int(600.0 / max(abs(math.log(top)), 1e-3))) if top > 0 else block)
     v = v0 / np.linalg.norm(v0)
-    s_cur = _sign_with_coin(v[0], rng)
-    active = 0 if s_cur > 0 else 1
+    active = 0 if v[0] >= 0.0 else 1
     w_coord = eigvecs[active].T @ v
     t, log_norm, last_change, n_switches = 0, 0.0, 0, 0
     tail_t, tail_l, tail_started = 0, 0.0, False
@@ -162,7 +149,7 @@ def blockwise_reference(mats, v0, T, rng, tail_window, block):
         k = min(k_next, block, caps[active], T - t)
         powers = np.cumprod(np.broadcast_to(eigvals[active], (k, n)), axis=0)
         v1 = powers @ (first_row[active] * w_coord)
-        bad = v1 <= 0.0 if s_cur > 0 else v1 >= 0.0
+        bad = v1 < 0.0 if active == 0 else v1 >= 0.0  # the step that leaves the cone
         j = int(np.argmax(bad)) if bad.any() else -1
         adv = k if j < 0 else j + 1
         w_coord = w_coord * powers[adv - 1]
@@ -172,24 +159,20 @@ def blockwise_reference(mats, v0, T, rng, tail_window, block):
         log_norm += math.log(peak) + math.log(nrm)
         w_coord /= nrm
         t += adv
-        k_next = k if j >= 0 else min(4 * k, block)
+        k_next = 8 if j >= 0 else min(4 * k, block)
         if j >= 0:
-            new_s = _sign_with_coin(float(v1[j]), rng)
-            if new_s != s_cur:
-                k_next = 8
-                s_cur = new_s
-                last_change = t
-                n_switches += 1
-                w_coord = cross @ w_coord if active == 0 else cross.T @ w_coord
-                w_coord /= np.linalg.norm(w_coord)
-                active = 1 - active
-                if not cycling:
-                    key = np.round(w_coord / 1e-6).astype(np.int64).tobytes()
-                    prev = seen.get((active, key))
-                    if prev is not None:
-                        cycling, cycle_period = True, t - prev
-                    else:
-                        seen[(active, key)] = t
+            last_change = t
+            n_switches += 1
+            w_coord = cross @ w_coord if active == 0 else cross.T @ w_coord
+            w_coord /= np.linalg.norm(w_coord)
+            active = 1 - active
+            if not cycling:
+                key = np.round(w_coord / 1e-6).astype(np.int64).tobytes()
+                prev = seen.get((active, key))
+                if prev is not None:
+                    cycling, cycle_period = True, t - prev
+                else:
+                    seen[(active, key)] = t
         if not tail_started and t >= T - tail_window:
             tail_t, tail_l, tail_started = t, log_norm, True
     lam = log_norm / T
@@ -250,14 +233,14 @@ class TestEvolve:
     def test_single_matrix_limit_is_power_iteration(self):
         m = sample_goe(48, 0.0, 2.0, seed=5)
         top = np.max(np.abs(np.linalg.eigvalsh(m)))
-        traj = evolve(m, m, gaussian(48, 1), T=4000, seed=9)
+        traj = evolve(m, m, gaussian(48, 1), T=4000)
         assert abs(traj.lyapunov - math.log(top)) < 10 / 4000
 
     def test_scalar_dynamics_trapped_exact_rate(self):
         a = 1.3 * np.eye(8)
         b = 0.2 * np.eye(8)
         v0 = np.abs(gaussian(8, 2))  # v1(0) > 0: stays in the A cone forever
-        traj = evolve(a, b, v0, T=1500, seed=0)
+        traj = evolve(a, b, v0, T=1500)
         assert traj.lyapunov == pytest.approx(math.log(1.3), rel=1e-12)
         assert traj.trapped
         assert len(traj.residence_intervals) == 0
@@ -266,7 +249,7 @@ class TestEvolve:
     def test_unit_direction_each_step(self):
         a = sample_goe(16, 0.0, 0.5, seed=1)
         b = sample_goe(16, 0.0, 3.0, seed=2)
-        traj = evolve(a, b, gaussian(16, 3), T=200, seed=4)
+        traj = evolve(a, b, gaussian(16, 3), T=200)
         assert abs(np.linalg.norm(traj.direction) - 1.0) < 1e-12
 
     def test_log_norm_matches_raw_products(self):
@@ -274,7 +257,7 @@ class TestEvolve:
         a = sample_goe(12, 0.0, 0.9, seed=21)
         b = sample_goe(12, 0.0, 1.1, seed=22)
         v0 = gaussian(12, 23)
-        traj = evolve(a, b, v0, T=50, seed=24)
+        traj = evolve(a, b, v0, T=50)
         v = v0 / np.linalg.norm(v0)
         for t in range(50):
             v = (a if traj.cone_labels[t] == 0 else b) @ v
@@ -284,7 +267,7 @@ class TestEvolve:
     def test_interval_bookkeeping_reconstructs_labels(self):
         a = sample_goe(32, 0.0, 2.0, seed=31)
         b = sample_goe(32, 0.0, 2.0, seed=32)
-        traj = evolve(a, b, gaussian(32, 33), T=400, seed=34)
+        traj = evolve(a, b, gaussian(32, 33), T=400)
         assert traj.interval_partition_ok()
         rebuilt = np.concatenate(
             [
@@ -301,15 +284,15 @@ class TestEvolve:
     def test_seed_determinism(self):
         a = sample_goe(16, 0.0, 2.0, seed=41)
         b = sample_goe(16, 0.0, 2.0, seed=42)
-        t1 = evolve(a, b, gaussian(16, 43), T=128, seed=44)
-        t2 = evolve(a, b, gaussian(16, 43), T=128, seed=44)
+        t1 = evolve(a, b, gaussian(16, 43), T=128)
+        t2 = evolve(a, b, gaussian(16, 43), T=128)
         assert np.array_equal(t1.log_norm, t2.log_norm)
         assert np.array_equal(t1.signs, t2.signs)
 
     def test_wide_interval_spread_for_goe_pair(self):
         a = sample_goe(512, 0.0, 2.0, seed=51)
         b = sample_goe(512, 0.0, 2.0, seed=52)
-        traj = evolve(a, b, gaussian(512, 53), T=4000, seed=54)
+        traj = evolve(a, b, gaussian(512, 53), T=4000)
         lengths = [tau for _, tau in traj.residence_intervals]
         assert min(lengths) == 1
         assert max(lengths) >= 100  # spans two decades of residence times
@@ -317,11 +300,22 @@ class TestEvolve:
     def test_kernel_direction_raises(self):
         a = np.zeros((4, 4))
         with pytest.raises(DegenerateDynamicsError):
-            evolve(a, a, np.ones(4), T=10, seed=0)
+            evolve(a, a, np.ones(4), T=10)
+
+    def test_exact_zero_stays_in_a_and_leaves_b(self):
+        # v0 = (-1, 0) starts in B, which maps it to (0, -1): v1 = 0 exactly,
+        # so A acts from then on, and A = I keeps v1 = 0
+        a, b = np.eye(2), np.array([[0.0, 0.0], [1.0, 0.0]])
+        traj = evolve(a, b, np.array([-1.0, 0.0]), T=6)
+        assert list(traj.cone_labels) == [1, 0, 0, 0, 0, 0]
+        assert list(traj.signs) == [-1, 0, 0, 0, 0, 0, 0]
+        # with two sign bits, a zero component sets no bit: (0, -1) is cone 2
+        multi = evolve_multicone([b, b, a, b], 2, np.array([0.0, -1.0]), T=3)
+        assert list(multi.cone_labels) == [2, 2, 2]
 
     def test_vbar1_scaling(self):
         a = sample_goe(64, 0.0, 2.0, seed=61)
-        traj = evolve(a, a, gaussian(64, 62), T=32, seed=63)
+        traj = evolve(a, a, gaussian(64, 62), T=32)
         assert np.allclose(np.abs(traj.vbar1), 8 * np.abs(traj.direction[0]), atol=1e9)
         assert traj.vbar1[-1] == pytest.approx(8 * traj.direction[0])
 
@@ -331,15 +325,15 @@ class TestMulticone:
         a = sample_goe(24, 0.0, 1.5, seed=71)
         b = sample_goe(24, 0.0, 2.5, seed=72)
         v0 = gaussian(24, 73)
-        t1 = evolve(a, b, v0, T=200, seed=74)
-        t2 = evolve_multicone([a, b], 1, v0, T=200, seed=74)
+        t1 = evolve(a, b, v0, T=200)
+        t2 = evolve_multicone([a, b], 1, v0, T=200)
         assert np.array_equal(t1.log_norm, t2.log_norm)
         assert np.array_equal(t1.cone_labels, t2.cone_labels)
 
     def test_all_equal_matrices_power_iteration(self):
         m = sample_goe(32, 0.0, 2.0, seed=75)
         top = np.max(np.abs(np.linalg.eigvalsh(m)))
-        traj = evolve_multicone([m, m, m, m], 2, gaussian(32, 76), T=3000, seed=77)
+        traj = evolve_multicone([m, m, m, m], 2, gaussian(32, 76), T=3000)
         assert abs(traj.lyapunov - math.log(top)) < 10 / 3000
 
     def test_wrong_matrix_count(self):
@@ -349,7 +343,7 @@ class TestMulticone:
 
     def test_cone_labels_follow_sign_bits(self):
         a = [sample_goe(16, 0.0, 2.0, seed=80 + k) for k in range(4)]
-        traj = evolve_multicone(a, 2, gaussian(16, 90), T=150, seed=91)
+        traj = evolve_multicone(a, 2, gaussian(16, 90), T=150)
         assert set(np.unique(traj.cone_labels)) <= {0, 1, 2, 3}
         assert traj.interval_partition_ok()
 
@@ -432,37 +426,51 @@ class TestJacobiRoute:
         diag, off = map(np.array, zip(*(_goe_jacobi(ens, k, rng) for _ in range(30))))
         z = rng.standard_normal((30, k))
         s0 = np.sign(z[:, 0])
-        rngs = [rng_from_seed(i) for i in range(30)]
-        stacked = _hessenberg_first_sign_changes(diag, off, None, z, s0, T, coins_of(rngs))
+        stacked = _hessenberg_first_sign_changes(diag, off, None, z, s0, T)
         alone = [
             _hessenberg_first_sign_changes(
-                diag[i : i + 1], off[i : i + 1], None, z[i : i + 1], s0[i : i + 1], T,
-                coins_of(rngs[i : i + 1]),
+                diag[i : i + 1], off[i : i + 1], None, z[i : i + 1], s0[i : i + 1], T
             )[0]
             for i in range(30)
         ]
         assert np.array_equal(stacked, alone)
         assert stacked.min() == 1 and stacked.max() > 10
 
-    def test_exact_zero_resolved_by_own_coin(self):
-        # J e1 = (0, 1, 0): v1(1) = z . (0, 1, 0) = 0 exactly
-        seeds = range(5, 13)
-        diag = np.zeros((len(seeds), 3))
-        off = np.ones((len(seeds), 2))
-        z = np.tile([1.0, 0.0, 0.0], (len(seeds), 1))
-        rngs = [rng_from_seed(seed) for seed in seeds]
-        coins = [_sign_with_coin(0.0, rng_from_seed(seed)) for seed in seeds]
-        times = _hessenberg_first_sign_changes(
-            diag, off, None, z, np.ones(len(seeds)), 1, coins_of(rngs)
-        )
-        assert list(times) == [1 if c < 0 else 2 for c in coins]
-        assert set(times) == {1, 2}
+    def test_exact_zero_counts_as_change(self, monkeypatch):
+        # J e1 = (0, 1, 0): v1(1) = z . (0, 1, 0) = 0 exactly, a change on
+        # every row, decided without opening any stream
+        def no_stream(seed):
+            raise AssertionError("an exact zero opened a stream")
+
+        monkeypatch.setattr(dynamics, "rng_from_seed", no_stream)
+        diag, off = np.zeros((8, 3)), np.ones((8, 2))
+        z = np.tile([1.0, 0.0, 0.0], (8, 1))
+        times = _hessenberg_first_sign_changes(diag, off, None, z, np.ones(8), 5)
+        assert np.all(times == 1)
+
+    def test_zero_start_changes_at_first_step(self, monkeypatch):
+        # v0[0] = 0: the start is in cone A and its sign has changed at t = 1,
+        # on the dense reference, the Hessenberg route and both invariant
+        # scans; cone B at 1.4 I would never change sign
+        goe, flat = EnsembleSpec.goe(16), EnsembleSpec.invariant(SpectralModel.atomic(1.4), 16)
+        v0 = np.concatenate([[0.0], gaussian(15, 4)])
+        assert _first_sign_change(goe.sample(3), v0, 20) == 1
+        draws = dynamics._block_draws
+
+        def zero_starts(*args):
+            heads, normals = draws(*args)
+            heads[:, 0] = 0.0
+            return heads, normals
+
+        monkeypatch.setattr(dynamics, "_block_draws", zero_starts)
+        for cone_a in (goe, flat, EnsembleSpec.invariant(SEMI, 16, "iid")):
+            assert np.all(_persistence_chunk(cone_a, flat, 20, 5, 0, 300) == 1)
 
     def test_zero_matrix_raises(self):
         diag, off = np.zeros((3, 4)), np.zeros((3, 3))
         z = np.ones((3, 4))
         with pytest.raises(DegenerateDynamicsError) as err:
-            _hessenberg_first_sign_changes(diag, off, None, z, np.ones(3), 5, no_coin)
+            _hessenberg_first_sign_changes(diag, off, None, z, np.ones(3), 5)
         assert err.value.step == 1
 
     def test_mixed_kinds_route_per_start(self):
@@ -616,8 +624,8 @@ class TestLyapunovRuns:
         a = sample_goe(48, 0.0, 0.05 * math.sqrt(2), seed=11)
         b = sample_goe(48, 0.0, 2 * math.sqrt(2), seed=12)
         v0 = gaussian(48, 13)
-        traj = evolve(a, b, v0, T=80, seed=14)
-        out = dense_lyapunov_single((a, b), v0, 80, rng_from_seed(14), tail_window=20, block=16)
+        traj = evolve(a, b, v0, T=80)
+        out = dense_lyapunov_single((a, b), v0, 80, tail_window=20, block=16)
         assert out[0] == pytest.approx(traj.lyapunov, rel=1e-10, abs=1e-12)
         assert out[8] == len(traj.residence_intervals)
 
@@ -630,9 +638,7 @@ class TestLyapunovRuns:
         top = math.log(np.max(np.abs(np.linalg.eigvalsh(m))))
         v0 = gaussian(64, 1)
         for mat in (m, -m):
-            out = dense_lyapunov_single(
-                (mat, mat), v0, T, rng_from_seed(9), tail_window=2000, block=192
-            )
+            out = dense_lyapunov_single((mat, mat), v0, T, tail_window=2000, block=192)
             assert abs(out[0] - top) < 10 / T
             assert abs(out[1] - top) < 10 / T
         assert out[8] > T // 2  # the -m run switches cones nearly every step
@@ -665,8 +671,8 @@ class TestLyapunovRuns:
         b = sample_goe(48, 0.0, 2 * math.sqrt(2), seed=12)
         v0 = gaussian(48, 13)
         for T, tw, block in ((80, 20, 16), (3000, 500, 192)):
-            out = dense_lyapunov_single((a, b), v0, T, rng_from_seed(14), tw, block)
-            ref = blockwise_reference((a, b), v0, T, rng_from_seed(14), tw, block)
+            out = dense_lyapunov_single((a, b), v0, T, tw, block)
+            ref = blockwise_reference((a, b), v0, T, tw, block)
             assert out[:10] == ref
             assert out[8] > 0
 
@@ -732,10 +738,23 @@ class TestLyapunovRuns:
         w = np.array([0.8, 0.4, 0.2]) / math.sqrt(0.84)
         for nu, cycles in ((np.array([-1.0, 0.5, 0.3]), True), (np.array([1.0, 0.5, 0.3]), False)):
             out = _lyapunov_kernel(
-                (nu, nu), (a, a), DenseFrame(np.eye(3)), w, 1, 400, rng_from_seed(0), 100, _BLOCK
+                (nu, nu), (a, a), DenseFrame(np.eye(3)), w, 0, 400, 100, _BLOCK
             )
             assert out[3] is cycles
             assert out[4] == (2 if cycles else 0)
+
+    def test_exact_zero_stays_in_a_and_leaves_b(self):
+        # a o w = (x, -x) and equal eigenvalues: v1(t) = 0 exactly at every
+        # step, so a run in cone A never stops and a run in cone B leaves it
+        # at t = 1 and then stays in A
+        r = math.sqrt(0.5)
+        nu, a, w = np.array([0.5, 0.5]), np.array([r, r]), np.array([r, -r])
+        outs = [
+            _lyapunov_kernel((nu, nu), (a, a), DenseFrame(np.eye(2)), w, cone, 50, 10, _BLOCK)
+            for cone in (0, 1)
+        ]
+        # fields: n_switches, last_change, final cone
+        assert [(o[8], o[7], o[5]) for o in outs] == [(0, 0, 0), (1, 1, 0)]
 
     def test_cycle_period_and_meta_on_sweep(self):
         ens_a = EnsembleSpec.goe(32, 0.0, 2.0)
@@ -932,6 +951,12 @@ class TestScalingCollapse:
         with pytest.raises(InvalidSpecError, match=f"integers >= 2, got {shown}"):
             scaling_collapse(sizes, goe_family(), 100, T=100, mu=0.476, seed=0)
 
+    @pytest.mark.parametrize("T", [-5, 0, 2.5])
+    def test_horizon_checked_before_any_draw(self, T, monkeypatch):
+        monkeypatch.setattr(dynamics, "estimate_persistence_matrix", no_runs)
+        with pytest.raises(InvalidSpecError, match=f"horizon T must be an integer >= 1, got {T}"):
+            scaling_collapse([16, 64, 256], goe_family(), 100, T=T, mu=0.476, seed=0)
+
     def test_needs_three_sizes(self):
         with pytest.raises(CollapseUndefinedError):
             scaling_collapse([64, 512], goe_family(), 100, T=100, mu=0.476, seed=0)
@@ -1058,7 +1083,7 @@ class TestTopEigenvalue:
         nu_b = np.array([0.2, -0.1, 0.05])
         kernel_runs = [
             _lyapunov_kernel(
-                (nu_a, nu_b), (a, a), DenseFrame(np.eye(3)), w, 1, T, rng_from_seed(0), tw, _BLOCK
+                (nu_a, nu_b), (a, a), DenseFrame(np.eye(3)), w, 0, T, tw, _BLOCK
             )
             for nu_a in (np.array([1.0, -0.9997, 0.5]), np.array([1.0, -0.5, 0.3]))
         ]

@@ -203,6 +203,17 @@ class TestEnsembleSpec:
         with pytest.raises(InvalidSpecError, match="must be finite"):
             EnsembleSpec.goe(16, center, radius)
 
+    @pytest.mark.parametrize(
+        "kind, extra",
+        [("elliptic", {"rho": 0.5}), ("invariant", {"spectral_model": SpectralModel.semicircle()})],
+    )
+    def test_centre_only_for_goe(self, kind, extra):
+        # elliptic and invariant draws ignore a centre, so a recipe with one
+        # would describe draws it does not make
+        with pytest.raises(InvalidSpecError, match=f"a {kind} recipe got 5.0"):
+            EnsembleSpec(kind=kind, dimension=16, center=5.0, **extra)
+        assert EnsembleSpec(kind=kind, dimension=16, center=0.0, **extra).center == 0.0
+
     def test_elliptic_radius_must_be_finite(self):
         with pytest.raises(InvalidSpecError, match="must be finite"):
             EnsembleSpec.elliptic(16, 0.5, float("inf"))
