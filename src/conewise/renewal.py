@@ -15,6 +15,14 @@ cross-check the closed forms, live in ``tests/test_renewal.py``.
 Every g is ``g(tau) = 1/2 ln f(2 tau)`` of a cone's spectral model, from
 :func:`~conewise.spectral.g_array` through one table per (cones, horizon);
 a cone with per-step rate r is the point mass at e^r, whose g(tau) = r tau.
+
+:func:`sample_renewal_lyapunov` advances all samples together in passes of
+1024 intervals.  A pass runs in row blocks of 256 samples and column chunks
+of 256 intervals, and a sample stops at its straddling interval.  The
+uniforms still come from one stream in a fixed order (its docstring states
+the seed contract), so no value depends on the blocks, and the working set
+stays near 9 MB whatever the sample count.  Horizons are capped at 2**53,
+below which the sampler's float64 clocks are exact.
 """
 
 from __future__ import annotations
@@ -60,6 +68,8 @@ class LampertiParams:
     def __post_init__(self):
         if not 0.0 < self.mu < 1.0:
             raise InvalidSpecError(f"tail exponent must lie strictly in (0, 1), got {self.mu}")
+        if not (math.isfinite(self.r1) and math.isfinite(self.r2)):
+            raise InvalidSpecError(f"edge rates must be finite, got ({self.r1}, {self.r2})")
         if self.r1 == self.r2:
             raise InvalidSpecError("the density form needs distinct edge rates")
 
@@ -129,8 +139,10 @@ def lamperti_cdf(params: LampertiParams, lam) -> np.ndarray:
 
 def stieltjes_rhs(params: LampertiParams, y: float) -> float:
     """Closed form of the Stieltjes transform of the two-edge law."""
-    if y <= params.hi:
-        raise InvalidSpecError(f"transform point must exceed max(r1, r2) = {params.hi}")
+    if not (math.isfinite(y) and y > params.hi):
+        raise InvalidSpecError(
+            f"transform point must be finite and exceed max(r1, r2) = {params.hi}, got {y}"
+        )
     mu = params.mu
     a, b = y - params.r1, y - params.r2
     return (a ** (mu - 1.0) + b ** (mu - 1.0)) / (a**mu + b**mu)
@@ -154,6 +166,10 @@ def interval_survival(mu: float, tau_min: int, k) -> np.ndarray:
     return np.where(k <= tau_min, 1.0, (tau_min / np.maximum(k, tau_min)) ** mu)
 
 
+# the sampler's clocks are float64 whole numbers, exact up to here
+_MAX_HORIZON = 1 << 53
+
+
 @dataclass(frozen=True)
 class RenewalConfig:
     """Alternating two-cone renewal simulation parameters.
@@ -171,10 +187,16 @@ class RenewalConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mu1 <= 0 or self.mu2 <= 0:
-            raise InvalidSpecError("tail exponents must be positive")
+        for mu in (self.mu1, self.mu2):
+            if not (math.isfinite(mu) and mu > 0):
+                raise InvalidSpecError(f"tail exponents must be positive and finite, got {mu}")
         check_count(self.tau_min, 1, f"tau_min must be an integer >= 1, got {self.tau_min}")
         check_count(self.horizon, 1, f"horizon must be an integer >= 1, got {self.horizon}")
+        if self.horizon > _MAX_HORIZON:
+            raise InvalidSpecError(
+                f"horizon must be at most 2**53 = {_MAX_HORIZON}, past which the sampler's "
+                f"float64 clocks are not exact; got {self.horizon}"
+            )
         if self.horizon < 10 * self.tau_min:
             raise InvalidSpecError("horizon must be >= 10 * tau_min")
 
@@ -233,6 +255,10 @@ _G_TABLE = 1 << 14
 # intervals drawn per active sample and pass; even, so every pass starts in
 # the sample's starting cone
 _CHUNK = 1024
+# samples per row block of a pass, and intervals per column chunk of a block
+# (even, so every chunk starts in the cone its row starts the pass in)
+_ROWS = 256
+_COLS = 256
 
 
 @functools.lru_cache(maxsize=32)
@@ -260,6 +286,73 @@ def _g(cfg: RenewalConfig, labels: np.ndarray, taus: np.ndarray) -> np.ndarray:
     return g
 
 
+def _block_pass(
+    cfg: RenewalConfig, u: np.ndarray, first: np.ndarray, t_done: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One pass of a row block: row i turns ``u[i]`` (uniforms in (0, 1])
+    into up to _CHUNK intervals, starting in cone ``first[i]`` at time
+    ``t_done[i]`` (advanced in place).
+
+    Returns, per row, g summed over the pass's closed intervals, g of the
+    straddling interval (0 if the row passes through), and whether the row
+    passes through.  Work runs in column chunks and a row stops at its
+    straddling interval; the closed g still sum over a zero-filled
+    _CHUNK-wide row, so the pairwise summation order does not depend on the
+    chunks.  The clocks are float64 whole numbers below 2**53, so every
+    closed end time, and the count of closed intervals, is exact in any
+    association.
+    """
+    table = _g_table(cfg.cones, cfg.horizon)
+    size = table.shape[1]
+    flat = table.ravel()
+    horizon = float(cfg.horizon)
+    # cone, exponent -1/mu and flat-table offset of each column of a chunk,
+    # by the row's starting cone
+    labels = np.arange(2)[:, None] ^ (np.arange(_COLS) % 2)
+    expo = -1.0 / np.array([cfg.mu1, cfg.mu2])[labels]
+    offs = labels * size - 1
+    rows = u.shape[0]
+    # g of the closed intervals, and in the last column g of the straddle
+    gbuf = np.zeros((rows, _CHUNK + 1))
+    live = np.arange(rows)  # rows whose straddling interval is still ahead
+    past = []  # (flat index into gbuf, length, cone) of lengths past the table
+    for c0 in range(0, _CHUNK, _COLS):
+        s = first[live]
+        taus = np.power(u[live, c0 : c0 + _COLS], expo[s])
+        if cfg.tau_min != 1:  # x * 1 is x
+            taus *= cfg.tau_min
+        np.floor(taus, out=taus)
+        csum = np.cumsum(taus, axis=1)
+        csum += t_done[live, None]
+        closed = csum < horizon  # a prefix of each row, as csum never falls
+        g = np.take(flat, np.minimum(taus, size).astype(np.int64) + offs[s])
+        stay = closed[:, -1]  # rows that close every interval of the chunk
+        out = np.flatnonzero(~stay)  # the others, whose straddle is here
+        k = np.argmin(closed[out], axis=1)  # their closed intervals
+        g[out] = np.where(np.arange(_COLS) < k[:, None], g[out], 0.0)
+        gbuf[live, c0 : c0 + _COLS] = g
+        r, c = np.divmod(np.flatnonzero(closed & (taus > size)), _COLS)
+        past.append((live[r] * (_CHUNK + 1) + c0 + c, taus[r, c], labels[s[r], c]))
+        # the straddle's in-horizon length follows the row's closed intervals
+        length = horizon - np.where(k > 0, csum[out, k - 1], t_done[live[out]])
+        at = live[out] * (_CHUNK + 1) + _CHUNK
+        gbuf.flat[at] = np.take(flat, np.minimum(length, size).astype(np.int64) + offs[s[out], k])
+        over = length > size
+        past.append((at[over], length[over], labels[s[out], k][over]))
+        t_done[live[stay]] = csum[stay, -1]
+        live = live[stay]
+        if not live.size:
+            break
+    pos, lengths, cones = (np.concatenate(part) for part in zip(*past))
+    for which, spec in enumerate(cfg.cones):
+        m = cones == which
+        if m.any():
+            gbuf.flat[pos[m]] = g_array(spec, lengths[m].astype(np.int64))
+    through = np.zeros(rows, dtype=bool)
+    through[live] = True
+    return gbuf[:, :_CHUNK].sum(axis=1), gbuf[:, _CHUNK], through
+
+
 def sample_renewal_lyapunov(cfg: RenewalConfig, n_samples: int) -> LyapunovSamples:
     """Monte-Carlo top growth rates from the alternating renewal model.
 
@@ -267,9 +360,19 @@ def sample_renewal_lyapunov(cfg: RenewalConfig, n_samples: int) -> LyapunovSampl
     strictly, and residence times are drawn from the discrete power law of
     the active cone.  An interval that ends before the horizon adds its full
     g(tau); the one that straddles the horizon adds g of its in-horizon
-    length only.  The rate is the sum divided by the horizon.  Each pass
-    reads g (``g_array``, r tau for a point mass at e^r) through one lookup
-    for its closed and one for its straddling intervals.
+    length only.  The rate is the sum divided by the horizon.  g comes from
+    a table per cone (``g_array``, r tau for a point mass at e^r), and
+    lengths past it from one ``g_array`` call per cone and row block.
+
+    Seed contract: the generator of ``cfg.seed`` first draws the n starting
+    cones, then, per pass over the samples still short of the horizon (the
+    active samples, in increasing index), an (active, 1024) array of
+    uniforms row by row; a sample's intervals are ``floor(tau_min u **
+    (-1/mu))``.  The pass runs in row blocks of 256 samples and column
+    chunks of 256 intervals, and a sample stops at its straddling interval;
+    neither changes which uniform feeds which interval, so a sample's value
+    depends only on the seed and n.  The working set is a few (256, 1024)
+    float64 blocks, under 10 MB, plus O(n) per-sample arrays, whatever n.
 
     For mu < 1 the rate's law reaches the two-edge Lamperti law only as the
     horizon grows (g(tau) has an O(ln tau) correction to the edge rate, and
@@ -281,38 +384,26 @@ def sample_renewal_lyapunov(cfg: RenewalConfig, n_samples: int) -> LyapunovSampl
     """
     check_count(n_samples, 1, f"sample count must be an integer >= 1, got {n_samples}")
     rng = rng_from_seed(cfg.seed)
-    mus = np.array([cfg.mu1, cfg.mu2])
-    horizon = float(cfg.horizon)
-
     lam_total = np.zeros(n_samples)
     t_done = np.zeros(n_samples)
     start = rng.integers(0, 2, size=n_samples).astype(np.int8)  # starting cone label per sample
-    parity = (np.arange(_CHUNK) % 2).astype(np.int8)
     active = np.arange(n_samples)
 
-    while active.size:
-        labels = start[active, None] ^ parity
-        taus = sample_power_law_intervals(rng, mus[labels], cfg.tau_min, (active.size, _CHUNK))
-        csum = t_done[active, None] + np.cumsum(taus, axis=1)
-        closed = csum < horizon  # intervals that end inside the horizon
-        # rows whose straddling interval is in this pass; csum is
-        # non-decreasing, so the count of closed intervals is its column
-        rows = np.flatnonzero(~closed[:, -1])
-        k = closed[rows].sum(axis=1)
-        before = np.where(k > 0, csum[rows, k - 1], t_done[active[rows]])
-        t_done[active] = csum[:, -1]
-        del csum  # its block is free for the full-width lookup below
-        straddle = _g(cfg, labels[rows, k], (horizon - before).astype(np.int64))
-        # cut lengths may pass the horizon, so they read g(1), then zero
-        cut = ~closed
-        np.copyto(taus, 1.0, where=cut)
-        g = _g(cfg, labels, taus)
-        g[cut] = 0.0
-        lam_total[active] += g.sum(axis=1)
-        lam_total[active[rows]] += straddle
-        active = active[closed[:, -1]]
+    with np.errstate(over="ignore"):  # inf is a legitimate draw: longer than any horizon
+        while active.size:
+            through = []
+            for i in range(0, active.size, _ROWS):
+                rows = active[i : i + _ROWS]
+                u = 1.0 - rng.random((rows.size, _CHUNK))  # in (0, 1]
+                clock = t_done[rows]
+                closed_g, straddle, passing = _block_pass(cfg, u, start[rows], clock)
+                lam_total[rows] += closed_g
+                lam_total[rows] += straddle  # 0 for rows that pass through
+                t_done[rows] = clock
+                through.append(rows[passing])
+            active = np.concatenate(through)
 
-    values = lam_total / horizon
+    values = lam_total / cfg.horizon
     r1, r2 = cfg.rates
     if r1 == r2:
         normalized = np.zeros_like(values)
@@ -359,6 +450,8 @@ def self_averaging_value(
     logarithmic remainder numerically with an integral tail estimate
     (relative accuracy ~1e-8).
     """
+    if not math.isfinite(mu):
+        raise InvalidSpecError(f"tail exponent must be finite, got {mu}")
     if mu <= 1.0:
         raise DegenerateProcessError(
             f"mean residence time diverges for mu = {mu} <= 1; no self-averaging value"

@@ -1,4 +1,5 @@
 import importlib
+import math
 import pkgutil
 from pathlib import Path
 
@@ -8,7 +9,14 @@ import pytest
 import conewise
 from conewise import EnsembleSpec, InvalidSpecError, SpectralModel, dynamics, renewal, surrogate
 from conewise.dynamics import estimate_persistence_matrix, evolve, evolve_multicone, lyapunov_runs
-from conewise.renewal import RenewalConfig, sample_renewal_lyapunov, self_averaging_value
+from conewise.renewal import (
+    LampertiParams,
+    RenewalConfig,
+    lamperti_cdf,
+    sample_renewal_lyapunov,
+    self_averaging_value,
+    stieltjes_rhs,
+)
 from conewise.surrogate import estimate_persistence_gp, joint_persistence
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(conewise.__path__, "conewise."))
@@ -75,6 +83,29 @@ def test_non_integer_sizes_are_typed_before_any_work(call, shown, monkeypatch):
     monkeypatch.setattr(renewal, "rng_from_seed", _no_work)
     monkeypatch.setattr(renewal, "g_array", _no_work)
     with pytest.raises(InvalidSpecError, match=f"integer >= [01], got {shown}"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, shown",
+    [
+        (lambda: RenewalConfig.linear_rates(math.nan, 0.5, -1, 1, tau_min=1, horizon=1000), "nan"),
+        (lambda: RenewalConfig.exact_spectral(0.5, math.inf, BETA3, BETA3, 1, 1000), "inf"),
+        (lambda: RenewalConfig.exact_spectral(0.5, 0.5, BETA3, BETA3, 1, 2**53 + 1), r"2\*\*53"),
+        (lambda: LampertiParams(math.nan, 1.0, 0.5), "nan"),
+        (lambda: lamperti_cdf(LampertiParams(0.0, math.inf, 0.5), 0.5), "inf"),
+        (lambda: stieltjes_rhs(LampertiParams(0.0, 1.0, 0.5), math.nan), "nan"),
+        (lambda: self_averaging_value(BETA3, BETA3, mu=math.nan), "nan"),
+    ],
+    ids=[
+        "renewal-mu-nan", "renewal-mu-inf", "renewal-horizon-limit", "lamperti-rate-nan",
+        "lamperti-rate-inf", "stieltjes-point-nan", "self-averaging-mu-nan",
+    ],
+)
+def test_non_finite_renewal_parameters_are_typed_before_any_work(call, shown, monkeypatch):
+    monkeypatch.setattr(renewal, "rng_from_seed", _no_work)
+    monkeypatch.setattr(renewal, "g_array", _no_work)
+    with pytest.raises(InvalidSpecError, match=shown):
         call()
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from conewise import DegenerateProcessError, InvalidSpecError, SpectralModel
 from conewise.estimators import ks_distance
 from conewise.records import log_tau_grid
 from conewise.renewal import (
+    _CHUNK,
     LampertiParams,
     RenewalConfig,
+    _g,
     _g_table,
     interval_survival,
     lamperti_cdf,
@@ -83,6 +86,45 @@ def stieltjes_lhs(params: LampertiParams, y: float) -> float:
     lower = piece(ytil)
     upper = piece(1.0 - ytil)  # pole term flips sign: 1/(ytil-(1-w)) = -1/((1-ytil)-w)
     return (lower - upper) / width
+
+
+def reference_renewal_values(cfg: RenewalConfig, n_samples: int) -> np.ndarray:
+    """The renewal sampler's pass loop before row blocks and the early stop,
+    kept verbatim as the reference: each pass computes and looks up all
+    (active, _CHUNK) intervals."""
+    rng = rng_from_seed(cfg.seed)
+    mus = np.array([cfg.mu1, cfg.mu2])
+    horizon = float(cfg.horizon)
+
+    lam_total = np.zeros(n_samples)
+    t_done = np.zeros(n_samples)
+    start = rng.integers(0, 2, size=n_samples).astype(np.int8)  # starting cone label per sample
+    parity = (np.arange(_CHUNK) % 2).astype(np.int8)
+    active = np.arange(n_samples)
+
+    while active.size:
+        labels = start[active, None] ^ parity
+        taus = sample_power_law_intervals(rng, mus[labels], cfg.tau_min, (active.size, _CHUNK))
+        csum = t_done[active, None] + np.cumsum(taus, axis=1)
+        closed = csum < horizon  # intervals that end inside the horizon
+        # rows whose straddling interval is in this pass; csum is
+        # non-decreasing, so the count of closed intervals is its column
+        rows = np.flatnonzero(~closed[:, -1])
+        k = closed[rows].sum(axis=1)
+        before = np.where(k > 0, csum[rows, k - 1], t_done[active[rows]])
+        t_done[active] = csum[:, -1]
+        del csum  # its block is free for the full-width lookup below
+        straddle = _g(cfg, labels[rows, k], (horizon - before).astype(np.int64))
+        # cut lengths may pass the horizon, so they read g(1), then zero
+        cut = ~closed
+        np.copyto(taus, 1.0, where=cut)
+        g = _g(cfg, labels, taus)
+        g[cut] = 0.0
+        lam_total[active] += g.sum(axis=1)
+        lam_total[active[rows]] += straddle
+        active = active[closed[:, -1]]
+
+    return lam_total / horizon
 
 
 class TestLampertiPdf:
@@ -338,6 +380,51 @@ class TestRenewalSimulator:
         assert dist[1] < dist[0]
 
 
+BETA3, SEMI = SpectralModel.symmetric_beta(3), SpectralModel.semicircle(0, 1.5)
+
+
+class TestBlockedSampler:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            RenewalConfig.exact_spectral(0.5, 0.5, BETA3, SEMI, 1, 1_000_000, seed=41),
+            RenewalConfig.exact_spectral(0.5, 0.5, BETA3, SEMI, 1, 2000, seed=42),
+            RenewalConfig.exact_spectral(
+                0.5, 0.6, BETA3, SpectralModel.semicircle(0.5, 1.0), 1, 100_000, seed=43
+            ),
+            RenewalConfig.exact_spectral(1.5, 1.2, BETA3, SEMI, 3, 100_000, seed=44),
+            RenewalConfig.linear_rates(0.5, 0.6, -0.4, 0.7, 1, 20_000, seed=45),
+            RenewalConfig.exact_spectral(0.2, 0.3, BETA3, SEMI, 1, 100_000, seed=46),
+            RenewalConfig.linear_rates(0.01, 0.03, -1.0, 2.0, 1, 100, seed=47),
+        ],
+        ids=["bench", "short", "shifted", "tau-min-3", "linear-past-table", "small-mu", "inf-draws"],
+    )
+    @pytest.mark.parametrize("n", [1, 37, 257, 700, 2000])
+    def test_matches_frozen_reference(self, cfg, n):
+        # one row block (n <= 256) and several; same stream, so same values
+        values = sample_renewal_lyapunov(cfg, n).values
+        assert np.array_equal(values, reference_renewal_values(cfg, n))
+
+    def test_working_set_is_bounded(self):
+        # one (8000, _CHUNK) float64 array is 65.5 MB; the row blocks need ~9 MB
+        cfg = RenewalConfig.exact_spectral(0.5, 0.5, BETA3, SEMI, 1, 100_000, seed=48)
+        sample_renewal_lyapunov(cfg, 1)  # builds the cached g table
+        tracemalloc.start()
+        try:
+            sample_renewal_lyapunov(cfg, 8000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    def test_runs_at_the_horizon_limit(self):
+        # float64 clocks stay exact up to 2**53: rates average r1 and r2
+        cfg = RenewalConfig.linear_rates(0.05, 0.05, -1.0, 2.0, 1, 2**53, seed=49)
+        values = sample_renewal_lyapunov(cfg, 50).values
+        assert np.all((values >= -1.0) & (values <= 2.0))
+        assert np.ptp(values) > 0.1
+
+
 class TestSelfAveraging:
     def test_atomic_specs_exact(self):
         va, vb = 1.7, 0.4
@@ -386,3 +473,8 @@ class TestConfigValidation:
     def test_positive_exponents(self):
         with pytest.raises(InvalidSpecError):
             RenewalConfig.linear_rates(0.0, 0.5, 0.0, 1.0, tau_min=1, horizon=100)
+
+    def test_horizon_limit(self):
+        RenewalConfig.linear_rates(0.5, 0.5, 0.0, 1.0, tau_min=1, horizon=2**53)
+        with pytest.raises(InvalidSpecError, match=r"at most 2\*\*53"):
+            RenewalConfig.linear_rates(0.5, 0.5, 0.0, 1.0, tau_min=1, horizon=2**53 + 1)
