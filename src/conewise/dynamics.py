@@ -77,7 +77,11 @@ for invariant cones, on N) but no N x N draw:
   (:func:`_hessenberg_first_sign_changes`), never normalized: H is
   pre-scaled by a power of two at least its inf-norm, so the entries of
   H^t e1 cannot grow, and every few steps a power-of-two rescale keeps them
-  from underflowing.
+  from underflowing.  A GOE stack steps one at a time only through step 8:
+  J = H is symmetric, so v1(t + j) = (J^t e1) . (J^j z), and from there a
+  start advances eight steps per product with the band of J^8 and reads
+  the eight signs in between from one product with the columns J^j z,
+  j = 1..8 (when at least 16 steps are left after step 8).
 * Invariant cones: v1(t) = sum_i nu_i^t a_i w_i with a = U^T e1 and w =
   U^T v0.  U is Haar and independent of nu and v0, so a is uniform on the
   sphere and w = v0[0] a + P_{a-perp} g with g ~ N(0, I_N) independent (the
@@ -124,7 +128,7 @@ from .errors import (
 from .estimators import TRUNCATED_FIT_MIN_POINTS, empirical_cdf, fit_truncated_powerlaw
 from .parallel import map_index_chunks
 from .records import LyapunovSamples, PersistenceCurve, log_tau_grid
-from .seeding import derive_seed, rng_from_seed
+from .seeding import check_seed, derive_seed, rng_from_seed
 from .spectra import inverse_cdf
 from .surrogate import _block_first_changes, _changes_in
 
@@ -165,6 +169,11 @@ _LYAPUNOV_CHUNK = 32
 _UPPER_ENTRIES = 1 << 23
 # steps between the Hessenberg route's power-of-two rescalings
 _RESCALE_EVERY = 16
+# the GOE stack steps one at a time through step _LEAP_FROM, then advances
+# _LEAP steps per product when at least 2 _LEAP steps remain (fixed steps,
+# so no row's time depends on which rows share its stack)
+_LEAP_FROM = 8
+_LEAP = 8
 # rescaled-time grid density of the collapse comparison
 _COLLAPSE_POINTS_PER_DECADE = 24
 # a trapped run is paired with its top eigenvalue only once the subleading
@@ -320,6 +329,20 @@ def _hessenberg_first_sign_changes(diag, offdiag, upper, z, s0, horizon) -> np.n
     overflows; every ``_RESCALE_EVERY`` steps a row is multiplied by the
     power of two that brings its largest entry into [1/2, 1), so nothing
     underflows.  Both scalings are exact.
+
+    The loop below steps once per iteration.  It runs elliptic stacks and
+    short horizons to the end, but a GOE stack (``upper`` None) with a
+    horizon of at least ``_LEAP_FROM + 2 _LEAP`` (24) only through step
+    ``_LEAP_FROM`` (8), by which most of its starts have changed (four in
+    five for a centred GOE(256)); :func:`_leap_first_sign_changes` then
+    advances the rest eight steps per product.  Only the loop checks for a
+    zero vector, and for symmetric J that suffices: over an orthonormal
+    eigenbasis, J^t e1 = sum_i c_i nu_i^t u_i, so J^t e1 = 0 for some t >= 1
+    gives c_i nu_i = 0 for every i, that is J e1 = 0, which the loop raises
+    at t = 1.  (In floating point a state that underflowed to zero between
+    two rescalings would read as a change instead; the scalings keep its
+    largest entry near 1, so J would have to shrink it by about 2^-1074
+    within 16 steps.)
     """
     rows, k = diag.shape
     times = np.full(rows, horizon + 1, dtype=np.int64)
@@ -335,7 +358,9 @@ def _hessenberg_first_sign_changes(diag, offdiag, upper, z, s0, horizon) -> np.n
     x = np.zeros((rows, k))
     x[:, 0] = 1.0
     row_of = np.arange(rows)  # original row of each stacked row
-    for t in range(1, horizon + 1):
+    leaps = upper is None and horizon >= _LEAP_FROM + 2 * _LEAP
+    stepped = _LEAP_FROM if leaps else horizon
+    for t in range(1, stepped + 1):
         c = min(t + 1, k)
         e = offdiag[:, : c - 1]
         y = diag[:, :c] * x[:, :c]
@@ -356,10 +381,128 @@ def _hessenberg_first_sign_changes(diag, offdiag, upper, z, s0, horizon) -> np.n
         times[row_of[changed]] = t
         keep = ~changed
         if not keep.any():
-            break
+            return times
         # finished rows leave the stack at once, so every row left is alive
         diag, offdiag, zs, x, row_of = (a[keep] for a in (diag, offdiag, zs, x, row_of))
+    if leaps:
+        _leap_first_sign_changes(diag, offdiag, zs, x, row_of, times, stepped, horizon)
     return times
+
+
+def _view(buf, shape, start, strides):
+    """View of C-contiguous ``buf`` whose element 0 is flat element
+    ``start`` of ``buf``, with ``strides`` counted in elements."""
+    size = buf.itemsize
+    return np.ndarray(shape, buf.dtype, buf, start * size, tuple(size * s for s in strides))
+
+
+def _leap_tables(diag, offdiag, zs):
+    """The band of J^m and the columns J^j zs, j = 1..m (m = ``_LEAP``, a
+    power of two), for stacked symmetric tridiagonal J truncated to the w
+    columns given.
+
+    The band of J is squared until it is that of J^m, and the band of J^a
+    takes J^j zs, j < a, to J^(j + a) zs.  A table holds one track per
+    diagonal or power, and a track holds the stack's rows one after
+    another, each row's w columns followed by m zeros, between two zero
+    rows; so a band product reads a neighbouring column at a fixed shift
+    along the track, and each square and each power step is one product
+    over all rows.  A column outside the w columns reads a zero, which
+    truncates J, and band entries there are zero, which keeps the zeros.
+    Returns ``band``, (rows, 2m + 1, w) with ``band[:, d, i] = J^m[i, i +
+    d - m]`` (0 outside the w columns), and ``powers``, (rows, m, w) with
+    ``powers[:, j - 1] = J^j zs``.
+    """
+    rows, w = diag.shape
+    span = w + _LEAP  # a row's columns and the zeros after them
+    n, track = rows * span, (rows + 2) * span  # a track's rows; the stride between tracks
+    stack = slice(span, span + n)  # the rows within a track
+
+    def table(tracks):
+        return np.zeros((tracks, track))
+
+    def grid(tracks):  # (tracks, rows, w) view of the rows' columns
+        return tracks.reshape(len(tracks), rows + 2, span)[:, 1:-1, :w]
+
+    # a band of half-width a has its 2a + 1 diagonals in tracks 0..2a; one
+    # that is squared has 2a zero tracks after them, which the square reads
+    # for diagonals past 2a
+    band, a = table(5), 1
+    entries = grid(band)
+    entries[0, :, 1:], entries[1], entries[2, :, :-1] = offdiag, diag, offdiag
+    powers = table(_LEAP + 1)
+    grid(powers)[0] = zs
+    while True:
+        diagonals = band[: 2 * a + 1, stack]
+        p = a if a < _LEAP else 1  # J^a takes powers 0..p-1 to a..a+p-1
+        shifted = _view(powers, (p, 2 * a + 1, n), span - a, (track, 1, 1))
+        np.einsum("dn,pdn->pn", diagonals, shifted, out=powers[a : a + p, stack])
+        if a == _LEAP:
+            # (rows, tracks, w) copies, so that dropping rows is one gather
+            band, powers = (grid(t).transpose(1, 0, 2) for t in (band, powers[1:]))
+            return np.ascontiguousarray(band), np.ascontiguousarray(powers)
+        # diagonal e of the square sums, over d, diagonal d at column i
+        # times diagonal e - d at column i + d - a; the square is symmetric,
+        # so only e >= 2a is summed, and diagonal 2a - j at column i is
+        # diagonal 2a + j at column i - j
+        square = table(8 * a + 1 if 2 * a < _LEAP else 4 * a + 1)
+        start = 2 * a * track + span - a
+        shifted = _view(band, (2 * a + 1, 2 * a + 1, n), start, (1 - track, track, 1))
+        np.einsum("dn,den->en", diagonals, shifted, out=square[2 * a : 4 * a + 1, stack])
+        upper = _view(square, (2 * a, n), (2 * a + 1) * track + span - 1, (track - 1, 1))
+        np.copyto(square[2 * a - 1 :: -1, stack], upper)
+        band, a = square, 2 * a
+
+
+def _leap_first_sign_changes(diag, offdiag, zs, x, row_of, times, t, horizon):
+    """Steps ``t + 1``..``horizon`` of the GOE stack of
+    :func:`_hessenberg_first_sign_changes`, m = ``_LEAP`` at a time; writes
+    the first-change times of rows ``row_of`` into ``times``.
+
+    J is symmetric, so with x = J^t e1 (scaled), v1(t + j) s0 =
+    x . (J^j zs): the next m signs are one product of x with the columns
+    J^j zs, and x(t + m) = J^m x one product with the 2m + 1 diagonals of
+    J^m (:func:`_leap_tables`).  Both tables cover the leading w columns only:
+    x(t) lives on the first t + 1, and J^m x(t) and x(t) . J^j zs read J on
+    the first t + m + 1 columns, so tables of the truncated J are exact
+    while t + m < w.  w starts at 4m and doubles (up to K) when t + m
+    reaches it, and each build covers only the rows still alive.  The
+    first-change times are those of the per-step loop up to round-off in v1:
+    the two sum the same terms in another order.
+    """
+    m, k = _LEAP, diag.shape[1]
+    live = np.arange(diag.shape[0])  # stacked rows of diag, offdiag and zs still alive
+    x = x[:, : t + 1]  # the state of the last step, on its first t + 1 columns
+    w = 0
+    while t < horizon:
+        if w < k and t + m >= w:
+            w = min(max(2 * w, 4 * m), k)
+            band, powers = _leap_tables(diag[live, :w], offdiag[live, : w - 1], zs[live, :w])
+            # x sits after m zeros, so that window i of width 2m + 1 holds
+            # x[i - m .. i + m]
+            padded = np.zeros((live.size, w + 2 * m))
+            padded[:, m : m + x.shape[1]] = x
+        c = min(t + 1, w)
+        signed = np.vecdot(powers[:, : horizon - t, :c], padded[:, None, m : m + c])
+        if not np.minimum.reduce(signed, axis=None) > 0.0:
+            changed = ~(signed > 0.0)
+            hit = changed.any(axis=1)
+            times[row_of[hit]] = t + 1 + changed[hit].argmax(axis=1)
+            keep = ~hit
+            if not keep.any():
+                return
+            band, powers, padded, row_of, live = (
+                a[keep] for a in (band, powers, padded, row_of, live)
+            )
+        t += m
+        if t >= horizon:
+            return
+        c = min(t + 1, w)
+        window = _view(padded, (live.size, 2 * m + 1, c), 0, (padded.shape[1], 1, 1))
+        x = np.einsum("rdi,rdi->ri", band[:, :, :c], window)
+        if t % _RESCALE_EVERY == 0:
+            x = np.ldexp(x, -np.frexp(np.abs(x).max(axis=1))[1][:, None])
+        padded[:, m : m + c] = x
 
 
 def _block_draws(seed, block, lo, hi, k):
@@ -527,20 +670,26 @@ def estimate_persistence_matrix(
     variates by its centre, sigma and rho into the leading k x k block of
     its Hessenberg form, and a block's starts in such cones step together,
     GOE and elliptic ones in separate stacks: exact in law and O(tau^2)
-    (GOE) or O(tau^3) (elliptic) per run whatever N is.  An invariant cone
-    turns the row's slot-5 normals into a o w and scans the paths of its
-    power table; the quantile-placed table is built once per (model, N, T),
-    and an iid start checks the signs of its own path.  On every route an
-    exact zero of v1 counts as a change (module docstring).  ``threads`` is
-    the number of worker processes (see
+    (GOE) or O(tau^3) (elliptic) per run whatever N is.  After step 8 a GOE
+    stack advances eight steps per NumPy call (when T >= 24), through tables
+    built over doubling column windows for the starts still alive, so the
+    call count of a block grows as T / 8 rather than T; with the 40-start
+    blocks of small sweeps that count, not the arithmetic, set the cost.  An
+    invariant cone turns the row's slot-5 normals into a o w and scans the
+    paths of its power table; the quantile-placed table is built once per
+    (model, N, T), and an iid start checks the signs of its own path.  On
+    every route an exact zero of v1 counts as a change (module docstring).
+    ``threads`` is the number of worker processes (see
     :func:`~conewise.parallel.map_index_chunks`), which receive whole
-    blocks.  An ``n_realizations`` or T that is not an integer >= 1 raises
-    :class:`InvalidSpecError` before any draw, and an all-zero invariant
-    spectrum :class:`DegenerateDynamicsError` at step 1.
+    blocks.  An ``n_realizations`` or T that is not an integer >= 1, or a
+    seed that is not an integer, raises :class:`InvalidSpecError` before any
+    draw, and an all-zero invariant spectrum
+    :class:`DegenerateDynamicsError` at step 1.
     """
     if ensemble_a.dimension != ensemble_b.dimension:
         raise InvalidSpecError("ensembles must share the dimension")
     check_count(T, 1, f"horizon T must be an integer >= 1, got {T}")
+    check_seed(seed)
     times = map_index_chunks(
         partial(_persistence_chunk, ensemble_a, ensemble_b, T, seed),
         n_realizations,
@@ -929,7 +1078,8 @@ def lyapunov_runs(
     completed (``frames_completed``); both sum fields of the run record
     ``_RUN``.  Only symmetric ensembles have this route; elliptic ones raise
     :class:`InvalidSpecError`, as do a T or a ``tail_window`` that is not an
-    integer >= 1 and nu_plus = 0 (the edge rate is ln|nu_plus|).
+    integer >= 1, a seed that is not an integer and nu_plus = 0 (the edge
+    rate is ln|nu_plus|).
     ``tail_window >= T`` makes the tail the whole run.
 
     Only trapped runs have a rate near ln ``nu_max_final``; see
@@ -942,6 +1092,7 @@ def lyapunov_runs(
     check_count(
         tail_window, 1, f"tail_window must be >= 1, got {tail_window}; it counts steps, so an integer"
     )
+    check_seed(seed)
     for ens in (ensemble_a, ensemble_b):
         if ens.nu_plus == 0.0:
             raise InvalidSpecError(

@@ -23,11 +23,11 @@ def map_index_chunks(fn, n_items: int, threads: int, chunk: int):
     be picklable); with 1, or with ``n_items <= chunk``, everything runs in
     the calling process.  Every range starts at a multiple of ``chunk``, so
     a caller that draws in blocks passes its block size (or a multiple) and
-    each worker draws whole blocks.  An ``n_items`` that is not an integer
-    >= 1 raises :class:`InvalidSpecError`.
+    each worker draws whole blocks.  An ``n_items`` or a ``threads`` that is
+    not an integer >= 1 raises :class:`InvalidSpecError` before ``fn`` runs.
     """
     check_count(n_items, 1, f"realization count must be an integer >= 1, got {n_items}")
-    threads = max(1, int(threads))
+    check_count(threads, 1, f"worker count must be an integer >= 1, got {threads}")
     if threads == 1 or n_items <= chunk:
         return fn(0, n_items)
     ranges = [(s, min(s + chunk, n_items)) for s in range(0, n_items, chunk)]

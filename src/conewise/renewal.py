@@ -37,7 +37,7 @@ from scipy.special import zeta
 
 from .errors import DegenerateProcessError, InvalidSpecError, check_count
 from .records import LyapunovSamples
-from .seeding import rng_from_seed
+from .seeding import check_seed, rng_from_seed
 from .spectra import SpectralModel
 from .spectral import g_array, log_moment_asymptotic
 
@@ -199,6 +199,7 @@ class RenewalConfig:
             )
         if self.horizon < 10 * self.tau_min:
             raise InvalidSpecError("horizon must be >= 10 * tau_min")
+        check_seed(self.seed)
 
     @classmethod
     def linear_rates(

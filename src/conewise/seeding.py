@@ -12,11 +12,19 @@ realizations derives its streams per block of realizations, not per
 realization: matrix persistence keys its streams by the index of each block
 of 256 and fills its arrays row by row, so realization r still sees the
 same values whatever the realization count or chunking.
+
+A seed is a Python or NumPy integer; a negative one wraps modulo 2**64.
+Anything else (a float such as 1.5, a bool-like array, None) raises
+:class:`~conewise.errors.InvalidSpecError` before any stream is opened.
 """
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
+
+from .errors import InvalidSpecError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -31,13 +39,21 @@ def splitmix64(x: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+def check_seed(seed) -> int:
+    """``seed`` as a Python int modulo 2**64; anything but a Python or NumPy
+    integer raises :class:`InvalidSpecError`."""
+    if not isinstance(seed, numbers.Integral):
+        raise InvalidSpecError(f"seed must be an integer, got {seed!r}")
+    return int(seed) & _MASK64
+
+
 def derive_seed(seed: int, *path: int) -> int:
     """Derive an independent child seed from ``seed`` and an index path.
 
     ``derive_seed(s, i, j)`` is the seed of sub-task ``j`` of sub-task ``i``.
     Distinct paths give (statistically) independent streams.
     """
-    s = int(seed) & _MASK64
+    s = check_seed(seed)
     for k in path:
         s = splitmix64(s ^ splitmix64(int(k) & _MASK64))
     return s
@@ -45,4 +61,4 @@ def derive_seed(seed: int, *path: int) -> int:
 
 def rng_from_seed(seed: int) -> np.random.Generator:
     """The package-wide generator: PCG64 keyed by a 64-bit seed."""
-    return np.random.Generator(np.random.PCG64(seed & _MASK64))
+    return np.random.Generator(np.random.PCG64(check_seed(seed)))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NumericalError, check_count
 from .records import PersistenceCurve
-from .seeding import derive_seed, rng_from_seed
+from .seeding import check_seed, derive_seed, rng_from_seed
 from .spectra import SpectralModel
 from .spectral import _correlation, log_moment_array
 
@@ -199,11 +199,12 @@ def estimate_persistence_gp(
     once its first even and first odd change are known: the full curve
     counts the earlier of the two, so the subprocess curves cost no extra
     scan.  ``meta["path_entries"]`` counts the path entries formed.
-    An ``n_paths`` that is not an integer >= 1, or a T that is not an
-    integer >= 0, raises :class:`InvalidSpecError` before any moment is
-    computed.
+    An ``n_paths`` that is not an integer >= 1, a T that is not an integer
+    >= 0 or a seed that is not an integer raises :class:`InvalidSpecError`
+    before any moment is computed.
     """
     check_count(n_paths, 1, f"path count must be an integer >= 1, got {n_paths}")
+    check_seed(seed)
     (even, odd), entries = _stream_first_changes(_gp_factor(spec, T), n_paths, seed)
     meta = _meta(spec, T, n_paths, seed, entries)
     curve = PersistenceCurve.from_first_change_times(np.minimum(even, odd), T, grid, meta)
@@ -227,6 +228,7 @@ def joint_persistence(
     initial signs; the decay exponent is p times the single-component one."""
     check_count(p, 1, f"component count must be an integer >= 1, got {p}")
     check_count(n_paths, 1, f"path count must be an integer >= 1, got {n_paths}")
+    check_seed(seed)
     if p == 1:
         return estimate_persistence_gp(spec, T, n_paths, seed, grid=grid)
     factor = _gp_factor(spec, T)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -25,13 +26,16 @@ from conewise.dynamics import (
     trapped_run_edge_pairs,
     _BLOCK,
     _JACOBI_BLOCK,
+    _LEAP,
+    _RESCALE_EVERY,
     _RevealedFrame,
     _block_draws,
     _hessenberg_first_sign_changes,
+    _leap_tables,
     _lyapunov_kernel,
     _persistence_chunk,
 )
-from conewise.ensembles import _goe_jacobi
+from conewise.ensembles import _goe_jacobi, _hessenberg_entries, _jacobi_dofs
 from conewise.errors import CollapseUndefinedError, FitError
 from conewise.estimators import TRUNCATED_FIT_MIN_POINTS
 from conewise.records import LyapunovSamples, PersistenceCurve, log_tau_grid
@@ -39,6 +43,89 @@ from conewise.seeding import derive_seed, rng_from_seed
 from conewise.surrogate import estimate_persistence_gp
 from scipy.linalg import eigh
 from scipy.stats import ks_2samp
+
+
+# The Hessenberg kernel as it was before GOE stacks advanced eight steps
+# per product: one step per iteration for every stack, kept verbatim as the
+# reference of the leaping route.
+def reference_hessenberg_first_sign_changes(diag, offdiag, upper, z, s0, horizon) -> np.ndarray:
+    """First sign change of v1(t) = (H^t e1) . z for stacked Hessenberg H.
+
+    Row i holds the leading K x K block of one upper-Hessenberg H: its
+    symmetric tridiagonal part (``diag`` K entries, ``offdiag`` K - 1 on both
+    sides of the diagonal) plus ``upper``, the (rows, K, K) strictly upper
+    rest, or None when every H of the stack is tridiagonal (GOE).  With it
+    the first K entries of the start vector ``z`` and the starting sign
+    ``s0`` (+-1, or 0 for a start at v1 = 0); K >= min(horizon + 1, N)
+    suffices because H^t e1 lives on the first t + 1 coordinates.  Rows
+    step together but independently: every operation on a row is
+    elementwise or a reduction over that row alone, so a row's result does
+    not depend on which rows share its block.  A row changes at the first t
+    where s0 v1(t) is not > 0, so an exact zero of v1 counts as a change
+    and s0 = 0 changes at t = 1; a row whose H^t e1 is the zero vector
+    raises :class:`DegenerateDynamicsError`.  Returns per-row times
+    (horizon + 1 when the sign never changes).
+
+    Only signs matter, so the state is never normalized.  Each row of H is
+    first divided by a power of two 2^e >= 4 p, p the largest of its
+    tridiagonal entries and of the row sums of ``|upper|``; that bounds its
+    inf-norm (a row has at most three tridiagonal entries), so no entry of
+    H^t e1 outgrows the largest one of the step before and nothing
+    overflows; every ``_RESCALE_EVERY`` steps a row is multiplied by the
+    power of two that brings its largest entry into [1/2, 1), so nothing
+    underflows.  Both scalings are exact.
+    """
+    rows, k = diag.shape
+    times = np.full(rows, horizon + 1, dtype=np.int64)
+    peak = np.maximum(np.abs(diag).max(axis=1), np.abs(offdiag).max(axis=1, initial=0.0))
+    if upper is not None:
+        peak = np.maximum(peak, np.abs(upper).sum(axis=2).max(axis=1))
+    shift = -(np.frexp(peak)[1] + 2)[:, None]
+    diag, offdiag = np.ldexp(diag, shift), np.ldexp(offdiag, shift)
+    if upper is not None:
+        upper = np.ldexp(upper, shift[:, :, None])
+    s0 = np.asarray(s0, dtype=float)
+    zs = z * s0[:, None]  # v1(t) s0 = (H^t e1) . zs: positive until the change
+    x = np.zeros((rows, k))
+    x[:, 0] = 1.0
+    row_of = np.arange(rows)  # original row of each stacked row
+    for t in range(1, horizon + 1):
+        c = min(t + 1, k)
+        e = offdiag[:, : c - 1]
+        y = diag[:, :c] * x[:, :c]
+        y[:, 1:] += e * x[:, : c - 1]
+        y[:, :-1] += e * x[:, 1:c]
+        if upper is not None:
+            # rows that left the stack stay in upper: gather only this step's corner
+            y[:, :-1] += np.matmul(upper[row_of, : c - 1, 1:c], x[:, 1:c, None])[:, :, 0]
+        if t % _RESCALE_EVERY == 0:
+            y = np.ldexp(y, -np.frexp(np.abs(y).max(axis=1))[1][:, None])
+        x[:, :c] = y
+        signed = np.vecdot(y, zs[:, :c])
+        if np.minimum.reduce(signed) > 0.0:
+            continue
+        if not y[signed == 0.0].any(axis=1).all():
+            raise DegenerateDynamicsError(t)
+        changed = ~(signed > 0.0)
+        times[row_of[changed]] = t
+        keep = ~changed
+        if not keep.any():
+            break
+        # finished rows leave the stack at once, so every row left is alive
+        diag, offdiag, zs, x, row_of = (a[keep] for a in (diag, offdiag, zs, x, row_of))
+    return times
+
+
+def goe_rows(n_dim, T, cone, rows, seed):
+    """(diag, offdiag, z, s0) of ``rows`` GOE(n_dim, *cone) starts, drawn as
+    the persistence route draws them, for horizon T."""
+    k = min(T + 1, n_dim)
+    spec = EnsembleSpec.goe(n_dim, *cone)
+    rng = rng_from_seed(seed)
+    z = rng.standard_normal((rows, k))
+    chisq = rng.chisquare(_jacobi_dofs(n_dim, k), (rows, k - 1))
+    diag, off = _hessenberg_entries(spec.center, spec.sigma, 1.0, rng.standard_normal((rows, k)), chisq)
+    return diag, off, z, np.sign(z[:, 0])
 
 
 def gaussian(n, seed):
@@ -190,6 +277,12 @@ def fit_window_points(entry):
     tau, _, _ = entry["curve"].positive_part()
     return np.count_nonzero((tau >= lo) & (tau <= hi))
 
+
+# GOE cones and horizons of the leaping route against its reference:
+# centred, shifted and extreme-scale cones; horizons below, at and past the
+# first leap (24), with partial last leaps (25, 30)
+LEAP_CONES = [(0.0, 2.0), (0.5, 1.0), (1.0, 2.0), (0.0, 2e200), (1e200, 2e200), (0.0, 2e-200)]
+LEAP_HORIZONS = (1, 7, 8, 9, 16, 17, 23, 24, 25, 30, 120, 400)
 
 SEMI = SpectralModel.semicircle(0.5, 1.0)
 BETA3 = SpectralModel.symmetric_beta(3)
@@ -435,6 +528,63 @@ class TestJacobiRoute:
         ]
         assert np.array_equal(stacked, alone)
         assert stacked.min() == 1 and stacked.max() > 10
+
+    @pytest.mark.parametrize("n_dim", [2, 3, 9, 16, 64, 256, 1024])
+    def test_leaps_match_frozen_reference(self, n_dim):
+        # GOE stacks advance eight steps per product after step 8; their
+        # times equal the per-step reference's on every row, in stacks of
+        # 256 rows, of their first 40 and of the longest-lived row alone
+        # (K = N < T + 1 for the small N)
+        leaped = 0
+        for i, (T, cone) in enumerate(itertools.product(LEAP_HORIZONS, LEAP_CONES)):
+            diag, off, z, s0 = goe_rows(n_dim, T, cone, 256, derive_seed(71, n_dim, i))
+            ref = reference_hessenberg_first_sign_changes(diag, off, None, z, s0, T)
+            longest = int(np.argmax(ref))
+            for rows in (slice(None), slice(40), slice(longest, longest + 1)):
+                times = _hessenberg_first_sign_changes(diag[rows], off[rows], None, z[rows], s0[rows], T)
+                assert np.array_equal(times, ref[rows]), (T, cone)
+            leaped += np.count_nonzero(ref > 24) if T >= 24 else 0
+        assert leaped > 1000
+
+    @pytest.mark.parametrize("i, cone", enumerate(LEAP_CONES), ids=map(str, LEAP_CONES))
+    def test_long_leaps_match_frozen_reference(self, i, cone):
+        # T = 3000 at N = 16: hundreds of leaps and rescalings per row
+        diag, off, z, s0 = goe_rows(16, 3000, cone, 256, derive_seed(72, i))
+        ref = reference_hessenberg_first_sign_changes(diag, off, None, z, s0, 3000)
+        assert np.array_equal(_hessenberg_first_sign_changes(diag, off, None, z, s0, 3000), ref)
+        assert np.count_nonzero(ref > 1000) > 10
+
+    @pytest.mark.parametrize("w", [2, 5, 16, 17, 40])
+    def test_leap_tables_are_truncated_powers(self, w):
+        # the band of J^8 and J^j z, j = 1..8, for J truncated to w columns,
+        # against dense matrix powers; band entries past the w columns are 0
+        rng = rng_from_seed(w)
+        diag, off, z = (rng.standard_normal((3, n)) for n in (w, w - 1, w))
+        band, powers = _leap_tables(diag, off, z)
+        assert band.shape == (3, 2 * _LEAP + 1, w) and powers.shape == (3, _LEAP, w)
+        column = np.arange(w) + np.arange(-_LEAP, _LEAP + 1)[:, None]
+        inside = (column >= 0) & (column < w)
+        for r in range(3):
+            jac = np.diag(diag[r]) + np.diag(off[r], 1) + np.diag(off[r], -1)
+            top = np.linalg.matrix_power(jac, _LEAP)
+            expected = np.where(inside, top[np.arange(w), np.clip(column, 0, w - 1)], 0.0)
+            assert np.all(band[r][~inside] == 0.0)
+            assert np.allclose(band[r], expected, rtol=0, atol=1e-13 * np.abs(top).max())
+            for j in range(1, _LEAP + 1):
+                zj = np.linalg.matrix_power(jac, j) @ z[r]
+                assert np.allclose(powers[r, j - 1], zj, rtol=0, atol=1e-13 * np.abs(zj).max())
+
+    def test_short_horizons_step_one_at_a_time(self, monkeypatch):
+        # below T = 24 no table is built: a build cannot pay for the steps left
+        def no_tables(*args):
+            raise AssertionError("a short horizon built leap tables")
+
+        monkeypatch.setattr(dynamics, "_leap_tables", no_tables)
+        diag, off, z, s0 = goe_rows(64, 23, (0.0, 2.0), 256, 5)
+        times = _hessenberg_first_sign_changes(diag, off, None, z, s0, 23)
+        assert np.array_equal(times, reference_hessenberg_first_sign_changes(diag, off, None, z, s0, 23))
+        with pytest.raises(AssertionError, match="built leap tables"):
+            _hessenberg_first_sign_changes(diag, off, None, z, s0, 24)
 
     def test_exact_zero_counts_as_change(self, monkeypatch):
         # J e1 = (0, 1, 0): v1(1) = z . (0, 1, 0) = 0 exactly, a change on

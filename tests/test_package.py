@@ -8,7 +8,16 @@ import pytest
 
 import conewise
 from conewise import EnsembleSpec, InvalidSpecError, SpectralModel, dynamics, renewal, surrogate
-from conewise.dynamics import estimate_persistence_matrix, evolve, evolve_multicone, lyapunov_runs
+from conewise.dynamics import (
+    elliptic_persistence,
+    estimate_persistence_matrix,
+    evolve,
+    evolve_multicone,
+    goe_family,
+    lyapunov_runs,
+    scaling_collapse,
+    top_eigenvalue_check,
+)
 from conewise.renewal import (
     LampertiParams,
     RenewalConfig,
@@ -83,6 +92,39 @@ def test_non_integer_sizes_are_typed_before_any_work(call, shown, monkeypatch):
     monkeypatch.setattr(renewal, "rng_from_seed", _no_work)
     monkeypatch.setattr(renewal, "g_array", _no_work)
     with pytest.raises(InvalidSpecError, match=f"integer >= [01], got {shown}"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, shown",
+    [
+        (lambda: estimate_persistence_matrix(GOE16, GOE16, 4, T=5, seed=1.5), "1.5"),
+        (lambda: estimate_persistence_matrix(GOE16, GOE16, 600, T=5, seed=1.9, threads=2), "1.9"),
+        (lambda: lyapunov_runs(GOE16, GOE16, 4, T=50, seed=1.5), "1.5"),
+        (lambda: estimate_persistence_gp(BETA3, 8, 10, seed=1.5), "1.5"),
+        (lambda: joint_persistence(BETA3, 3, 8, 10, seed=2.0), "2.0"),
+        (lambda: scaling_collapse([8, 16, 64], goe_family(), 10, 20, 0.5, seed=1.5), "1.5"),
+        (lambda: elliptic_persistence(16, [0.3], 10, 20, seed=1.5), "1.5"),
+        (lambda: top_eigenvalue_check(GOE16, 3, seed=1.5), "1.5"),
+        (lambda: GOE16.sample(1.5), "1.5"),
+        (lambda: RenewalConfig.linear_rates(0.5, 0.5, -1, 1, tau_min=1, horizon=1000, seed=1.5), "1.5"),
+        (lambda: RenewalConfig.exact_spectral(0.5, 0.5, BETA3, BETA3, 1, 1000, seed=None), "None"),
+        (lambda: RenewalConfig.exact_spectral(0.5, 0.5, BETA3, BETA3, 1, 1000, seed="7"), "'7'"),
+    ],
+    ids=[
+        "matrix", "matrix-threads", "lyapunov", "gp", "joint", "collapse", "elliptic",
+        "top-eigenvalue", "ensemble-sample", "renewal-linear", "renewal-none", "renewal-string",
+    ],
+)
+def test_non_integer_seeds_are_typed_before_any_work(call, shown, monkeypatch):
+    # a float seed used to run as its integer part (seed=1.5 gave the outputs
+    # of seed 1), and a renewal one failed with a bare TypeError
+    monkeypatch.setattr(surrogate, "log_moment_array", _no_work)
+    monkeypatch.setattr(dynamics, "_persistence_chunk", _no_work)
+    monkeypatch.setattr(dynamics, "_lyapunov_chunk", _no_work)
+    monkeypatch.setattr(dynamics, "_goe_jacobi", _no_work)
+    monkeypatch.setattr(renewal, "g_array", _no_work)
+    with pytest.raises(InvalidSpecError, match=f"seed must be an integer, got {shown}"):
         call()
 
 

@@ -22,6 +22,10 @@ def squares(start, stop):
     return out
 
 
+def no_calls(start, stop):
+    raise AssertionError("fn ran before the counts were checked")
+
+
 class TestMapIndexChunks:
     def test_ranges_start_at_chunk_multiples_and_cover_in_order(self):
         calls = map_index_chunks(range_record, 10, 2, chunk=3)
@@ -45,8 +49,11 @@ class TestMapIndexChunks:
 
     @pytest.mark.parametrize("n_items", [2.0, 0])
     def test_bad_count_raises_before_any_call(self, n_items):
-        def no_calls(start, stop):
-            raise AssertionError("fn ran before the count was checked")
-
         with pytest.raises(InvalidSpecError, match=f"got {n_items}"):
             map_index_chunks(no_calls, n_items, 1, chunk=3)
+
+    @pytest.mark.parametrize("threads", [0, -3, 2.7, 1.0])
+    def test_bad_worker_count_raises_before_any_call(self, threads):
+        # max(1, int(threads)) used to run 0 and -3 in process and 2.7 on two workers
+        with pytest.raises(InvalidSpecError, match=f"worker count must be an integer >= 1, got {threads}"):
+            map_index_chunks(no_calls, 10, threads, chunk=3)

@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from conewise import derive_seed, rng_from_seed, splitmix64
+from conewise import InvalidSpecError, derive_seed, rng_from_seed, splitmix64
 
 
 def test_splitmix_known_values():
@@ -31,3 +32,20 @@ def test_derive_seed_takes_numpy_integers():
     # index arrays yield NumPy integers; they fold exactly as Python ints do
     assert derive_seed(np.int64(42), np.int64(3), np.intp(1)) == derive_seed(42, 3, 1)
     assert derive_seed(np.uint64(2**63 + 5), np.int32(-1)) == derive_seed(2**63 + 5, -1)
+
+
+def test_rng_takes_numpy_and_negative_integers():
+    # a NumPy integer keys the same stream as the Python int; a negative seed
+    # wraps modulo 2**64
+    x = rng_from_seed(99).random(4)
+    assert np.array_equal(rng_from_seed(np.int64(99)).random(4), x)
+    assert np.array_equal(rng_from_seed(np.uint8(99)).random(4), x)
+    assert np.array_equal(rng_from_seed(-1).random(4), rng_from_seed(2**64 - 1).random(4))
+    assert derive_seed(-1, 3) == derive_seed(2**64 - 1, 3)
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, np.float64(3.0), None, "5", np.array([1, 2])])
+def test_non_integer_seed_raises(seed):
+    for make in (rng_from_seed, derive_seed):
+        with pytest.raises(InvalidSpecError, match="seed must be an integer"):
+            make(seed)
