@@ -9,13 +9,7 @@ two-edge occupation-time law of the top Lyapunov exponent, and finite-size
 trapping/scaling effects.
 """
 
-from .ensembles import (
-    EnsembleSpec,
-    sample_elliptic,
-    sample_goe,
-    sample_haar_orthogonal,
-    sample_invariant,
-)
+from .ensembles import EnsembleSpec, sample_haar_orthogonal
 from .errors import (
     CollapseUndefinedError,
     ConewiseError,
@@ -32,12 +26,35 @@ from .spectral import (
     correlator,
     correlator_asymptotic,
     effective_dimension,
-    g_function,
-    is_sign_symmetric,
     moment_asymptotic,
     moment_f,
     persistence_exponent,
     theta_reference,
 )
+
+__all__ = [
+    "CollapseUndefinedError",
+    "ConewiseError",
+    "DegenerateDynamicsError",
+    "DegenerateProcessError",
+    "EnsembleSpec",
+    "FitError",
+    "InvalidSpecError",
+    "NumericalError",
+    "SpectralModel",
+    "THETA_TABLE",
+    "correlator",
+    "correlator_asymptotic",
+    "derive_seed",
+    "effective_dimension",
+    "inverse_cdf",
+    "moment_asymptotic",
+    "moment_f",
+    "persistence_exponent",
+    "rng_from_seed",
+    "sample_haar_orthogonal",
+    "splitmix64",
+    "theta_reference",
+]
 
 __version__ = "0.1.0"

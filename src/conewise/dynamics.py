@@ -7,8 +7,8 @@ growth to a running total.  (Persistence needs signs only; its Hessenberg
 route keeps the scale in range with exact powers of two instead, see the
 end of this docstring.)  Two equivalent evolution routes exist:
 
-* :func:`evolve` / :func:`evolve_multicone` -- literal per-step matrix
-  products, recording signs, residence intervals and trapping (the
+* :func:`evolve` -- literal per-step matrix products under two (or 2^p)
+  matrices, recording signs, residence intervals and trapping (the
   reference semantics);
 * :func:`lyapunov_runs` -- an eigenbasis block route for long horizons:
   whole cone-residence stretches advance through tabulated eigenvalue
@@ -135,7 +135,6 @@ from .surrogate import _block_first_changes, _changes_in
 __all__ = [
     "Trajectory",
     "evolve",
-    "evolve_multicone",
     "estimate_persistence_matrix",
     "ScalingCollapse",
     "scaling_collapse",
@@ -225,27 +224,32 @@ def _trap_window(T: int) -> int:
     return min(T, max(1000, T // 10))
 
 
-def evolve_multicone(
-    matrices,
-    p: int,
-    v0: np.ndarray,
-    T: int,
-) -> Trajectory:
-    """Cone-wise evolution where sign bits of the first p components select
-    one of 2**p matrices (bit i set when component i is negative).  A p
-    that is not an integer >= 0, or a T that is not an integer >= 1, raises
-    :class:`InvalidSpecError`."""
-    check_count(p, 0, f"component count must be an integer >= 0, got {p}")
+def evolve(matrices, v0: np.ndarray, T: int) -> Trajectory:
+    """Cone-wise evolution under 2**p matrices, p >= 0 read from their count:
+    sign bits of the first p components pick one (bit i set when component
+    i is negative), so with ``[A, B]`` A acts while v1 >= 0, B while v1 < 0.
+    A count that is not a power of two, matrices that are not square of one
+    shape, a start of another length, a non-finite entry, or a T that is not
+    an integer >= 1 raises :class:`InvalidSpecError` before the first step."""
     check_count(T, 1, f"horizon T must be an integer >= 1, got {T}")
-    if len(matrices) != 2**p:
-        raise InvalidSpecError(f"need exactly {2**p} matrices for p = {p}, got {len(matrices)}")
-    n = matrices[0].shape[0]
+    count = len(matrices)
+    if count < 1 or count & (count - 1):
+        raise InvalidSpecError(f"need 2**p matrices for some p >= 0, got {count}")
+    p = count.bit_length() - 1
+    matrices = [np.asarray(m, dtype=float) for m in matrices]
+    v0 = np.asarray(v0, dtype=float)
+    shape = matrices[0].shape
+    if len(shape) != 2 or shape[0] != shape[1] or any(m.shape != shape for m in matrices):
+        raise InvalidSpecError(
+            f"matrices must be square and of one shape, got {[m.shape for m in matrices]}"
+        )
+    n = shape[0]
+    if v0.shape != (n,):
+        raise InvalidSpecError(f"start vector needs shape ({n},), got {v0.shape}")
+    if not (np.isfinite(v0).all() and all(np.isfinite(m).all() for m in matrices)):
+        raise InvalidSpecError("matrices and start vector must be finite")
     if n < p:
         raise InvalidSpecError(f"dimension {n} too small for {p} sign components")
-    for m in matrices:
-        if m.shape != (n, n):
-            raise InvalidSpecError("all matrices must share one square shape")
-    v0 = np.asarray(v0, dtype=float)
     nrm0 = float(np.linalg.norm(v0))
     if nrm0 == 0.0:
         raise InvalidSpecError("need a nonzero start vector")
@@ -290,14 +294,6 @@ def evolve_multicone(
         trapped=trapped,
         meta={"N": n, "p": p},
     )
-
-
-def evolve(A: np.ndarray, B: np.ndarray, v0: np.ndarray, T: int) -> Trajectory:
-    """Two-cone evolution: A acts while the first component is >= 0, B
-    while it is < 0."""
-    if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InvalidSpecError("A and B must be square matrices of one dimension")
-    return evolve_multicone([A, B], 1, v0, T)
 
 
 # -- persistence from matrix dynamics ---------------------------------------
@@ -1156,8 +1152,8 @@ def top_eigenvalue_check(ensemble: EnsembleSpec, n_draws: int, seed: int) -> Top
 
     GOE draws come from the whole tridiagonal form (``_goe_jacobi`` with
     K = N), which has the spectrum of a dense draw, by bisection; invariant
-    draws read the eigenvalues that ``sample_invariant`` places, which are
-    its matrix's spectrum at the same seed.  An ``n_draws`` that is not an
+    draws read the eigenvalues that ``EnsembleSpec.sample`` places, which
+    are its matrix's spectrum at the same seed.  An ``n_draws`` that is not an
     integer >= 1 raises :class:`InvalidSpecError`.
     """
     check_count(n_draws, 1, f"n_draws must be an integer >= 1, got {n_draws}")

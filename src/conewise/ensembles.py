@@ -1,16 +1,16 @@
 """Random matrix sampling with reproducible seeding.
 
-Three recipes cover the experiments, each drawn by ``EnsembleSpec.sample``
-and by its public shorthand:
+Three recipes cover the experiments, each built by an ``EnsembleSpec``
+constructor and drawn by ``EnsembleSpec.sample``:
 
-* ``sample_goe`` -- symmetric Gaussian matrices whose limiting spectrum is
-  the semicircle on ``[center - radius, center + radius]``,
-* ``sample_invariant`` -- rotationally invariant matrices with a prescribed
+* ``goe`` -- symmetric Gaussian matrices whose limiting spectrum is the
+  semicircle on ``[center - radius, center + radius]``,
+* ``invariant`` -- rotationally invariant matrices with a prescribed
   limiting density, built as ``Q diag(nu) Q^T`` with Haar-orthogonal ``Q``
   and eigenvalues placed at deterministic mid-quantiles (an ``iid`` mode
   draws them independently instead, for studies that need a fluctuating
   edge),
-* ``sample_elliptic`` -- Gaussian matrices with correlation ``rho`` between
+* ``elliptic`` -- Gaussian matrices with correlation ``rho`` between
   transposed entries, interpolating symmetric (rho=1) and Ginibre-like
   (rho=0) statistics.
 
@@ -38,14 +38,14 @@ and for the top eigenvalue.  Persistence draws the standard variates for a
 whole block of realizations and scales them with ``_hessenberg_entries``
 and, for rho < 1, ``_hessenberg_upper``.  ``_eigenvalues`` gives the
 spectrum of one symmetric draw without forming the matrix: for GOE from the
-whole tridiagonal form, for invariant ensembles the eigenvalues
-``sample_invariant`` places.
+whole tridiagonal form, for invariant ensembles the eigenvalues an
+invariant draw places on its Haar frame.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
@@ -54,26 +54,17 @@ from .errors import InvalidSpecError, check_count
 from .seeding import rng_from_seed
 from .spectra import SpectralModel, inverse_cdf, quantile_grid
 
-__all__ = [
-    "EnsembleSpec",
-    "sample_goe",
-    "sample_haar_orthogonal",
-    "sample_invariant",
-    "sample_elliptic",
-]
+__all__ = ["EnsembleSpec", "sample_haar_orthogonal"]
 
 
-# eigenvalue placements of invariant recipes (see ``sample_invariant``)
+# eigenvalue placements of invariant recipes (see ``EnsembleSpec.invariant``)
 _PLACEMENTS = ("quantile", "iid")
-
-
-def sample_goe(N: int, center: float, radius: float, seed: int) -> np.ndarray:
-    """Symmetric Gaussian matrix with limiting semicircle on the given support.
-
-    Off-diagonal entries have variance ``(radius/2)**2 / N`` and diagonal
-    entries twice that, so the spectral edges converge to center +- radius.
-    """
-    return EnsembleSpec.goe(N, center, radius).sample(seed)
+# the recipe fields each kind's draws do not read
+_UNREAD = {
+    "goe": ("rho", "spectral_model", "placement"),
+    "invariant": ("center", "radius", "rho"),
+    "elliptic": ("center", "spectral_model", "placement"),
+}
 
 
 def _goe_jacobi(spec: "EnsembleSpec", K: int, rng: np.random.Generator):
@@ -83,7 +74,7 @@ def _goe_jacobi(spec: "EnsembleSpec", K: int, rng: np.random.Generator):
     N(0, 1) and the k-th off-diagonal entry sigma chi_{N-k}, all independent;
     the K diagonal normals are drawn first, then the K - 1 chi variates.
     1 <= K <= N; K = N gives the whole matrix, which has the spectrum law of
-    ``sample_goe``.
+    the recipe's ``sample``.
     """
     normals = rng.standard_normal(K)
     return _hessenberg_entries(
@@ -130,8 +121,7 @@ def sample_haar_orthogonal(N: int, seed: int) -> np.ndarray:
     QR of an iid Gaussian matrix, with each column of Q rescaled by the sign
     of the matching diagonal entry of R; plain QR is not Haar.
     """
-    if N < 1:
-        raise InvalidSpecError(f"matrix dimension must be >= 1, got {N}")
+    check_count(N, 1, f"matrix dimension must be an integer >= 1, got {N}")
     return _haar_orthogonal(N, rng_from_seed(seed))
 
 
@@ -143,24 +133,10 @@ def _haar_orthogonal(N: int, rng: np.random.Generator) -> np.ndarray:
     return q * np.where(d >= 0.0, 1.0, -1.0)
 
 
-def sample_invariant(
-    spec: SpectralModel, N: int, seed: int, placement: str = "quantile"
-) -> np.ndarray:
-    """Rotationally invariant matrix with limiting spectral density ``spec``.
-
-    ``placement="quantile"`` puts eigenvalue i at CDF^{-1}((i-1/2)/N), which
-    suppresses O(N^{-1/2}) density noise; ``placement="iid"`` draws them
-    independently from the density (fluctuating edge).  One stream of
-    ``seed`` gives the iid eigenvalues first, then the Haar frame, so the
-    frame is independent of the spectrum.
-    """
-    return EnsembleSpec.invariant(spec, N, placement).sample(seed)
-
-
 def _placed_eigenvalues(
     spec: SpectralModel, N: int, rng: np.random.Generator, placement: str
 ) -> np.ndarray:
-    """The eigenvalues ``sample_invariant`` puts on its Haar frame.
+    """The eigenvalues an invariant draw puts on its Haar frame.
 
     ``iid`` placement draws N uniforms from ``rng``; ``quantile`` placement
     draws nothing.  The quantile grid is cached per (model, N) and must not
@@ -178,8 +154,9 @@ def _eigenvalues(ens: "EnsembleSpec", seed: int) -> np.ndarray:
 
     It has the law of ``eigvalsh(ens.sample(seed))`` without forming the
     matrix: GOE draws come from the whole tridiagonal form, invariant ones
-    are the eigenvalues ``sample_invariant`` places (equal to its draw's at
-    the same seed).  Elliptic ensembles raise :class:`InvalidSpecError`.
+    are the eigenvalues ``_placed_eigenvalues`` places (the spectrum of
+    ``ens.sample`` at the same seed).  Elliptic ensembles raise
+    :class:`InvalidSpecError`.
     """
     if ens.kind == "goe":
         diag, off = _goe_jacobi(ens, ens.dimension, rng_from_seed(seed))
@@ -191,23 +168,15 @@ def _eigenvalues(ens: "EnsembleSpec", seed: int) -> np.ndarray:
     raise InvalidSpecError("elliptic ensembles have a complex spectrum")
 
 
-def sample_elliptic(N: int, rho: float, radius: float, seed: int) -> np.ndarray:
-    """Gaussian matrix with Corr(M_ij, M_ji) = rho.
-
-    ``sqrt((1+rho)/2) H + sqrt((1-rho)/2) W`` with H symmetric and W
-    antisymmetric, entries of variance ``(radius/2)**2 / N``; rho=1 recovers
-    the symmetric sampler exactly.
-    """
-    return EnsembleSpec.elliptic(N, rho, radius).sample(seed)
-
-
 @dataclass(frozen=True)
 class EnsembleSpec:
     """Recipe for sampling one N x N random matrix.
 
     ``kind`` selects the sampler: ``goe(center, radius)``,
-    ``invariant(spec)`` or ``elliptic(rho, radius)``.  A nonzero ``center``
-    on another kind than GOE raises :class:`InvalidSpecError`.
+    ``invariant(spec, placement)`` or ``elliptic(rho, radius)``.  A field
+    that the kind's draws do not read must keep its default, or
+    :class:`InvalidSpecError` is raised: a recipe with one would describe
+    draws it does not make.
     """
 
     kind: str
@@ -222,17 +191,19 @@ class EnsembleSpec:
         check_count(
             self.dimension, 2, f"matrix dimension must be an integer >= 2, got {self.dimension}"
         )
-        if self.kind not in ("goe", "invariant", "elliptic"):
+        if self.kind not in _UNREAD:
             raise InvalidSpecError(f"unknown ensemble kind {self.kind!r}")
         if not (math.isfinite(self.center) and math.isfinite(self.radius)):
             raise InvalidSpecError(
                 f"center and radius must be finite, got {self.center} and {self.radius}"
             )
-        if self.kind != "goe" and self.center != 0.0:
-            raise InvalidSpecError(
-                f"only GOE recipes take a centre; a {self.kind} recipe got {self.center}"
-            )
-        if self.kind in ("goe", "elliptic") and self.radius <= 0:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in _UNREAD[self.kind] and value != f.default:
+                raise InvalidSpecError(
+                    f"{self.kind} draws do not read {f.name}; a {self.kind} recipe got {value}"
+                )
+        if self.radius <= 0:
             raise InvalidSpecError(f"radius must be > 0, got {self.radius}")
         if self.kind == "elliptic" and not 0.0 <= self.rho <= 1.0:
             raise InvalidSpecError(f"entry correlation must lie in [0, 1], got {self.rho}")
@@ -245,14 +216,22 @@ class EnsembleSpec:
 
     @classmethod
     def goe(cls, N: int, center: float = 0.0, radius: float = 2.0):
+        """Off-diagonal entries of variance (radius/2)**2 / N and diagonal ones
+        of twice that around ``center``: the edges converge to center +- radius."""
         return cls(kind="goe", dimension=N, center=center, radius=radius)
 
     @classmethod
     def invariant(cls, spec: SpectralModel, N: int, placement: str = "quantile"):
+        """``quantile`` puts eigenvalue i at CDF^{-1}((i-1/2)/N), suppressing
+        O(N^{-1/2}) density noise; ``iid`` draws them from the density.  The
+        seed's one stream gives the iid eigenvalues, then the Haar frame."""
         return cls(kind="invariant", dimension=N, spectral_model=spec, placement=placement)
 
     @classmethod
     def elliptic(cls, N: int, rho: float, radius: float = 2.0):
+        """Corr(M_ij, M_ji) = rho: sqrt((1+rho)/2) H + sqrt((1-rho)/2) W, H
+        symmetric and W antisymmetric with entries of variance (radius/2)**2
+        / N; rho = 1 gives the GOE draw of the same seed exactly."""
         return cls(kind="elliptic", dimension=N, rho=rho, radius=radius)
 
     @property
@@ -285,7 +264,7 @@ class EnsembleSpec:
         h = (g + g.T) * (sigma / math.sqrt(2.0))
         if self.center != 0.0:
             h[np.diag_indices(n)] += self.center
-        if self.kind == "goe" or self.rho == 1.0:
+        if self.rho == 1.0:  # every GOE recipe
             return h
         g = rng.standard_normal((n, n))
         w = (g - g.T) * (sigma / math.sqrt(2.0))

@@ -39,8 +39,8 @@ class CollapseUndefinedError(ConewiseError, ValueError):
 
 def check_count(value, minimum: int, message: str) -> None:
     """Raise :class:`InvalidSpecError` with ``message`` unless ``value`` is
-    a Python or NumPy integer >= ``minimum``."""
-    if not isinstance(value, numbers.Integral) or value < minimum:
+    a Python or NumPy integer >= ``minimum``; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise InvalidSpecError(message)
 
 

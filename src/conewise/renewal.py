@@ -73,10 +73,6 @@ class LampertiParams:
         if self.r1 == self.r2:
             raise InvalidSpecError("the density form needs distinct edge rates")
 
-    @classmethod
-    def from_edges(cls, nu_plus_a: float, nu_plus_b: float, mu: float) -> "LampertiParams":
-        return cls(math.log(abs(nu_plus_a)), math.log(abs(nu_plus_b)), mu)
-
     @property
     def lo(self) -> float:
         return min(self.r1, self.r2)
@@ -175,8 +171,10 @@ class RenewalConfig:
     """Alternating two-cone renewal simulation parameters.
 
     ``cones`` holds the two cones' spectral models, the one source of every
-    g(tau) = 1/2 ln f(2 tau).  :meth:`linear_rates` cones are point masses
-    at e^r: g(tau) = r tau, the long-interval limit of a cone with edge e^r.
+    g(tau) = 1/2 ln f(2 tau), and of its edge rate ln|nu_plus|, so a cone
+    with nu_plus = 0 raises :class:`InvalidSpecError`.  :meth:`linear_rates`
+    cones are point masses at e^r: g(tau) = r tau, the long-interval limit
+    of a cone with edge e^r.
     """
 
     mu1: float
@@ -200,6 +198,12 @@ class RenewalConfig:
         if self.horizon < 10 * self.tau_min:
             raise InvalidSpecError("horizon must be >= 10 * tau_min")
         check_seed(self.seed)
+        for spec in self.cones:
+            if spec.nu_plus == 0.0:
+                raise InvalidSpecError(
+                    f"the edge rate ln|nu_plus| needs nu_plus != 0; "
+                    f"{spec.describe()} has nu_plus = 0"
+                )
 
     @classmethod
     def linear_rates(
@@ -423,9 +427,10 @@ def sample_renewal_lyapunov(cfg: RenewalConfig, n_samples: int) -> LyapunovSampl
     return LyapunovSamples(values=values, normalized=normalized, trapped=none, cycling=none, meta=meta)
 
 
-def simulate_renewal_run(cfg: RenewalConfig, seed: int | None = None) -> RenewalRun:
-    """Single renewal realization with full interval bookkeeping."""
-    rng = rng_from_seed(cfg.seed if seed is None else seed)
+def simulate_renewal_run(cfg: RenewalConfig) -> RenewalRun:
+    """Single renewal realization with full interval bookkeeping, drawn
+    from ``cfg.seed``; ``dataclasses.replace(cfg, seed=k)`` gives run k."""
+    rng = rng_from_seed(cfg.seed)
     mus = (cfg.mu1, cfg.mu2)
     label = int(rng.integers(0, 2))
     t = 0

@@ -103,7 +103,8 @@ class SpectralModel:
 
         The edge exponent cannot be inferred reliably from a finite table, so
         ``alpha``/``edge_constant`` are caller-supplied (operations that need
-        them reject models where they are absent).
+        them reject models where they are absent); a given ``alpha`` must be
+        finite and > -1, a given ``edge_constant`` finite and > 0.
         """
         nus = np.asarray(nus, dtype=float)
         rhos = np.asarray(rhos, dtype=float)
@@ -131,6 +132,14 @@ class SpectralModel:
             raise InvalidSpecError(f"{self.family} model needs finite parameters and support")
         if self.family != "atomic" and not self.nu_minus < self.nu_plus:
             raise InvalidSpecError("support must satisfy nu_minus < nu_plus")
+        if self.alpha is not None and not (math.isfinite(self.alpha) and self.alpha > -1.0):
+            raise InvalidSpecError(f"edge exponent must be finite and > -1, got {self.alpha}")
+        if self.edge_constant is not None and not (
+            math.isfinite(self.edge_constant) and self.edge_constant > 0.0
+        ):
+            raise InvalidSpecError(
+                f"edge constant must be finite and > 0, got {self.edge_constant}"
+            )
 
     # -- basic queries ----------------------------------------------------
 
@@ -140,7 +149,8 @@ class SpectralModel:
 
     @property
     def symmetric_about_zero(self) -> bool:
-        """Exact sign-symmetry of the support and density."""
+        """Exact sign-symmetry of the support and density, the flag by which
+        the moment engine zeroes odd moments."""
         if self.family == "semicircle":
             return self.params[0] == 0.0
         if self.family == "atomic":

@@ -16,9 +16,8 @@ one exact, vectorized route:
   summed in log space, with exact zeros for the odd orders of a
   sign-symmetric table.
 
-The other moment functions (:func:`log_moment_array`,
-:func:`log_abs_moment`, :func:`moment_f`, :func:`correlator`,
-:func:`g_function`, :func:`g_array`) are views of :func:`log_moments`.
+The other moment functions (:func:`log_moment_array`, :func:`moment_f`,
+:func:`correlator`, :func:`g_array`) are views of :func:`log_moments`.
 Nothing here integrates numerically: the adaptive-quadrature moment route
 that cross-checks the engine lives in ``tests/test_spectral.py``.
 """
@@ -38,15 +37,12 @@ __all__ = [
     "log_moments",
     "log_moment_array",
     "moment_f",
-    "log_abs_moment",
     "moment_asymptotic",
     "correlator",
     "correlator_asymptotic",
-    "g_function",
     "g_array",
     "effective_dimension",
     "theta_reference",
-    "is_sign_symmetric",
     "persistence_exponent",
     "THETA_TABLE",
 ]
@@ -207,26 +203,26 @@ def log_moment_array(spec: SpectralModel, kmax: int) -> tuple[np.ndarray, np.nda
     return log_moments(spec, np.arange(integer_array(kmax, "moment orders") + 1))
 
 
-def log_abs_moment(spec: SpectralModel, t: int) -> tuple[float, int]:
-    """(log|f(t)|, sign) for one order."""
-    logs, signs = log_moments(spec, [t])
-    return float(logs[0]), int(signs[0])
-
-
 def moment_f(spec: SpectralModel, t: int) -> float:
     """t-th moment of the density (overflows to +-inf for |nu| > 1)."""
-    logf, sign = log_abs_moment(spec, t)
+    (logf,), (sign,) = log_moments(spec, [t])
     if sign == 0:
         return 0.0
+    return int(sign) * _exp(logf)
+
+
+def _exp(x: float) -> float:
+    """e^x, +inf past the float range."""
     try:
-        return sign * math.exp(logf)
+        return math.exp(x)
     except OverflowError:
-        return sign * math.inf
+        return math.inf
 
 
 def moment_asymptotic(spec: SpectralModel, t: float) -> float:
-    """Large-t edge estimate K * Gamma(alpha+1) * nu_plus**(t+alpha+1) * t**-(alpha+1)."""
-    return math.exp(log_moment_asymptotic(spec, t))
+    """Large-t edge estimate K * Gamma(alpha+1) * nu_plus**(t+alpha+1) *
+    t**-(alpha+1); overflows to +inf."""
+    return _exp(log_moment_asymptotic(spec, t))
 
 
 def log_moment_asymptotic(spec: SpectralModel, t: float) -> float:
@@ -284,13 +280,9 @@ def correlator_asymptotic(alpha: float, t: float, s: float) -> float:
     return (2.0 * math.sqrt(t * s) / (t + s)) ** (alpha + 1.0)
 
 
-def g_function(spec: SpectralModel, tau: int) -> float:
-    """Per-interval log growth factor: g(tau) = 1/2 * ln f(2 tau)."""
-    return float(g_array(spec, [tau])[0])
-
-
 def g_array(spec: SpectralModel, taus: np.ndarray) -> np.ndarray:
-    """g(tau) over an integer array of residence times tau >= 1."""
+    """Per-interval log growth factor g(tau) = 1/2 ln f(2 tau) over an
+    integer array of residence times tau >= 1."""
     taus = integer_array(taus, "residence times")
     if np.any(taus < 1):
         raise InvalidSpecError(f"g is defined for tau >= 1, got {int(taus.min())}")
@@ -316,12 +308,6 @@ def theta_reference(d: int) -> float:
     return THETA_TABLE[d]
 
 
-def is_sign_symmetric(spec: SpectralModel) -> bool:
-    """Exact sign-symmetry of the density, the flag by which the moment
-    engine zeroes odd moments."""
-    return spec.symmetric_about_zero
-
-
 def persistence_exponent(spec: SpectralModel) -> float:
     """Predicted sign-persistence exponent for the renormalized first component.
 
@@ -342,4 +328,4 @@ def persistence_exponent(spec: SpectralModel) -> float:
             f"effective dimension {d} is not an integer in the tabulated range"
         )
     theta = theta_reference(d_int)
-    return 2.0 * theta if is_sign_symmetric(spec) else theta
+    return 2.0 * theta if spec.symmetric_about_zero else theta

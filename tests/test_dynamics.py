@@ -9,7 +9,6 @@ from conewise import (
     EnsembleSpec,
     InvalidSpecError,
     SpectralModel,
-    sample_goe,
 )
 from conewise import dynamics, ensembles
 from conewise.dynamics import (
@@ -18,7 +17,6 @@ from conewise.dynamics import (
     elliptic_persistence,
     estimate_persistence_matrix,
     evolve,
-    evolve_multicone,
     goe_family,
     lyapunov_runs,
     scaling_collapse,
@@ -324,33 +322,33 @@ LAW_GRID = _law_grid()
 
 class TestEvolve:
     def test_single_matrix_limit_is_power_iteration(self):
-        m = sample_goe(48, 0.0, 2.0, seed=5)
+        m = EnsembleSpec.goe(48, 0.0, 2.0).sample(5)
         top = np.max(np.abs(np.linalg.eigvalsh(m)))
-        traj = evolve(m, m, gaussian(48, 1), T=4000)
+        traj = evolve([m], gaussian(48, 1), T=4000)  # p = 0: no sign bit
         assert abs(traj.lyapunov - math.log(top)) < 10 / 4000
 
     def test_scalar_dynamics_trapped_exact_rate(self):
         a = 1.3 * np.eye(8)
         b = 0.2 * np.eye(8)
         v0 = np.abs(gaussian(8, 2))  # v1(0) > 0: stays in the A cone forever
-        traj = evolve(a, b, v0, T=1500)
+        traj = evolve([a, b], v0, T=1500)
         assert traj.lyapunov == pytest.approx(math.log(1.3), rel=1e-12)
         assert traj.trapped
         assert len(traj.residence_intervals) == 0
         assert traj.open_interval == (0, 1500)
 
     def test_unit_direction_each_step(self):
-        a = sample_goe(16, 0.0, 0.5, seed=1)
-        b = sample_goe(16, 0.0, 3.0, seed=2)
-        traj = evolve(a, b, gaussian(16, 3), T=200)
+        a = EnsembleSpec.goe(16, 0.0, 0.5).sample(1)
+        b = EnsembleSpec.goe(16, 0.0, 3.0).sample(2)
+        traj = evolve([a, b], gaussian(16, 3), T=200)
         assert abs(np.linalg.norm(traj.direction) - 1.0) < 1e-12
 
     def test_log_norm_matches_raw_products(self):
         # oracle equivalence on an overflow-safe instance
-        a = sample_goe(12, 0.0, 0.9, seed=21)
-        b = sample_goe(12, 0.0, 1.1, seed=22)
+        a = EnsembleSpec.goe(12, 0.0, 0.9).sample(21)
+        b = EnsembleSpec.goe(12, 0.0, 1.1).sample(22)
         v0 = gaussian(12, 23)
-        traj = evolve(a, b, v0, T=50)
+        traj = evolve([a, b], v0, T=50)
         v = v0 / np.linalg.norm(v0)
         for t in range(50):
             v = (a if traj.cone_labels[t] == 0 else b) @ v
@@ -358,9 +356,9 @@ class TestEvolve:
             assert traj.log_norm[t + 1] == pytest.approx(ref, rel=1e-8, abs=1e-10)
 
     def test_interval_bookkeeping_reconstructs_labels(self):
-        a = sample_goe(32, 0.0, 2.0, seed=31)
-        b = sample_goe(32, 0.0, 2.0, seed=32)
-        traj = evolve(a, b, gaussian(32, 33), T=400)
+        a = EnsembleSpec.goe(32, 0.0, 2.0).sample(31)
+        b = EnsembleSpec.goe(32, 0.0, 2.0).sample(32)
+        traj = evolve([a, b], gaussian(32, 33), T=400)
         assert traj.interval_partition_ok()
         rebuilt = np.concatenate(
             [
@@ -375,17 +373,17 @@ class TestEvolve:
         assert np.array_equal(signs_pre[nonzero] < 0, traj.cone_labels[nonzero] == 1)
 
     def test_seed_determinism(self):
-        a = sample_goe(16, 0.0, 2.0, seed=41)
-        b = sample_goe(16, 0.0, 2.0, seed=42)
-        t1 = evolve(a, b, gaussian(16, 43), T=128)
-        t2 = evolve(a, b, gaussian(16, 43), T=128)
+        a = EnsembleSpec.goe(16, 0.0, 2.0).sample(41)
+        b = EnsembleSpec.goe(16, 0.0, 2.0).sample(42)
+        t1 = evolve([a, b], gaussian(16, 43), T=128)
+        t2 = evolve([a, b], gaussian(16, 43), T=128)
         assert np.array_equal(t1.log_norm, t2.log_norm)
         assert np.array_equal(t1.signs, t2.signs)
 
     def test_wide_interval_spread_for_goe_pair(self):
-        a = sample_goe(512, 0.0, 2.0, seed=51)
-        b = sample_goe(512, 0.0, 2.0, seed=52)
-        traj = evolve(a, b, gaussian(512, 53), T=4000)
+        a = EnsembleSpec.goe(512, 0.0, 2.0).sample(51)
+        b = EnsembleSpec.goe(512, 0.0, 2.0).sample(52)
+        traj = evolve([a, b], gaussian(512, 53), T=4000)
         lengths = [tau for _, tau in traj.residence_intervals]
         assert min(lengths) == 1
         assert max(lengths) >= 100  # spans two decades of residence times
@@ -393,50 +391,54 @@ class TestEvolve:
     def test_kernel_direction_raises(self):
         a = np.zeros((4, 4))
         with pytest.raises(DegenerateDynamicsError):
-            evolve(a, a, np.ones(4), T=10)
+            evolve([a, a], np.ones(4), T=10)
 
     def test_exact_zero_stays_in_a_and_leaves_b(self):
         # v0 = (-1, 0) starts in B, which maps it to (0, -1): v1 = 0 exactly,
         # so A acts from then on, and A = I keeps v1 = 0
         a, b = np.eye(2), np.array([[0.0, 0.0], [1.0, 0.0]])
-        traj = evolve(a, b, np.array([-1.0, 0.0]), T=6)
+        traj = evolve([a, b], np.array([-1.0, 0.0]), T=6)
         assert list(traj.cone_labels) == [1, 0, 0, 0, 0, 0]
         assert list(traj.signs) == [-1, 0, 0, 0, 0, 0, 0]
         # with two sign bits, a zero component sets no bit: (0, -1) is cone 2
-        multi = evolve_multicone([b, b, a, b], 2, np.array([0.0, -1.0]), T=3)
+        multi = evolve([b, b, a, b], np.array([0.0, -1.0]), T=3)
         assert list(multi.cone_labels) == [2, 2, 2]
 
     def test_vbar1_scaling(self):
-        a = sample_goe(64, 0.0, 2.0, seed=61)
-        traj = evolve(a, a, gaussian(64, 62), T=32)
+        a = EnsembleSpec.goe(64, 0.0, 2.0).sample(61)
+        traj = evolve([a, a], gaussian(64, 62), T=32)
         assert np.allclose(np.abs(traj.vbar1), 8 * np.abs(traj.direction[0]), atol=1e9)
         assert traj.vbar1[-1] == pytest.approx(8 * traj.direction[0])
 
 
 class TestMulticone:
     def test_p1_reduces_to_evolve(self):
-        a = sample_goe(24, 0.0, 1.5, seed=71)
-        b = sample_goe(24, 0.0, 2.5, seed=72)
+        # four cones whose matrices ignore the second sign bit run the
+        # two-cone dynamics: same norms, and labels equal modulo 2
+        a = EnsembleSpec.goe(24, 0.0, 1.5).sample(71)
+        b = EnsembleSpec.goe(24, 0.0, 2.5).sample(72)
         v0 = gaussian(24, 73)
-        t1 = evolve(a, b, v0, T=200)
-        t2 = evolve_multicone([a, b], 1, v0, T=200)
+        t1 = evolve([a, b], v0, T=200)
+        t2 = evolve([a, b, a, b], v0, T=200)
+        assert (t1.meta["p"], t2.meta["p"]) == (1, 2)
         assert np.array_equal(t1.log_norm, t2.log_norm)
-        assert np.array_equal(t1.cone_labels, t2.cone_labels)
+        assert np.array_equal(t1.cone_labels, t2.cone_labels % 2)
+        assert len(np.unique(t2.cone_labels)) == 4
 
     def test_all_equal_matrices_power_iteration(self):
-        m = sample_goe(32, 0.0, 2.0, seed=75)
+        m = EnsembleSpec.goe(32, 0.0, 2.0).sample(75)
         top = np.max(np.abs(np.linalg.eigvalsh(m)))
-        traj = evolve_multicone([m, m, m, m], 2, gaussian(32, 76), T=3000)
+        traj = evolve([m, m, m, m], gaussian(32, 76), T=3000)
         assert abs(traj.lyapunov - math.log(top)) < 10 / 3000
 
     def test_wrong_matrix_count(self):
-        m = sample_goe(8, 0.0, 2.0, seed=1)
+        m = EnsembleSpec.goe(8, 0.0, 2.0).sample(1)
         with pytest.raises(InvalidSpecError):
-            evolve_multicone([m, m, m], 2, gaussian(8, 2), T=10)
+            evolve([m, m, m], gaussian(8, 2), T=10)
 
     def test_cone_labels_follow_sign_bits(self):
-        a = [sample_goe(16, 0.0, 2.0, seed=80 + k) for k in range(4)]
-        traj = evolve_multicone(a, 2, gaussian(16, 90), T=150)
+        a = [EnsembleSpec.goe(16, 0.0, 2.0).sample(80 + k) for k in range(4)]
+        traj = evolve(a, gaussian(16, 90), T=150)
         assert set(np.unique(traj.cone_labels)) <= {0, 1, 2, 3}
         assert traj.interval_partition_ok()
 
@@ -771,10 +773,10 @@ class TestMatrixAgainstSurrogate:
 
 class TestLyapunovRuns:
     def test_eigen_route_matches_reference(self):
-        a = sample_goe(48, 0.0, 0.05 * math.sqrt(2), seed=11)
-        b = sample_goe(48, 0.0, 2 * math.sqrt(2), seed=12)
+        a = EnsembleSpec.goe(48, 0.0, 0.05 * math.sqrt(2)).sample(11)
+        b = EnsembleSpec.goe(48, 0.0, 2 * math.sqrt(2)).sample(12)
         v0 = gaussian(48, 13)
-        traj = evolve(a, b, v0, T=80)
+        traj = evolve([a, b], v0, T=80)
         out = dense_lyapunov_single((a, b), v0, 80, tail_window=20, block=16)
         assert out[0] == pytest.approx(traj.lyapunov, rel=1e-10, abs=1e-12)
         assert out[8] == len(traj.residence_intervals)
@@ -784,7 +786,7 @@ class TestLyapunovRuns:
         # ln max|nu|; with -m the negative edge dominates and the sign flips
         # every step, which drives the block route through a switch per step
         T = 4000
-        m = sample_goe(64, 0.0, 2.0, seed=5)
+        m = EnsembleSpec.goe(64, 0.0, 2.0).sample(5)
         top = math.log(np.max(np.abs(np.linalg.eigvalsh(m))))
         v0 = gaussian(64, 1)
         for mat in (m, -m):
@@ -817,8 +819,8 @@ class TestLyapunovRuns:
     def test_power_tables_keep_dense_outputs(self):
         # the dense wrapper reads one power table per cone; the rows are the
         # per-block cumprod's floats, so every output is the same bit for bit
-        a = sample_goe(48, 0.0, 0.05 * math.sqrt(2), seed=11)
-        b = sample_goe(48, 0.0, 2 * math.sqrt(2), seed=12)
+        a = EnsembleSpec.goe(48, 0.0, 0.05 * math.sqrt(2)).sample(11)
+        b = EnsembleSpec.goe(48, 0.0, 2 * math.sqrt(2)).sample(12)
         v0 = gaussian(48, 13)
         for T, tw, block in ((80, 20, 16), (3000, 500, 192)):
             out = dense_lyapunov_single((a, b), v0, T, tw, block)
@@ -1164,8 +1166,9 @@ class TestTopEigenvalue:
 
     def test_goe_tridiagonal_matches_dense(self):
         n_dim, n_draws = 64, 3000
-        chk = top_eigenvalue_check(EnsembleSpec.goe(n_dim, 0.0, 2.0), n_draws, seed=6)
-        dense = [np.linalg.eigvalsh(sample_goe(n_dim, 0.0, 2.0, seed=10**6 + k))[-1] for k in range(n_draws)]
+        ens = EnsembleSpec.goe(n_dim, 0.0, 2.0)
+        chk = top_eigenvalue_check(ens, n_draws, seed=6)
+        dense = [np.linalg.eigvalsh(ens.sample(10**6 + k))[-1] for k in range(n_draws)]
         assert ks_2samp(chk.nu_max, dense).pvalue > 0.01
 
     @pytest.mark.parametrize("placement", ["quantile", "iid"])

@@ -8,13 +8,15 @@ from conewise import (
     InvalidSpecError,
     SpectralModel,
     moment_f,
-    sample_elliptic,
-    sample_goe,
     sample_haar_orthogonal,
-    sample_invariant,
 )
 from conewise.ensembles import _eigenvalues
 from conewise.seeding import derive_seed
+
+
+SEMI = SpectralModel.semicircle()
+# what each kind's draws need beyond the defaults
+READS = {"goe": {}, "elliptic": {"rho": 0.5}, "invariant": {"spectral_model": SEMI}}
 
 
 def top_eigenvalue(m):
@@ -24,14 +26,14 @@ def top_eigenvalue(m):
 
 class TestGoe:
     def test_symmetric_by_construction(self):
-        m = sample_goe(256, 0.0, 2.0, seed=1)
+        m = EnsembleSpec.goe(256, 0.0, 2.0).sample(1)
         assert np.max(np.abs(m - m.T)) < 1e-12
 
     def test_reproducible(self):
-        a = sample_goe(64, 0.0, 2.0, seed=123)
-        b = sample_goe(64, 0.0, 2.0, seed=123)
+        a = EnsembleSpec.goe(64, 0.0, 2.0).sample(123)
+        b = EnsembleSpec.goe(64, 0.0, 2.0).sample(123)
         assert np.array_equal(a, b)
-        c = sample_goe(64, 0.0, 2.0, seed=124)
+        c = EnsembleSpec.goe(64, 0.0, 2.0).sample(124)
         assert not np.array_equal(a, c)
 
     def test_edge_location(self):
@@ -40,7 +42,7 @@ class TestGoe:
         hits = 0
         n_draws = 100
         for k in range(n_draws):
-            m = sample_goe(1024, 0.0, 2.0, seed=derive_seed(7, k))
+            m = EnsembleSpec.goe(1024, 0.0, 2.0).sample(derive_seed(7, k))
             if 1.8 <= top_eigenvalue(m) <= 2.2:
                 hits += 1
         assert hits >= n_draws - 2
@@ -48,15 +50,15 @@ class TestGoe:
     def test_center_shifts_mean_eigenvalue(self):
         means = []
         for k in range(100):
-            m = sample_goe(256, 3.0, 2.0, seed=derive_seed(11, k))
+            m = EnsembleSpec.goe(256, 3.0, 2.0).sample(derive_seed(11, k))
             means.append(np.trace(m) / 256)
         assert abs(np.mean(means) - 3.0) < 0.05
 
     def test_invalid_args(self):
         with pytest.raises(InvalidSpecError):
-            sample_goe(1, 0.0, 2.0, seed=0)
+            EnsembleSpec.goe(1, 0.0, 2.0).sample(0)
         with pytest.raises(InvalidSpecError):
-            sample_goe(16, 0.0, 0.0, seed=0)
+            EnsembleSpec.goe(16, 0.0, 0.0).sample(0)
 
 
 class TestHaar:
@@ -83,15 +85,15 @@ class TestHaar:
 
 class TestInvariant:
     def test_atomic_is_scaled_identity(self):
-        m = sample_invariant(SpectralModel.atomic(0.7), 16, seed=0)
+        m = EnsembleSpec.invariant(SpectralModel.atomic(0.7), 16).sample(0)
         assert np.array_equal(m, 0.7 * np.eye(16))
 
     def test_symmetrized_output(self):
-        m = sample_invariant(SpectralModel.symmetric_beta(3), 128, seed=5)
+        m = EnsembleSpec.invariant(SpectralModel.symmetric_beta(3), 128).sample(5)
         assert np.max(np.abs(m - m.T)) < 1e-12
 
     def test_beta3_spectral_moments(self):
-        m = sample_invariant(SpectralModel.symmetric_beta(3), 512, seed=9)
+        m = EnsembleSpec.invariant(SpectralModel.symmetric_beta(3), 512).sample(9)
         eigs = np.linalg.eigvalsh(m)
         assert abs(np.mean(eigs) - 0.5) < 1e-3
         assert abs(np.mean(eigs**2) - 5 / 16) < 1e-3
@@ -100,7 +102,7 @@ class TestInvariant:
         # rotational invariance: normalized trace moments are deterministic
         # under quantile placement and equal the density moments
         spec = SpectralModel.symmetric_beta(3)
-        draws = [sample_invariant(spec, 256, seed=derive_seed(21, k)) for k in range(50)]
+        draws = [EnsembleSpec.invariant(spec, 256).sample(derive_seed(21, k)) for k in range(50)]
         for k_mom in range(1, 7):
             ref = moment_f(spec, k_mom)
             vals = []
@@ -113,8 +115,8 @@ class TestInvariant:
 
     def test_iid_placement_fluctuates(self):
         spec = SpectralModel.symmetric_beta(3)
-        a = sample_invariant(spec, 64, seed=2, placement="iid")
-        b = sample_invariant(spec, 64, seed=3, placement="iid")
+        a = EnsembleSpec.invariant(spec, 64, "iid").sample(2)
+        b = EnsembleSpec.invariant(spec, 64, "iid").sample(3)
         assert not np.allclose(np.linalg.eigvalsh(a), np.linalg.eigvalsh(b))
 
     def test_iid_frame_independent_of_spectrum(self):
@@ -124,7 +126,7 @@ class TestInvariant:
         n = 8
         w = np.empty(4000)
         for seed in range(w.size):
-            _, vecs = np.linalg.eigh(sample_invariant(spec, n, seed, placement="iid"))
+            _, vecs = np.linalg.eigh(EnsembleSpec.invariant(spec, n, "iid").sample(seed))
             w[seed] = vecs[0, -1] ** 2
         sigma = w.std(ddof=1) / np.sqrt(w.size)
         assert abs(w.mean() - 1.0 / n) <= 4 * sigma
@@ -156,12 +158,12 @@ class TestSpectrumHelper:
 
 class TestElliptic:
     def test_rho_one_symmetric(self):
-        m = sample_elliptic(128, 1.0, 2.0, seed=4)
+        m = EnsembleSpec.elliptic(128, 1.0, 2.0).sample(4)
         assert np.max(np.abs(m - m.T)) == 0.0
 
     @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
     def test_entry_pair_correlation(self, rho):
-        m = sample_elliptic(512, rho, 2.0, seed=derive_seed(13, int(rho * 10)))
+        m = EnsembleSpec.elliptic(512, rho, 2.0).sample(derive_seed(13, int(rho * 10)))
         iu = np.triu_indices(512, k=1)
         x, y = m[iu], m.T[iu]
         r = np.corrcoef(x, y)[0, 1]
@@ -169,14 +171,10 @@ class TestElliptic:
 
     def test_invalid_rho(self):
         with pytest.raises(InvalidSpecError):
-            sample_elliptic(64, 1.5, 2.0, seed=0)
+            EnsembleSpec.elliptic(64, 1.5, 2.0).sample(0)
 
 
 class TestEnsembleSpec:
-    def test_goe_sample_matches_function(self):
-        spec = EnsembleSpec.goe(64, 0.0, 2.0)
-        assert np.array_equal(spec.sample(77), sample_goe(64, 0.0, 2.0, 77))
-
     def test_elliptic_at_rho_one_is_centred_goe(self):
         # both draw the one symmetric Gaussian part from the same normals
         for n, seed in ((2, 3), (64, 77)):
@@ -205,14 +203,26 @@ class TestEnsembleSpec:
 
     @pytest.mark.parametrize(
         "kind, extra",
-        [("elliptic", {"rho": 0.5}), ("invariant", {"spectral_model": SpectralModel.semicircle()})],
+        [
+            ("elliptic", {"center": 5.0}),
+            ("invariant", {"center": 5.0}),
+            ("goe", {"rho": 0.0}),
+            ("invariant", {"rho": 0.5}),
+            ("goe", {"spectral_model": SEMI}),
+            ("elliptic", {"spectral_model": SEMI}),
+            ("goe", {"placement": "iid"}),
+            ("elliptic", {"placement": "iid"}),
+            ("invariant", {"radius": 3.0}),
+        ],
     )
     def test_centre_only_for_goe(self, kind, extra):
-        # elliptic and invariant draws ignore a centre, so a recipe with one
-        # would describe draws it does not make
-        with pytest.raises(InvalidSpecError, match=f"a {kind} recipe got 5.0"):
-            EnsembleSpec(kind=kind, dimension=16, center=5.0, **extra)
-        assert EnsembleSpec(kind=kind, dimension=16, center=0.0, **extra).center == 0.0
+        # a recipe field the kind's draws do not read (a centre off GOE, rho
+        # on GOE: the dense GOE draw ignores it, the Hessenberg routes would
+        # scale their diagonal by it) would describe draws it does not make
+        (name, value), = extra.items()
+        with pytest.raises(InvalidSpecError, match=f"do not read {name}; a {kind} recipe got"):
+            EnsembleSpec(kind=kind, dimension=16, **READS[kind], **extra)
+        assert getattr(EnsembleSpec(kind=kind, dimension=16, **READS[kind]), name) != value
 
     def test_elliptic_radius_must_be_finite(self):
         with pytest.raises(InvalidSpecError, match="must be finite"):

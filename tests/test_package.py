@@ -7,12 +7,20 @@ import numpy as np
 import pytest
 
 import conewise
-from conewise import EnsembleSpec, InvalidSpecError, SpectralModel, dynamics, renewal, surrogate
+from conewise import (
+    EnsembleSpec,
+    InvalidSpecError,
+    SpectralModel,
+    dynamics,
+    ensembles,
+    renewal,
+    sample_haar_orthogonal,
+    surrogate,
+)
 from conewise.dynamics import (
     elliptic_persistence,
     estimate_persistence_matrix,
     evolve,
-    evolve_multicone,
     goe_family,
     lyapunov_runs,
     scaling_collapse,
@@ -39,6 +47,65 @@ def test_public_names_resolve(name):
     assert not missing
 
 
+# Every public name of the package and of each module.  A name added to or
+# removed from the public surface must show here as a deliberate change.
+PUBLIC = {
+    "conewise": [
+        "CollapseUndefinedError", "ConewiseError", "DegenerateDynamicsError",
+        "DegenerateProcessError", "EnsembleSpec", "FitError", "InvalidSpecError",
+        "NumericalError", "SpectralModel", "THETA_TABLE", "correlator", "correlator_asymptotic",
+        "derive_seed", "effective_dimension", "inverse_cdf", "moment_asymptotic", "moment_f",
+        "persistence_exponent", "rng_from_seed", "sample_haar_orthogonal", "splitmix64",
+        "theta_reference",
+    ],
+    "conewise.dynamics": [
+        "LyapunovRunSet", "ScalingCollapse", "TopEigenvalueCheck", "Trajectory",
+        "elliptic_persistence", "estimate_persistence_matrix", "evolve", "goe_family",
+        "lyapunov_runs", "scaling_collapse", "top_eigenvalue_check", "trapped_run_edge_pairs",
+    ],
+    "conewise.ensembles": ["EnsembleSpec", "sample_haar_orthogonal"],
+    "conewise.errors": [
+        "CollapseUndefinedError", "ConewiseError", "DegenerateDynamicsError",
+        "DegenerateProcessError", "FitError", "InvalidSpecError", "NumericalError",
+        "check_count", "integer_array",
+    ],
+    "conewise.estimators": [
+        "FitResult", "empirical_cdf", "fit_powerlaw", "fit_truncated_powerlaw", "ks_distance",
+        "tail_exponent_at_edge",
+    ],
+    "conewise.parallel": ["map_index_chunks"],
+    "conewise.records": ["LyapunovSamples", "PersistenceCurve", "log_tau_grid"],
+    "conewise.renewal": [
+        "LampertiParams", "RenewalConfig", "RenewalRun", "interval_survival", "lamperti_cdf",
+        "lamperti_pdf", "sample_power_law_intervals", "sample_renewal_lyapunov",
+        "self_averaging_value", "simulate_renewal_run", "stieltjes_rhs",
+    ],
+    "conewise.seeding": ["check_seed", "derive_seed", "rng_from_seed", "splitmix64"],
+    "conewise.spectra": ["SpectralModel", "inverse_cdf"],
+    "conewise.spectral": [
+        "THETA_TABLE", "correlator", "correlator_asymptotic", "effective_dimension", "g_array",
+        "log_moment_array", "log_moments", "moment_asymptotic", "moment_f",
+        "persistence_exponent", "theta_reference",
+    ],
+    "conewise.surrogate": ["build_covariance", "estimate_persistence_gp", "joint_persistence"],
+}
+
+
+def _public_names(module) -> list[str]:
+    """``__all__``, or else the public names the module itself defines."""
+    if hasattr(module, "__all__"):
+        return sorted(module.__all__)
+    return sorted(
+        name for name, value in vars(module).items()
+        if not name.startswith("_") and getattr(value, "__module__", None) == module.__name__
+    )
+
+
+def test_public_surface_is_pinned():
+    found = {name: _public_names(importlib.import_module(name)) for name in ["conewise", *MODULES]}
+    assert found == PUBLIC
+
+
 def test_console_scripts_import():
     tomllib = pytest.importorskip("tomllib")
     scripts = tomllib.loads(PYPROJECT.read_text()).get("project", {}).get("scripts", {})
@@ -54,6 +121,7 @@ def _no_work(*args, **kwargs):
 GOE16 = EnsembleSpec.goe(16)
 BETA3 = SpectralModel.symmetric_beta(3)
 EYE = np.eye(4)
+EDGE_AT_ZERO = SpectralModel.semicircle(-1, 1)
 RENEWAL = RenewalConfig.exact_spectral(0.5, 0.5, BETA3, BETA3, tau_min=1, horizon=100)
 
 
@@ -69,23 +137,25 @@ RENEWAL = RenewalConfig.exact_spectral(0.5, 0.5, BETA3, BETA3, tau_min=1, horizo
         (lambda: estimate_persistence_matrix(GOE16, GOE16, 4, T=5.0, seed=0), "5.0"),
         (lambda: lyapunov_runs(GOE16, GOE16, 4.0, T=50, seed=0), "4.0"),
         (lambda: lyapunov_runs(GOE16, GOE16, 4, T=50.0, seed=0), "50.0"),
-        (lambda: evolve(EYE, EYE, np.ones(4), 5.0), "5.0"),
-        (lambda: evolve_multicone([EYE, EYE], 1, np.ones(4), 5.0), "5.0"),
-        (lambda: evolve_multicone([EYE, EYE], 1.0, np.ones(4), 5), "1.0"),
+        (lambda: evolve([EYE, EYE], np.ones(4), 5.0), "5.0"),
+        (lambda: evolve([EYE] * 4, np.ones(4), 5.0), "5.0"),
         (lambda: sample_renewal_lyapunov(RENEWAL, 10.0), "10.0"),
         (lambda: RenewalConfig.exact_spectral(0.5, 0.5, BETA3, BETA3, 1, 1000.5), "1000.5"),
         (lambda: RenewalConfig.exact_spectral(0.5, 0.5, BETA3, BETA3, 2.5, 1000), "2.5"),
         (lambda: self_averaging_value(BETA3, BETA3, 1.5, tau_min=1.5), "1.5"),
+        (lambda: sample_haar_orthogonal(2.5, 1), "2.5"),
+        (lambda: sample_haar_orthogonal(True, 1), "True"),
     ],
     ids=[
         "gp-paths", "gp-horizon", "joint-paths", "joint-horizon", "joint-components",
         "matrix-realizations", "matrix-horizon", "lyapunov-runs", "lyapunov-horizon",
-        "evolve-horizon", "multicone-horizon", "multicone-components", "renewal-samples",
-        "renewal-horizon", "renewal-tau-min", "self-averaging-tau-min",
+        "evolve-horizon", "multicone-horizon", "renewal-samples", "renewal-horizon",
+        "renewal-tau-min", "self-averaging-tau-min", "haar-float", "haar-bool",
     ],
 )
 def test_non_integer_sizes_are_typed_before_any_work(call, shown, monkeypatch):
     monkeypatch.setattr(surrogate, "log_moment_array", _no_work)
+    monkeypatch.setattr(ensembles, "_haar_orthogonal", _no_work)
     monkeypatch.setattr(dynamics, "_persistence_chunk", _no_work)
     monkeypatch.setattr(dynamics, "_lyapunov_chunk", _no_work)
     monkeypatch.setattr(dynamics, "rng_from_seed", _no_work)
@@ -138,10 +208,14 @@ def test_non_integer_seeds_are_typed_before_any_work(call, shown, monkeypatch):
         (lambda: lamperti_cdf(LampertiParams(0.0, math.inf, 0.5), 0.5), "inf"),
         (lambda: stieltjes_rhs(LampertiParams(0.0, 1.0, 0.5), math.nan), "nan"),
         (lambda: self_averaging_value(BETA3, BETA3, mu=math.nan), "nan"),
+        (
+            lambda: RenewalConfig.exact_spectral(0.5, 0.5, EDGE_AT_ZERO, BETA3, 1, 1000),
+            r"semicircle\(center=-1.0, radius=1.0\) has nu_plus = 0",
+        ),
     ],
     ids=[
         "renewal-mu-nan", "renewal-mu-inf", "renewal-horizon-limit", "lamperti-rate-nan",
-        "lamperti-rate-inf", "stieltjes-point-nan", "self-averaging-mu-nan",
+        "lamperti-rate-inf", "stieltjes-point-nan", "self-averaging-mu-nan", "renewal-zero-edge",
     ],
 )
 def test_non_finite_renewal_parameters_are_typed_before_any_work(call, shown, monkeypatch):
@@ -149,6 +223,31 @@ def test_non_finite_renewal_parameters_are_typed_before_any_work(call, shown, mo
     monkeypatch.setattr(renewal, "g_array", _no_work)
     with pytest.raises(InvalidSpecError, match=shown):
         call()
+
+
+@pytest.mark.parametrize(
+    "matrices, v0, shown",
+    [
+        ([EYE, EYE], [math.nan, 1, 1, 1], "finite"),
+        ([EYE, EYE], [math.inf, 1, 1, 1], "finite"),
+        ([np.full((4, 4), math.nan), EYE], np.ones(4), "finite"),
+        ([EYE, EYE, EYE], np.ones(4), "2\\*\\*p matrices"),
+        ([], np.ones(4), "2\\*\\*p matrices"),
+        ([np.ones(4), np.ones(4)], np.ones(4), "square"),
+        ([np.ones((2, 4, 4)), np.ones((2, 4, 4))], np.ones(4), "square"),
+        ([EYE, np.eye(3)], np.ones(4), "square"),
+        ([EYE, EYE], np.ones(3), "start vector"),
+    ],
+    ids=[
+        "start-nan", "start-inf", "matrix-nan", "three-matrices", "no-matrices", "one-dimensional",
+        "three-dimensional", "two-shapes", "start-length",
+    ],
+)
+def test_bad_evolution_inputs_are_typed(matrices, v0, shown):
+    # a NaN used to fail inside the loop with a bare ValueError, an infinite
+    # start after a RuntimeWarning
+    with pytest.raises(InvalidSpecError, match=shown):
+        evolve(matrices, v0, 5)
 
 
 def test_numpy_integer_sizes_accepted():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -264,7 +265,7 @@ class TestRenewalSimulator:
     def test_run_partition_is_exact(self):
         cfg = RenewalConfig.linear_rates(0.6, 0.4, r1=-1.0, r2=2.0, tau_min=1, horizon=7777, seed=9)
         for k in range(20):
-            run = simulate_renewal_run(cfg, seed=k)
+            run = simulate_renewal_run(replace(cfg, seed=k))
             assert run.check_partition()
             labels = [lab for lab, _ in run.intervals]
             assert all(a != b for a, b in zip(labels, labels[1:]))
@@ -312,7 +313,7 @@ class TestRenewalSimulator:
         # 1.63 * sqrt(2 / n) is the 1% critical value
         n = 2000
         fast = sample_renewal_lyapunov(cfg, n).values
-        ref = [simulate_renewal_run(cfg, seed=1000 + k).rate for k in range(n)]
+        ref = [simulate_renewal_run(replace(cfg, seed=1000 + k)).rate for k in range(n)]
         assert ks_2samp(fast, ref).statistic < 1.63 * math.sqrt(2 / n)
 
     def test_g_table_sized_to_horizon(self):
@@ -328,7 +329,7 @@ class TestRenewalSimulator:
         )
         _g_table.cache_clear()
         for k in range(50):
-            simulate_renewal_run(cfg, seed=k)
+            simulate_renewal_run(replace(cfg, seed=k))
         assert _g_table.cache_info().misses == 1
 
     @pytest.mark.parametrize("n, horizon", [(300, 2000), (40, 20_000)])
@@ -344,7 +345,7 @@ class TestRenewalSimulator:
         # g(tau) = r tau, on the table and past it
         longest = 0
         for k in range(30):
-            run = simulate_renewal_run(lin, seed=k)
+            run = simulate_renewal_run(replace(lin, seed=k))
             direct = sum((r1, r2)[label] * tau for label, tau in run.intervals)
             assert run.lam_accumulator == pytest.approx(direct, rel=1e-12, abs=1e-12)
             longest = max(longest, max(tau for _, tau in run.intervals))
@@ -370,10 +371,10 @@ class TestRenewalSimulator:
         # the rate law approaches the Lamperti law only as the horizon grows;
         # the 1% KS noise level at n = 10000 is 1.63 / sqrt(n) = 0.016
         spec_a, spec_b = SpectralModel.symmetric_beta(3), SpectralModel.semicircle(0, 1.5)
-        law = LampertiParams.from_edges(spec_a.nu_plus, spec_b.nu_plus, 0.5)
         dist = []
         for horizon in (10_000, 100_000):
             cfg = RenewalConfig.exact_spectral(0.5, 0.5, spec_a, spec_b, 1, horizon, seed=7)
+            law = LampertiParams(*cfg.rates, 0.5)
             values = sample_renewal_lyapunov(cfg, 10_000).values
             dist.append(ks_distance(values, lambda x: lamperti_cdf(law, x)))
         assert dist[0] > 0.04

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conewise import InvalidSpecError, SpectralModel, inverse_cdf, sample_invariant
+from conewise import EnsembleSpec, InvalidSpecError, SpectralModel, inverse_cdf
 from conewise.spectra import quantile_grid
 
 
@@ -53,17 +53,35 @@ class TestConstruction:
             lambda: SpectralModel.tabulated([0, 0.5, np.inf], [1, 1, 1]),
             lambda: SpectralModel.tabulated([0, 0.5, 1], [1, np.nan, 1]),
             lambda: SpectralModel.tabulated([0, 0.5, 1], [1, np.inf, 1]),
+            lambda: SpectralModel.tabulated([0, 0.5, 1], [1, 1, 0], alpha=np.nan),
+            lambda: SpectralModel.tabulated([0, 0.5, 1], [1, 1, 0], alpha=np.inf),
+            lambda: SpectralModel.tabulated([0, 0.5, 1], [1, 1, 0], edge_constant=np.nan),
+            lambda: SpectralModel.tabulated([0, 0.5, 1], [1, 1, 0], edge_constant=np.inf),
         ],
         ids=[
             "beta-nan", "beta-inf", "atomic-nan", "atomic-inf", "semicircle-inf-radius",
             "semicircle-nan-center", "tabulated-nan-node", "tabulated-inf-node",
-            "tabulated-nan-density", "tabulated-inf-density",
+            "tabulated-nan-density", "tabulated-inf-density", "tabulated-nan-alpha",
+            "tabulated-inf-alpha", "tabulated-nan-edge-constant", "tabulated-inf-edge-constant",
         ],
     )
     @pytest.mark.filterwarnings("error")
     def test_non_finite_parameters_rejected(self, build):
+        # a NaN edge exponent used to reach persistence_exponent as a bare
+        # ValueError and self_averaging_value as a silent NaN
         with pytest.raises(InvalidSpecError, match="finite"):
             build()
+
+    @pytest.mark.parametrize(
+        "edge, shown",
+        [({"alpha": -1.0}, "> -1"), ({"alpha": -3.0}, "> -1"), ({"edge_constant": 0.0}, "> 0"),
+         ({"edge_constant": -1.0}, "> 0")],
+        ids=["alpha-minus-one", "alpha-minus-three", "edge-constant-zero", "edge-constant-negative"],
+    )
+    def test_tabulated_edge_data_out_of_range_rejected(self, edge, shown):
+        with pytest.raises(InvalidSpecError, match=shown):
+            SpectralModel.tabulated([0, 0.5, 1], [1, 1, 0], **edge)
+        assert SpectralModel.tabulated([0, 0.5, 1], [1, 1, 0], alpha=-0.5, edge_constant=2.0)
 
 
 class TestNormalization:
@@ -138,8 +156,8 @@ def test_quantile_grid_is_sorted_and_symmetric():
 def test_quantile_grid_cached_read_only():
     spec = SpectralModel.semicircle(0.5, 1.0)
     quantile_grid.cache_clear()
-    a = sample_invariant(spec, 48, seed=1)
-    b = sample_invariant(spec, 48, seed=2)
+    a = EnsembleSpec.invariant(spec, 48).sample(1)
+    b = EnsembleSpec.invariant(spec, 48).sample(2)
     assert quantile_grid.cache_info().misses == 1
     assert not np.array_equal(a, b)
     grid = quantile_grid(spec, 48)

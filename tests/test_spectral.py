@@ -19,8 +19,6 @@ from conewise import (
     correlator,
     correlator_asymptotic,
     effective_dimension,
-    g_function,
-    is_sign_symmetric,
     moment_asymptotic,
     moment_f,
     persistence_exponent,
@@ -31,7 +29,6 @@ from conewise.spectral import (
     _LOG_ZERO,
     _signed_log_sum,
     g_array,
-    log_abs_moment,
     log_moment_array,
     log_moments,
 )
@@ -148,12 +145,12 @@ class TestMoments:
         for spec in (BETA3, UNIFORM, SpectralModel.symmetric_beta(1)):
             for t in (0, 1, 2, 5, 40, 300):
                 lq, sq = log_abs_moment_quadrature(spec, t)
-                lc, sc = log_abs_moment(spec, t)
+                (lc,), (sc,) = log_moments(spec, [t])
                 assert sq == sc
                 assert lq == pytest.approx(lc, abs=1e-9)
         for t in (0, 2, 4, 10, 100):
             lq, sq = log_abs_moment_quadrature(SEMI, t)
-            lc, sc = log_abs_moment(SEMI, t)
+            (lc,), (sc,) = log_moments(SEMI, [t])
             assert (sq, sc) == (1, 1)
             assert lq == pytest.approx(lc, abs=1e-8)
 
@@ -216,7 +213,7 @@ class TestMomentEngine:
             assert np.array_equal(full_logs[ks], logs)
             assert np.array_equal(full_signs[ks], signs)
             for k, lk, sk in zip(ks.ravel(), logs.ravel(), signs.ravel()):
-                assert log_abs_moment(spec, int(k)) == (lk, sk)
+                assert moment_f(spec, int(k)) == int(sk) * math.exp(lk)
             assert np.array_equal(g_array(spec, [1, 4]), 0.5 * full_logs[[2, 8]])
 
     def test_atomic_signs(self):
@@ -228,7 +225,8 @@ class TestMomentEngine:
 
     def test_odd_orders_of_symmetric_table_vanish(self):
         sym = SpectralModel.tabulated([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
-        assert log_abs_moment(sym, 3) == (-math.inf, 0)
+        (log3,), (sign3,) = log_moments(sym, [3])
+        assert (log3, sign3) == (-math.inf, 0)
         assert moment_f(sym, 2) == pytest.approx(1 / 6, rel=1e-12)
 
     def test_negative_order_rejected(self):
@@ -240,8 +238,8 @@ class TestMomentEngine:
         [
             lambda s: moment_f(s, 2.5),
             lambda s: g_array(s, [3.7]),
-            lambda s: log_abs_moment(s, math.inf),
-            lambda s: log_abs_moment(s, math.nan),
+            lambda s: moment_f(s, math.inf),
+            lambda s: moment_f(s, math.nan),
             lambda s: log_moments(s, np.array([2.0, -math.inf])),
             lambda s: correlator(s, 1.5, 2),
             lambda s: correlator(s, 2, math.nan),
@@ -346,11 +344,15 @@ class TestMomentAsymptotics:
         with pytest.raises(InvalidSpecError):
             moment_asymptotic(SpectralModel.semicircle(-5, 2), 10)
 
+    def test_overflows_to_inf(self):
+        # as moment_f does; it used to raise a bare OverflowError
+        assert moment_asymptotic(SEMI, 2000) == math.inf == moment_f(SEMI, 2000)
+
     def test_shifted_semicircle_ratio(self):
         sh = SpectralModel.semicircle(3, 2)
         from conewise.spectral import log_moment_asymptotic
 
-        lq, _ = log_abs_moment(sh, 10_000)
+        (lq,), _ = log_moments(sh, [10_000])
         assert math.exp(log_moment_asymptotic(sh, 10_000) - lq) == pytest.approx(1.0, abs=0.02)
 
 
@@ -409,26 +411,27 @@ class TestCorrelatorAsymptotic:
 
 class TestGFunction:
     def test_atomic_exponential(self):
-        assert g_function(SpectralModel.atomic(math.e), 5) == pytest.approx(5.0, rel=1e-12)
+        assert g_array(SpectralModel.atomic(math.e), [5])[0] == pytest.approx(5.0, rel=1e-12)
 
     def test_semicircle_first_value(self):
-        assert g_function(SEMI, 1) == pytest.approx(0.0, abs=1e-12)
+        assert g_array(SEMI, [1])[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_beta3_large_tau_matches_edge_asymptotics(self):
         # on [0,1] the edge is 1: g(tau) -> 1/2 ln of the edge moment estimate
         from conewise.spectral import log_moment_asymptotic
 
         tau = 500
-        g = g_function(BETA3, tau)
+        g = float(g_array(BETA3, [tau])[0])
         assert g == pytest.approx(0.5 * log_moment_asymptotic(BETA3, 2 * tau), rel=0.01)
         # and g(tau)/tau drifts to ln(nu_plus) = 0 with the ln(2 tau)/tau correction
         assert g / tau == pytest.approx(0.0, abs=2 * (BETA3.alpha + 1) * math.log(2 * tau) / (2 * tau))
 
     def test_g_array_matches_scalar(self):
+        # g(tau) = 1/2 ln f(2 tau) against the scalar moment route
         taus = np.array([1, 2, 3, 10, 77])
         for spec in (SEMI, BETA3, SpectralModel.semicircle(3, 2)):
             arr = g_array(spec, taus)
-            ref = [g_function(spec, int(t)) for t in taus]
+            ref = [0.5 * math.log(moment_f(spec, 2 * int(t))) for t in taus]
             assert np.allclose(arr, ref, rtol=1e-10)
 
 
@@ -449,12 +452,12 @@ class TestDiffusionCorrespondence:
             theta_reference(6)
 
     def test_symmetry_detection(self):
-        assert is_sign_symmetric(SEMI)
-        assert not is_sign_symmetric(BETA3)
-        assert not is_sign_symmetric(SpectralModel.semicircle(3, 2))
+        assert SEMI.symmetric_about_zero
+        assert not BETA3.symmetric_about_zero
+        assert not SpectralModel.semicircle(3, 2).symmetric_about_zero
         # exact, as the moment engine's zero odd moments: a shift of 1e-13
         # is not symmetric
-        assert not is_sign_symmetric(SpectralModel.semicircle(1e-13, 2))
+        assert not SpectralModel.semicircle(1e-13, 2).symmetric_about_zero
 
     def test_persistence_exponent_doubling(self):
         assert persistence_exponent(SEMI) == pytest.approx(2 * 0.2382)
