@@ -2,10 +2,12 @@
 
 The state is a unit direction plus an accumulated log norm: with spectral
 edges like 2*sqrt(2) (or 0.05*sqrt(2)) over 1e4 steps the raw norm would
-overflow (or underflow), so every step renormalizes and adds ln of the step
-growth to a running total.  (Persistence needs signs only; its Hessenberg
-route keeps the scale in range with exact powers of two instead, see the
-end of this docstring.)  Two equivalent evolution routes exist:
+overflow (or underflow), so every step (block, on the eigenbasis route)
+divides by the largest entry and then by the norm (:func:`_renormalize`)
+and adds ln of the growth to a running total.  (Persistence needs signs
+only; its Hessenberg route keeps the scale in range with exact powers of
+two instead, see the end of this docstring.)  Two equivalent evolution
+routes exist:
 
 * :func:`evolve` -- literal per-step matrix products under two (or 2^p)
   matrices, recording signs, residence intervals and trapping (the
@@ -123,13 +125,14 @@ from .errors import (
     DegenerateDynamicsError,
     FitError,
     InvalidSpecError,
+    NumericalError,
     check_count,
 )
-from .estimators import TRUNCATED_FIT_MIN_POINTS, empirical_cdf, fit_truncated_powerlaw
+from .estimators import TRUNCATED_FIT_MIN_POINTS, fit_truncated_powerlaw
 from .parallel import map_index_chunks
 from .records import LyapunovSamples, PersistenceCurve, log_tau_grid
 from .seeding import check_seed, derive_seed, rng_from_seed
-from .spectra import inverse_cdf
+from .spectra import edge_rate, inverse_cdf
 from .surrogate import _block_first_changes, _changes_in
 
 __all__ = [
@@ -224,13 +227,32 @@ def _trap_window(T: int) -> int:
     return min(T, max(1000, T // 10))
 
 
+def _renormalize(w: np.ndarray, step: int) -> tuple[np.ndarray, float]:
+    """``w`` scaled in place to unit length, by its largest entry and then its
+    norm so the squares stay in range, and ln of its norm.  A zero ``w``
+    raises :class:`DegenerateDynamicsError` and a non-finite entry
+    :class:`NumericalError`, both naming ``step``."""
+    peak = float(np.max(np.abs(w)))
+    if peak == 0.0:
+        raise DegenerateDynamicsError(step)
+    if not math.isfinite(peak):
+        raise NumericalError(f"the product left the float range at step {step}")
+    w /= peak
+    nrm = float(np.linalg.norm(w))
+    w /= nrm
+    return w, math.log(peak) + math.log(nrm)
+
+
 def evolve(matrices, v0: np.ndarray, T: int) -> Trajectory:
     """Cone-wise evolution under 2**p matrices, p >= 0 read from their count:
     sign bits of the first p components pick one (bit i set when component
     i is negative), so with ``[A, B]`` A acts while v1 >= 0, B while v1 < 0.
     A count that is not a power of two, matrices that are not square of one
     shape, a start of another length, a non-finite entry, or a T that is not
-    an integer >= 1 raises :class:`InvalidSpecError` before the first step."""
+    an integer >= 1 raises :class:`InvalidSpecError` before the first step.
+    A finite product of any scale is renormalized; steps count from 1, and a
+    zero product raises :class:`DegenerateDynamicsError` and a non-finite
+    one :class:`NumericalError`, both naming the step."""
     check_count(T, 1, f"horizon T must be an integer >= 1, got {T}")
     count = len(matrices)
     if count < 1 or count & (count - 1):
@@ -250,10 +272,9 @@ def evolve(matrices, v0: np.ndarray, T: int) -> Trajectory:
         raise InvalidSpecError("matrices and start vector must be finite")
     if n < p:
         raise InvalidSpecError(f"dimension {n} too small for {p} sign components")
-    nrm0 = float(np.linalg.norm(v0))
-    if nrm0 == 0.0:
+    if not v0.any():
         raise InvalidSpecError("need a nonzero start vector")
-    v = v0 / nrm0
+    v, _ = _renormalize(v0.copy(), 0)
     sqrt_n = math.sqrt(n)
 
     log_norm = np.zeros(T + 1)
@@ -263,21 +284,18 @@ def evolve(matrices, v0: np.ndarray, T: int) -> Trajectory:
     signs[0] = np.sign(v[0])
     vbar1[0] = sqrt_n * v[0]
 
-    w = np.empty(n)
-    for t in range(T):
-        idx = 0
-        for comp in range(p):
-            if v[comp] < 0.0:
-                idx |= 1 << comp
-        labels[t] = idx
-        np.matmul(matrices[idx], v, out=w)
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0.0:
-            raise DegenerateDynamicsError(t)
-        log_norm[t + 1] = log_norm[t] + math.log(nrm)
-        v = w / nrm
-        signs[t + 1] = np.sign(v[0])
-        vbar1[t + 1] = sqrt_n * v[0]
+    # a product past the float range is typed by _renormalize, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(T):
+            idx = 0
+            for comp in range(p):
+                if v[comp] < 0.0:
+                    idx |= 1 << comp
+            labels[t] = idx
+            v, growth = _renormalize(matrices[idx] @ v, t + 1)
+            log_norm[t + 1] = log_norm[t] + growth
+            signs[t + 1] = np.sign(v[0])
+            vbar1[t + 1] = sqrt_n * v[0]
 
     runs = _runs_of(labels)
     window = _trap_window(T)
@@ -978,16 +996,8 @@ def _lyapunov_kernel(nus, first_rows, frame, w_coord, active, T, tail_window, bl
         bad = v1 < 0.0 if active == 0 else v1 >= 0.0
         j = int(np.argmax(bad)) if bad.any() else -1
         adv = k if j < 0 else j + 1
-        w_coord = w_coord * powers[adv - 1]
-        # two-stage normalization: components can sit far below the level
-        # where their squares are representable
-        peak = float(np.max(np.abs(w_coord)))
-        if peak == 0.0:
-            raise DegenerateDynamicsError(t + adv)
-        w_coord /= peak
-        nrm = float(np.linalg.norm(w_coord))
-        log_norm += math.log(peak) + math.log(nrm)
-        w_coord /= nrm
+        w_coord, growth = _renormalize(w_coord * powers[adv - 1], t + adv)
+        log_norm += growth
         t += adv
         n_blocks += 1
         if j < 0:
@@ -1072,10 +1082,11 @@ def lyapunov_runs(
     but the per-seed outputs differ.  ``samples.meta`` counts the revealed
     pairs over all runs (``frame_reveals``) and the runs whose frame was
     completed (``frames_completed``); both sum fields of the run record
-    ``_RUN``.  Only symmetric ensembles have this route; elliptic ones raise
-    :class:`InvalidSpecError`, as do a T or a ``tail_window`` that is not an
-    integer >= 1, a seed that is not an integer and nu_plus = 0 (the edge
-    rate is ln|nu_plus|).
+    ``_RUN``.  The edge rates ln|nu_plus| of the two ensembles are
+    ``samples.rates``, not a ``meta`` entry.  Only symmetric ensembles have
+    this route; elliptic ones raise :class:`InvalidSpecError`, as do a T or a
+    ``tail_window`` that is not an integer >= 1, a seed that is not an
+    integer and nu_plus = 0 (from :func:`~conewise.spectra.edge_rate`).
     ``tail_window >= T`` makes the tail the whole run.
 
     Only trapped runs have a rate near ln ``nu_max_final``; see
@@ -1089,24 +1100,16 @@ def lyapunov_runs(
         tail_window, 1, f"tail_window must be >= 1, got {tail_window}; it counts steps, so an integer"
     )
     check_seed(seed)
-    for ens in (ensemble_a, ensemble_b):
-        if ens.nu_plus == 0.0:
-            raise InvalidSpecError(
-                f"the edge rate ln|nu_plus| needs nu_plus != 0; {ens.describe()} has nu_plus = 0"
-            )
-    r1 = math.log(abs(ensemble_a.nu_plus))
-    r2 = math.log(abs(ensemble_b.nu_plus))
+    rates = edge_rate(ensemble_a), edge_rate(ensemble_b)
     runs = map_index_chunks(
         partial(_lyapunov_chunk, ensemble_a, ensemble_b, T, seed, tail_window),
         n_realizations,
         threads,
         chunk=_LYAPUNOV_CHUNK,
     )
-    lam = runs["lam"]
-    normalized = (lam - r1) / (r2 - r1) if r1 != r2 else np.zeros_like(lam)
     samples = LyapunovSamples(
-        values=lam,
-        normalized=normalized,
+        values=runs["lam"],
+        rates=rates,
         trapped=runs["trapped"],
         cycling=runs["cycling"],
         meta={
@@ -1116,7 +1119,6 @@ def lyapunov_runs(
             "N": ensemble_a.dimension,
             "T": T,
             "seed": seed,
-            "rates": (r1, r2),
             "n_samples": n_realizations,
             "switches": int(runs["n_switches"].sum()),
             "blocks": int(runs["blocks"].sum()),
@@ -1132,6 +1134,11 @@ def lyapunov_runs(
 # -- top eigenvalue fluctuation checks ---------------------------------------
 
 
+def _sigma1(x, nu_plus, n_dim: int):
+    """Edge-fluctuation scale (x - nu_plus) N^{2/3} / gamma, gamma = nu_plus / 2."""
+    return (x - nu_plus) * n_dim ** (2.0 / 3.0) / (nu_plus / 2.0)
+
+
 @dataclass
 class TopEigenvalueCheck:
     """Largest-eigenvalue draws and their edge-fluctuation normalization
@@ -1142,9 +1149,6 @@ class TopEigenvalueCheck:
     gamma: float
     nu_max: np.ndarray
     sigma1: np.ndarray
-
-    def cdf(self, x) -> np.ndarray:
-        return empirical_cdf(self.sigma1)(x)
 
 
 def top_eigenvalue_check(ensemble: EnsembleSpec, n_draws: int, seed: int) -> TopEigenvalueCheck:
@@ -1172,7 +1176,7 @@ def top_eigenvalue_check(ensemble: EnsembleSpec, n_draws: int, seed: int) -> Top
             )[0]
         else:
             nu_max[k] = np.max(_eigenvalues(ensemble, derive_seed(seed, k)))
-    sigma1 = (nu_max - nu_plus) * n_dim ** (2.0 / 3.0) / gamma
+    sigma1 = _sigma1(nu_max, nu_plus, n_dim)
     return TopEigenvalueCheck(n_dim=n_dim, nu_plus=nu_plus, gamma=gamma, nu_max=nu_max, sigma1=sigma1)
 
 
@@ -1210,14 +1214,10 @@ def trapped_run_edge_pairs(
     use = runs.samples.trapped & ~runs.samples.cycling
     use &= positive_edge & (decay < _EDGE_SETTLED_DECAY)
     cone = runs.final_cone[use]
-    nu_plus = edges[cone]
-    gamma = nu_plus / 2.0
-    scale = ensemble_a.dimension ** (2.0 / 3.0) / gamma
-    sigma_dyn = (np.exp(runs.lam_tail[use]) - nu_plus) * scale
-    sigma_eig = (runs.nu_max_final[use] - nu_plus) * scale
+    nu_plus, n_dim = edges[cone], ensemble_a.dimension
     return {
-        "sigma1_dynamics": sigma_dyn,
-        "sigma1_eigenvalue": sigma_eig,
+        "sigma1_dynamics": _sigma1(np.exp(runs.lam_tail[use]), nu_plus, n_dim),
+        "sigma1_eigenvalue": _sigma1(runs.nu_max_final[use], nu_plus, n_dim),
         "cone": cone,
         "run_index": np.flatnonzero(use),
         "n_trapped_used": int(np.count_nonzero(use)),

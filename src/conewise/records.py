@@ -78,18 +78,22 @@ class PersistenceCurve:
 
 @dataclass
 class LyapunovSamples:
-    """Empirical top growth rates with their two-edge normalization."""
+    """Empirical top growth rates, the cones' edge rates ``rates`` = (r1, r2),
+    and the two-edge normalization (values - r1) / (r2 - r1) set from them
+    (zeros when r1 = r2)."""
 
     values: np.ndarray
-    normalized: np.ndarray
+    rates: tuple[float, float]
     trapped: np.ndarray
     cycling: np.ndarray
     meta: dict = field(default_factory=dict)
+    normalized: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if not np.all(np.isfinite(self.values)):
             raise InvalidSpecError("growth-rate samples must be finite")
-        self.normalized = np.asarray(self.normalized, dtype=float)
+        r1, r2 = self.rates
+        self.normalized = (self.values - r1) / (r2 - r1) if r1 != r2 else np.zeros_like(self.values)
         self.trapped = np.asarray(self.trapped, dtype=bool)
         self.cycling = np.asarray(self.cycling, dtype=bool)

@@ -38,7 +38,7 @@ from scipy.special import zeta
 from .errors import DegenerateProcessError, InvalidSpecError, check_count
 from .records import LyapunovSamples
 from .seeding import check_seed, rng_from_seed
-from .spectra import SpectralModel
+from .spectra import SpectralModel, edge_rate
 from .spectral import g_array, log_moment_asymptotic
 
 __all__ = [
@@ -171,10 +171,11 @@ class RenewalConfig:
     """Alternating two-cone renewal simulation parameters.
 
     ``cones`` holds the two cones' spectral models, the one source of every
-    g(tau) = 1/2 ln f(2 tau), and of its edge rate ln|nu_plus|, so a cone
-    with nu_plus = 0 raises :class:`InvalidSpecError`.  :meth:`linear_rates`
-    cones are point masses at e^r: g(tau) = r tau, the long-interval limit
-    of a cone with edge e^r.
+    g(tau) = 1/2 ln f(2 tau), and of its edge rate ln|nu_plus|
+    (:attr:`rates`, which :func:`sample_renewal_lyapunov` puts on its
+    record), so a cone with nu_plus = 0 raises :class:`InvalidSpecError`.
+    :meth:`linear_rates` cones are point masses at e^r: g(tau) = r tau, the
+    long-interval limit of a cone with edge e^r.
     """
 
     mu1: float
@@ -199,11 +200,7 @@ class RenewalConfig:
             raise InvalidSpecError("horizon must be >= 10 * tau_min")
         check_seed(self.seed)
         for spec in self.cones:
-            if spec.nu_plus == 0.0:
-                raise InvalidSpecError(
-                    f"the edge rate ln|nu_plus| needs nu_plus != 0; "
-                    f"{spec.describe()} has nu_plus = 0"
-                )
+            edge_rate(spec)
 
     @classmethod
     def linear_rates(
@@ -234,7 +231,7 @@ class RenewalConfig:
     def rates(self) -> tuple[float, float]:
         """Long-interval growth rates (r1, r2) = edge log-eigenvalues."""
         a, b = self.cones
-        return math.log(abs(a.nu_plus)), math.log(abs(b.nu_plus))
+        return edge_rate(a), edge_rate(b)
 
 
 @dataclass
@@ -367,7 +364,8 @@ def sample_renewal_lyapunov(cfg: RenewalConfig, n_samples: int) -> LyapunovSampl
     g(tau); the one that straddles the horizon adds g of its in-horizon
     length only.  The rate is the sum divided by the horizon.  g comes from
     a table per cone (``g_array``, r tau for a point mass at e^r), and
-    lengths past it from one ``g_array`` call per cone and row block.
+    lengths past it from one ``g_array`` call per cone and row block.  The
+    record's ``rates`` are ``cfg.rates``; ``meta`` does not repeat them.
 
     Seed contract: the generator of ``cfg.seed`` first draws the n starting
     cones, then, per pass over the samples still short of the horizon (the
@@ -408,23 +406,16 @@ def sample_renewal_lyapunov(cfg: RenewalConfig, n_samples: int) -> LyapunovSampl
                 through.append(rows[passing])
             active = np.concatenate(through)
 
-    values = lam_total / cfg.horizon
-    r1, r2 = cfg.rates
-    if r1 == r2:
-        normalized = np.zeros_like(values)
-    else:
-        normalized = (values - r1) / (r2 - r1)
     meta = {
         "source": "renewal",
         "mu": (cfg.mu1, cfg.mu2),
         "tau_min": cfg.tau_min,
         "horizon": cfg.horizon,
-        "rates": (r1, r2),
         "n_samples": n_samples,
         "seed": cfg.seed,
     }
     none = np.zeros(n_samples, dtype=bool)
-    return LyapunovSamples(values=values, normalized=normalized, trapped=none, cycling=none, meta=meta)
+    return LyapunovSamples(lam_total / cfg.horizon, cfg.rates, none, none, meta)
 
 
 def simulate_renewal_run(cfg: RenewalConfig) -> RenewalRun:
@@ -463,6 +454,7 @@ def self_averaging_value(
             f"mean residence time diverges for mu = {mu} <= 1; no self-averaging value"
         )
     check_count(tau_min, 1, f"tau_min must be an integer >= 1, got {tau_min}")
+    rates = edge_rate(spec_a), edge_rate(spec_b)
     # E[tau] = (tau_min - 1) + tau_min^mu * Hurwitz_zeta(mu, tau_min)
     m_tau = (tau_min - 1.0) + tau_min**mu * float(zeta(mu, tau_min))
 
@@ -471,8 +463,7 @@ def self_averaging_value(
     surv = (tau_min / ks.astype(float)) ** mu
     pk = surv - np.append(surv[1:], (tau_min / (k_max + 1.0)) ** mu)
 
-    def m_of(spec: SpectralModel) -> float:
-        rate = math.log(abs(spec.nu_plus))
+    def m_of(spec: SpectralModel, rate: float) -> float:
         resid = g_array(spec, ks) - rate * ks.astype(float)
         main = rate * m_tau + float(np.dot(pk, resid))
         # tail of the residual sum: g(k) - r k -> c0 - (alpha+1)/2 ln(2k)
@@ -486,4 +477,4 @@ def self_averaging_value(
             main += s_tail * c0 - beta * log_term
         return main
 
-    return (m_of(spec_a) + m_of(spec_b)) / (2.0 * m_tau)
+    return (m_of(spec_a, rates[0]) + m_of(spec_b, rates[1])) / (2.0 * m_tau)

@@ -14,7 +14,7 @@ of 256 and fills its arrays row by row, so realization r still sees the
 same values whatever the realization count or chunking.
 
 A seed is a Python or NumPy integer; a negative one wraps modulo 2**64.
-Anything else (a float such as 1.5, a bool-like array, None) raises
+Anything else (a float such as 1.5, a bool, a bool-like array, None) raises
 :class:`~conewise.errors.InvalidSpecError` before any stream is opened.
 """
 
@@ -41,8 +41,8 @@ def splitmix64(x: int) -> int:
 
 def check_seed(seed) -> int:
     """``seed`` as a Python int modulo 2**64; anything but a Python or NumPy
-    integer raises :class:`InvalidSpecError`."""
-    if not isinstance(seed, numbers.Integral):
+    integer raises :class:`InvalidSpecError`, and a bool is not a seed."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
         raise InvalidSpecError(f"seed must be an integer, got {seed!r}")
     return int(seed) & _MASK64
 

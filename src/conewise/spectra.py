@@ -25,7 +25,7 @@ from scipy.special import betainc, betaln
 
 from .errors import InvalidSpecError
 
-__all__ = ["SpectralModel", "inverse_cdf"]
+__all__ = ["SpectralModel", "edge_rate", "inverse_cdf"]
 
 
 @dataclass(frozen=True)
@@ -235,6 +235,17 @@ class SpectralModel:
         if self.family == "atomic":
             return 0.0
         return abs(float(self.cdf(self.nu_plus)) - 1.0)
+
+
+def edge_rate(model) -> float:
+    """The edge growth rate ln|nu_plus| of a :class:`SpectralModel` or of a
+    symmetric :class:`~conewise.ensembles.EnsembleSpec`; nu_plus = 0 raises
+    :class:`InvalidSpecError` naming the model."""
+    if model.nu_plus == 0.0:
+        raise InvalidSpecError(
+            f"the edge rate ln|nu_plus| needs nu_plus != 0; {model.describe()} has nu_plus = 0"
+        )
+    return math.log(abs(model.nu_plus))
 
 
 def inverse_cdf(spec: SpectralModel, u):

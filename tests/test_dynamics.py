@@ -8,6 +8,7 @@ from conewise import (
     DegenerateDynamicsError,
     EnsembleSpec,
     InvalidSpecError,
+    NumericalError,
     SpectralModel,
 )
 from conewise import dynamics, ensembles
@@ -389,9 +390,21 @@ class TestEvolve:
         assert max(lengths) >= 100  # spans two decades of residence times
 
     def test_kernel_direction_raises(self):
+        # steps are numbered from 1, as on the persistence routes
         a = np.zeros((4, 4))
-        with pytest.raises(DegenerateDynamicsError):
+        with pytest.raises(DegenerateDynamicsError) as err:
             evolve([a, a], np.ones(4), T=10)
+        assert err.value.step == 1
+
+    def test_scale_past_float_range(self):
+        # each step's product is near 1e300; its squares are not representable
+        traj = evolve([1e300 * np.eye(3)], np.ones(3), T=5)
+        assert traj.log_norm == pytest.approx(np.arange(6) * math.log(1e300), rel=1e-14)
+        assert np.allclose(traj.direction, np.ones(3) / math.sqrt(3), rtol=1e-14)
+
+    def test_non_finite_product_raises(self):
+        with pytest.raises(NumericalError, match="float range at step 1"):
+            evolve([1e308 * np.ones((4, 4))], np.ones(4), T=3)
 
     def test_exact_zero_stays_in_a_and_leaves_b(self):
         # v0 = (-1, 0) starts in B, which maps it to (0, -1): v1 = 0 exactly,
@@ -814,6 +827,7 @@ class TestLyapunovRuns:
         ens_b = EnsembleSpec.goe(32, 0.0, 2.0)
         samples = lyapunov_runs(ens_a, ens_b, 3, T=500, seed=8).samples
         r1, r2 = math.log(0.5), math.log(2.0)
+        assert samples.rates == (r1, r2) and "rates" not in samples.meta
         assert np.allclose(samples.normalized, (samples.values - r1) / (r2 - r1))
 
     def test_power_tables_keep_dense_outputs(self):
@@ -1243,7 +1257,7 @@ class TestTopEigenvalue:
         f = [np.array(x) for x in zip(*kernel_runs)]
         assert np.all(f[2]) and not np.any(f[3]) and np.all(f[5] == 0)
         runs = LyapunovRunSet(
-            samples=LyapunovSamples(f[0], np.zeros(2), f[2], f[3]),
+            samples=LyapunovSamples(f[0], (0.0, 0.0), f[2], f[3]),
             lam_tail=f[1],
             final_cone=f[5],
             nu_max_final=f[6],

@@ -81,7 +81,7 @@ PUBLIC = {
         "self_averaging_value", "simulate_renewal_run", "stieltjes_rhs",
     ],
     "conewise.seeding": ["check_seed", "derive_seed", "rng_from_seed", "splitmix64"],
-    "conewise.spectra": ["SpectralModel", "inverse_cdf"],
+    "conewise.spectra": ["SpectralModel", "edge_rate", "inverse_cdf"],
     "conewise.spectral": [
         "THETA_TABLE", "correlator", "correlator_asymptotic", "effective_dimension", "g_array",
         "log_moment_array", "log_moments", "moment_asymptotic", "moment_f",
@@ -180,10 +180,12 @@ def test_non_integer_sizes_are_typed_before_any_work(call, shown, monkeypatch):
         (lambda: RenewalConfig.linear_rates(0.5, 0.5, -1, 1, tau_min=1, horizon=1000, seed=1.5), "1.5"),
         (lambda: RenewalConfig.exact_spectral(0.5, 0.5, BETA3, BETA3, 1, 1000, seed=None), "None"),
         (lambda: RenewalConfig.exact_spectral(0.5, 0.5, BETA3, BETA3, 1, 1000, seed="7"), "'7'"),
+        (lambda: lyapunov_runs(GOE16, GOE16, 4, T=50, seed=True), "True"),
     ],
     ids=[
         "matrix", "matrix-threads", "lyapunov", "gp", "joint", "collapse", "elliptic",
         "top-eigenvalue", "ensemble-sample", "renewal-linear", "renewal-none", "renewal-string",
+        "lyapunov-bool",
     ],
 )
 def test_non_integer_seeds_are_typed_before_any_work(call, shown, monkeypatch):
@@ -212,10 +214,15 @@ def test_non_integer_seeds_are_typed_before_any_work(call, shown, monkeypatch):
             lambda: RenewalConfig.exact_spectral(0.5, 0.5, EDGE_AT_ZERO, BETA3, 1, 1000),
             r"semicircle\(center=-1.0, radius=1.0\) has nu_plus = 0",
         ),
+        (
+            lambda: self_averaging_value(EDGE_AT_ZERO, BETA3, 1.5),
+            r"semicircle\(center=-1.0, radius=1.0\) has nu_plus = 0",
+        ),
     ],
     ids=[
         "renewal-mu-nan", "renewal-mu-inf", "renewal-horizon-limit", "lamperti-rate-nan",
         "lamperti-rate-inf", "stieltjes-point-nan", "self-averaging-mu-nan", "renewal-zero-edge",
+        "self-averaging-zero-edge",
     ],
 )
 def test_non_finite_renewal_parameters_are_typed_before_any_work(call, shown, monkeypatch):

@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 from conewise import InvalidSpecError
-from conewise.records import PersistenceCurve
+from conewise.records import LyapunovSamples, PersistenceCurve
 
 
 def test_empty_curve_is_typed():
@@ -29,3 +30,12 @@ def test_grid_points_must_be_integers():
             PersistenceCurve.from_first_change_times(times, horizon=10, grid=grid)
     curve = PersistenceCurve.from_first_change_times(times, horizon=10, grid=[0.0, 2.0, 10.0])
     assert curve.tau.tolist() == [0, 2, 10] and curve.q0.tolist() == [1.0, 0.6, 0.6]
+
+
+def test_lyapunov_samples_normalize_from_their_rates():
+    none = np.zeros(3, dtype=bool)
+    samples = LyapunovSamples([1.0, 2.0, 3.0], (1.0, 3.0), none, none)
+    assert samples.rates == (1.0, 3.0)
+    assert np.array_equal(samples.normalized, [0.0, 0.5, 1.0])
+    same = LyapunovSamples([1.0, 2.0, 3.0], (2.0, 2.0), none, none)
+    assert np.array_equal(same.normalized, np.zeros(3))

@@ -44,7 +44,9 @@ def test_rng_takes_numpy_and_negative_integers():
     assert derive_seed(-1, 3) == derive_seed(2**64 - 1, 3)
 
 
-@pytest.mark.parametrize("seed", [1.5, 1.0, np.float64(3.0), None, "5", np.array([1, 2])])
+@pytest.mark.parametrize(
+    "seed", [1.5, 1.0, np.float64(3.0), None, "5", np.array([1, 2]), True, False]
+)
 def test_non_integer_seed_raises(seed):
     for make in (rng_from_seed, derive_seed):
         with pytest.raises(InvalidSpecError, match="seed must be an integer"):
