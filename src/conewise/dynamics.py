@@ -89,12 +89,16 @@ for invariant cones, on N) but no N x N draw:
   sphere and w = v0[0] a + P_{a-perp} g with g ~ N(0, I_N) independent (the
   argument above for w_A).  With the power table (nu_i / max|nu|)^t,
   t = 0..T, as the factor and a o w as the path normals, these are the
-  paths of the Gaussian-process scan (``surrogate._block_first_changes``),
-  which forms times 0..8 and then doubling time blocks only for paths still
-  alive.  Its start sign is that of the t = 0 product, which is v0[0] up
-  to round-off; a start at v0[0] = 0 is given its change at t = 1
-  directly, so only a start with 0 < |v0[0]| at round-off level can take
-  another sign than under the fixed rules.
+  paths of the Gaussian-process scan (``surrogate._block_first_changes``).
+  It is path-major: the starts' a o w are the rows of each product, one
+  product per parity with the table's even-time or odd-time rows, and it
+  forms times 0..8 and then doubling time blocks only for starts still
+  alive.  A zero or NaN entry of v1 counts as a change there too.  Its
+  start sign is that of the t = 0 product, which is v0[0] up to
+  round-off; a start at v0[0] = 0 is given its change at t = 1 directly,
+  so only a start with 0 < |v0[0]| at round-off level can take another
+  sign than under the fixed rules.  With iid placement every start has its
+  own table, and its path, one row over times 0..T, is scanned whole.
 
 The dense reference that both are tested against steps a drawn matrix by
 matrix-vector products; it lives in the tests.
@@ -130,10 +134,10 @@ from .errors import (
 )
 from .estimators import TRUNCATED_FIT_MIN_POINTS, fit_truncated_powerlaw
 from .parallel import map_index_chunks
-from .records import LyapunovSamples, PersistenceCurve, log_tau_grid
+from .records import LyapunovSamples, PersistenceCurve, check_grid, log_tau_grid
 from .seeding import check_seed, derive_seed, rng_from_seed
 from .spectra import edge_rate, inverse_cdf
-from .surrogate import _block_first_changes, _changes_in
+from .surrogate import _block_first_changes, _first_changes
 
 __all__ = [
     "Trajectory",
@@ -637,10 +641,11 @@ def _persistence_chunk(ensemble_a, ensemble_b, T, seed, start, stop):
                     # the scan's paths are the table @ weights.T
                     table = _quantile_table(ens.spectral_model, n_dim, T)
                     firsts = _block_first_changes(table, weights.T)[0]
-                else:  # a table per row: the rows' paths, (T + 1) x rows, at once
+                else:  # a table per row: the rows' paths, rows x (T + 1), at once
                     nus = inverse_cdf(ens.spectral_model, uniforms[rows])
-                    paths = np.stack([_power_table(nu, T) @ w for nu, w in zip(nus, weights)], 1)
-                    firsts = _changes_in(paths[1:] * paths[0] > 0.0, 1, T + 1)
+                    paths = np.stack([_power_table(nu, T) @ w for nu, w in zip(nus, weights)])
+                    ok = paths[:, 1:] * paths[:, :1] > 0.0
+                    firsts = [_first_changes(ok[:, t - 1 :: 2], t, T + 1) for t in (2, 1)]
                 # the scan reads its start sign off the t = 0 product, so a
                 # start at v0[0] = 0 is given its change at t = 1 here
                 out[rows] = np.where(s0[rows] == 0.0, 1, np.minimum(*firsts))
@@ -695,15 +700,17 @@ def estimate_persistence_matrix(
     every route an exact zero of v1 counts as a change (module docstring).
     ``threads`` is the number of worker processes (see
     :func:`~conewise.parallel.map_index_chunks`), which receive whole
-    blocks.  An ``n_realizations`` or T that is not an integer >= 1, or a
-    seed that is not an integer, raises :class:`InvalidSpecError` before any
-    draw, and an all-zero invariant spectrum
-    :class:`DegenerateDynamicsError` at step 1.
+    blocks.  An ``n_realizations`` or T that is not an integer >= 1, a
+    seed that is not an integer, or a grid that
+    :func:`~conewise.records.check_grid` rejects raises
+    :class:`InvalidSpecError` before any draw, and an all-zero invariant
+    spectrum :class:`DegenerateDynamicsError` at step 1.
     """
     if ensemble_a.dimension != ensemble_b.dimension:
         raise InvalidSpecError("ensembles must share the dimension")
     check_count(T, 1, f"horizon T must be an integer >= 1, got {T}")
     check_seed(seed)
+    grid = check_grid(grid, T)
     times = map_index_chunks(
         partial(_persistence_chunk, ensemble_a, ensemble_b, T, seed),
         n_realizations,

@@ -6,17 +6,39 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSpecError, integer_array
+from .errors import InvalidSpecError, check_count, integer_array
 
 __all__ = ["PersistenceCurve", "LyapunovSamples", "log_tau_grid"]
 
 
 def log_tau_grid(horizon: int, points: int = 80) -> np.ndarray:
-    """Integer grid 0, 1, ... log-spaced up to the horizon (deduplicated)."""
-    if horizon < 1:
-        raise InvalidSpecError("horizon must be >= 1")
-    taus = np.unique(np.round(np.logspace(0, np.log10(horizon), points)).astype(np.int64))
-    return np.concatenate([[0], taus[taus >= 1]])
+    """Integer grid 0, 1, ... log-spaced up to the horizon (deduplicated);
+    [0] at horizon 0.  A horizon that is not an integer >= 0, or fewer than
+    two points, raises :class:`InvalidSpecError`."""
+    check_count(horizon, 0, f"horizon must be an integer >= 0, got {horizon}")
+    check_count(points, 2, f"a grid needs an integer >= 2 points, got {points}")
+    taus = np.unique(np.round(np.logspace(0, np.log10(max(horizon, 1)), points)).astype(np.int64))
+    return np.concatenate([[0], taus[taus <= horizon]])
+
+
+def check_grid(grid, horizon: int) -> np.ndarray:
+    """The tau grid of a curve up to ``horizon``: :func:`log_tau_grid` when
+    ``grid`` is None, else ``grid`` as int64 points.  A grid is 1-D, holds
+    integers (integral floats count), starts at 0 and strictly increases
+    within the horizon, past which first-change times say nothing about
+    survival; any other raises :class:`InvalidSpecError`, as does a
+    horizon that is not an integer >= 0."""
+    check_count(horizon, 0, f"horizon T must be an integer >= 0, got {horizon}")
+    if grid is None:
+        return log_tau_grid(horizon)
+    grid = integer_array(grid, "grid points")
+    from_zero_up = grid.ndim == 1 and grid[:1].tolist() == [0] and np.all(np.diff(grid) > 0)
+    if not from_zero_up or grid[-1] > horizon:
+        raise InvalidSpecError(
+            f"grid must be 1-D, start at 0 (Q0(0) = 1) and strictly increase within "
+            f"horizon {horizon}, got {grid}"
+        )
+    return grid
 
 
 @dataclass
@@ -50,18 +72,14 @@ class PersistenceCurve:
         """Build Q0 from per-realization first sign-change steps.
 
         ``times[i] > horizon`` means realization i never changed sign within
-        the horizon; Q0(tau) is the fraction with ``times > tau``.  A grid
-        holds integers (integral floats count) that strictly increase and
-        stay within the horizon: past it, the times say nothing about
-        survival.
+        the horizon; Q0(tau) is the fraction with ``times > tau``, on the
+        grid that :func:`check_grid` returns.
         """
+        grid = check_grid(grid, horizon)
         times = np.asarray(times)
         n = times.size
         if n == 0:
             raise InvalidSpecError("no realizations")
-        grid = log_tau_grid(horizon) if grid is None else integer_array(grid, "grid points")
-        if np.any(np.diff(grid) <= 0) or np.any(grid > horizon):
-            raise InvalidSpecError(f"grid must strictly increase within horizon {horizon}")
         sorted_times = np.sort(times)
         survivors = n - np.searchsorted(sorted_times, grid, side="right")
         q = survivors / n

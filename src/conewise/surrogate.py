@@ -6,11 +6,14 @@ centered Gaussians with normalized two-time correlation
 be measured on sampled GP paths instead of matrix products.  The correlator
 depends on log time, so its matrix is numerically low-rank: paths are drawn
 in blocks with derived seeds through a pivoted Cholesky factor of rank
-r << T+1.  Survival is counted by first sign mismatch against t=0.  A
-block's paths are formed in time blocks of doubling width, and a path
-stops being formed once its first even-time and first odd-time mismatch
-are known (most settle early, as Q0 decays as a power law); a path's
-first mismatch is the earlier of the two.
+r << T+1.  Survival is counted by first sign mismatch against t=0: an
+entry whose product with the t=0 entry is not > 0 (a zero or NaN entry
+too) is a change.  The scan is path-major: a block's paths are formed as
+rows, one product for the even times and one for the odd times of each
+time block, in time blocks of doubling width; a path stops being formed
+once its first even-time and first odd-time mismatch are known (most
+settle early, as Q0 decays as a power law), and its first mismatch is the
+earlier of the two.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import NumericalError, check_count
-from .records import PersistenceCurve
+from .records import PersistenceCurve, check_grid
 from .seeding import check_seed, derive_seed, rng_from_seed
 from .spectra import SpectralModel
 from .spectral import _correlation, log_moment_array
@@ -102,54 +105,60 @@ def _cached_factor(spec: SpectralModel, T: int) -> np.ndarray:
     return factor
 
 
-def _changes_in(ok: np.ndarray, t0: int, none: int) -> np.ndarray:
-    """Rows (first even, first odd) time of a False entry per column of
-    ``ok``, whose row i is time t0 + i; ``none`` where there is none."""
-    firsts = np.full((2, ok.shape[1]), none)
-    cols = np.arange(ok.shape[1])
-    for start in (0, 1):
-        rows = ok[start::2]
-        if len(rows):
-            i = np.argmin(rows, axis=0)
-            firsts[(t0 + start) % 2] = np.where(rows[i, cols], none, t0 + start + 2 * i)
-    return firsts
+def _first_changes(ok: np.ndarray, t_first: int, none: int) -> np.ndarray:
+    """Per row of the boolean block ``ok``, whose column i holds time
+    t_first + 2i, the time of its first False entry; ``none`` where it has
+    none."""
+    if not ok.shape[1]:
+        return np.full(len(ok), none)
+    i = np.argmin(ok, axis=1)  # 0 also when the row has no False entry
+    return np.where((i == 0) & ok[:, 0], none, t_first + 2 * i)
 
 
 def _block_first_changes(factor: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, int]:
-    """Rows (first even, first odd) time whose sign differs from the t=0
-    sign, per path ``factor @ z``, T+1 where there is none; and the number
-    of path entries computed.
+    """Rows (first even, first odd) change time per path ``factor @ z[:, j]``,
+    T+1 where there is none; and the number of path entries computed.
 
+    An entry at t >= 1 is a change unless its product with the path's t=0
+    entry is > 0, so a zero or NaN entry counts.  The scan is path-major:
+    each path's normals become one row, multiplied by the sign of its t=0
+    entry (0 or NaN where that entry is zero or NaN), so that an entry
+    passes exactly when it is > 0, without forming a product that could
+    underflow.  The product of those rows with a strided run of factor
+    rows holds one path per row and the times of one parity, so a path's
+    first even and first odd change are each a contiguous row search.
     Times 0..8 are formed for every path.  Later times follow in blocks of
     doubling width (9..24, 25..56, ...), each formed only for the paths
-    that still lack a first even or a first odd change.  A product with
-    the t=0 entry that is not > 0 (zero or NaN) counts as a change."""
+    that still lack a first even or a first odd change."""
     t_len = factor.shape[0]
-    head = factor[:9] @ z
-    x0 = head[0]
-    head[1:] *= x0
-    firsts = _changes_in(head[1:] > 0.0, 1, t_len)
-    entries = head.size
-    t0, width = len(head), 16
-    while t0 < t_len:
-        alive = np.flatnonzero((firsts == t_len).any(axis=0))
-        if not alive.size:
-            break
+    rows = (z * np.sign(z.T @ factor[0])).T
+    firsts = np.stack([_first_changes(rows @ factor[t:9:2].T > 0.0, t, t_len) for t in (2, 1)])
+    entries = rows.shape[0] * min(t_len, 9)
+    if t_len <= 9:
+        return firsts, entries
+    alive = np.flatnonzero((firsts == t_len).any(axis=0))
+    rows = rows[alive]
+    t0, width = 9, 16
+    while t0 < t_len and alive.size:
         t1 = min(t0 + width, t_len)
-        paths = factor[t0:t1] @ z[:, alive]
-        paths *= x0[alive]
-        entries += paths.size
-        firsts[:, alive] = np.minimum(firsts[:, alive], _changes_in(paths > 0.0, t0, t_len))
+        entries += alive.size * (t1 - t0)
+        found = np.minimum(
+            firsts[:, alive],
+            [_first_changes(rows @ factor[t:t1:2].T > 0.0, t, t_len) for t in (t0 + 1, t0)],
+        )
+        firsts[:, alive] = found
+        keep = (found == t_len).any(axis=0)
+        alive, rows = alive[keep], rows[keep]
         t0, width = t1, 2 * width
     return firsts, entries
 
 
 def _stream_first_changes(factor, n_paths, seed) -> tuple[np.ndarray, int]:
     """Rows (first even, first odd) change times over streamed path blocks,
-    and the number of path entries computed.  Block b draws its normals
-    from ``derive_seed(seed, b)`` and is scanned in time blocks, so a path
-    is formed only through the time block that holds its last needed
-    change."""
+    and the number of path entries computed.  Block b draws its (rank,
+    paths) normals from ``derive_seed(seed, b)`` and is scanned path-major
+    in time blocks (:func:`_block_first_changes`), so a path is formed only
+    through the time block that holds its last needed change."""
     t_len, rank = factor.shape
     per_block = max(1, min(_BLOCK, _BLOCK_ENTRIES // t_len))
     out = np.empty((2, n_paths), dtype=np.int32)  # times are at most T + 1
@@ -194,17 +203,20 @@ def estimate_persistence_gp(
     horizon is limited by moment accuracy, which the factor checks.  With
     ``subprocesses=True`` also returns the even-time and odd-time survival
     curves (signs at even/odd times matching the t=0 sign), whose product
-    equals the full curve for sign-symmetric spectra.  Each path block is
-    formed and scanned in time blocks of doubling width, and a path leaves
-    once its first even and first odd change are known: the full curve
-    counts the earlier of the two, so the subprocess curves cost no extra
-    scan.  ``meta["path_entries"]`` counts the path entries formed.
-    An ``n_paths`` that is not an integer >= 1, a T that is not an integer
-    >= 0 or a seed that is not an integer raises :class:`InvalidSpecError`
-    before any moment is computed.
+    equals the full curve for sign-symmetric spectra.  A zero or NaN path
+    entry counts as a sign change.  Each path block is formed path-major
+    and scanned in time blocks of doubling width, and a path leaves once
+    its first even and first odd change are known: the full curve counts
+    the earlier of the two, so the subprocess curves cost no extra scan.
+    ``meta["path_entries"]`` counts the path entries formed.  An
+    ``n_paths`` that is not an integer >= 1, a T that is not an integer
+    >= 0, a seed that is not an integer or a grid that
+    :func:`~conewise.records.check_grid` rejects raises
+    :class:`InvalidSpecError` before any moment is computed.
     """
     check_count(n_paths, 1, f"path count must be an integer >= 1, got {n_paths}")
     check_seed(seed)
+    grid = check_grid(grid, T)
     (even, odd), entries = _stream_first_changes(_gp_factor(spec, T), n_paths, seed)
     meta = _meta(spec, T, n_paths, seed, entries)
     curve = PersistenceCurve.from_first_change_times(np.minimum(even, odd), T, grid, meta)
@@ -225,12 +237,15 @@ def joint_persistence(
     grid: np.ndarray | None = None,
 ) -> PersistenceCurve:
     """Survival of the event that p independent components all keep their
-    initial signs; the decay exponent is p times the single-component one."""
+    initial signs; the decay exponent is p times the single-component one.
+    Bad counts, seeds and grids raise as in :func:`estimate_persistence_gp`,
+    before any moment is computed."""
     check_count(p, 1, f"component count must be an integer >= 1, got {p}")
     check_count(n_paths, 1, f"path count must be an integer >= 1, got {n_paths}")
     check_seed(seed)
     if p == 1:
         return estimate_persistence_gp(spec, T, n_paths, seed, grid=grid)
+    grid = check_grid(grid, T)
     factor = _gp_factor(spec, T)
     # component c streams with seed derive_seed(seed, c), whose block b is
     # derive_seed(seed, c, b)

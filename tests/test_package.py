@@ -257,6 +257,41 @@ def test_bad_evolution_inputs_are_typed(matrices, v0, shown):
         evolve(matrices, v0, 5)
 
 
+SEMI = SpectralModel.semicircle(0, 2)
+GOE256 = EnsembleSpec.goe(256)
+
+
+@pytest.mark.parametrize(
+    "call, shown",
+    [
+        (lambda: estimate_persistence_gp(SEMI, 1024, 200_000, 1, grid=[0, 2000]), "horizon 1024"),
+        (lambda: estimate_persistence_gp(SEMI, 64, 100, 1, grid=[[0, 1]]), "1-D"),
+        (lambda: estimate_persistence_gp(SEMI, 64, 100, 1, grid=[0, 5, 5]), "strictly increase"),
+        (lambda: estimate_persistence_gp(SEMI, 64, 100, 1, grid=[1, 5]), "start at 0"),
+        (lambda: estimate_persistence_gp(SEMI, 64, 100, 1, grid=[0, 2.5]), "finite integers"),
+        (lambda: joint_persistence(SEMI, 1, 64, 100, 1, grid=[0, 65]), "horizon 64"),
+        (lambda: joint_persistence(SEMI, 3, 64, 100, 1, grid=[0, 65]), "horizon 64"),
+        (lambda: joint_persistence(SEMI, 3, 64, 100, 1, grid=[[0, 1]]), "1-D"),
+        (lambda: estimate_persistence_matrix(GOE256, GOE256, 20_000, 120, 1, grid=[0, 500]),
+         "horizon 120"),
+        (lambda: estimate_persistence_matrix(GOE16, GOE16, 10, 8, 1, grid=[[0, 1]]), "1-D"),
+        (lambda: estimate_persistence_matrix(GOE16, GOE16, 10, 8, 1, grid=[]), "start at 0"),
+    ],
+    ids=[
+        "gp-past-horizon", "gp-2d", "gp-repeated", "gp-from-one", "gp-float", "joint1-past-horizon",
+        "joint3-past-horizon", "joint3-2d", "matrix-past-horizon", "matrix-2d", "matrix-empty",
+    ],
+)
+def test_bad_grid_is_typed_before_any_work(call, shown, monkeypatch):
+    # a grid used to be checked only after the whole scan (0.87 s for the
+    # first case), and a 2-D one failed with a bare ValueError
+    monkeypatch.setattr(surrogate, "_gp_factor", _no_work)
+    monkeypatch.setattr(surrogate, "_stream_first_changes", _no_work)
+    monkeypatch.setattr(dynamics, "map_index_chunks", _no_work)
+    with pytest.raises(InvalidSpecError, match=shown):
+        call()
+
+
 def test_numpy_integer_sizes_accepted():
     i32, i64 = np.int32, np.int64
     a = estimate_persistence_gp(BETA3, i64(8), i32(10), seed=0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conewise import InvalidSpecError
-from conewise.records import LyapunovSamples, PersistenceCurve
+from conewise.records import LyapunovSamples, PersistenceCurve, log_tau_grid
 
 
 def test_empty_curve_is_typed():
@@ -15,7 +15,8 @@ def test_empty_curve_is_typed():
 def test_grid_must_increase_within_horizon():
     # 3 of the 5 realizations survive the horizon; nothing is known past it
     times = [1, 2, 11, 11, 11]
-    for grid in ([0, 5, 10, 11, 20], [0, 5, 5, 10], [0, 7, 3]):
+    # a 2-D grid used to fail with a bare ValueError (truth value of an array)
+    for grid in ([0, 5, 10, 11, 20], [0, 5, 5, 10], [0, 7, 3], [[0, 1]]):
         with pytest.raises(InvalidSpecError, match="grid"):
             PersistenceCurve.from_first_change_times(times, horizon=10, grid=grid)
     curve = PersistenceCurve.from_first_change_times(times, horizon=10, grid=[0, 5, 10])
@@ -30,6 +31,18 @@ def test_grid_points_must_be_integers():
             PersistenceCurve.from_first_change_times(times, horizon=10, grid=grid)
     curve = PersistenceCurve.from_first_change_times(times, horizon=10, grid=[0.0, 2.0, 10.0])
     assert curve.tau.tolist() == [0, 2, 10] and curve.q0.tolist() == [1.0, 0.6, 0.6]
+
+
+def test_log_tau_grid_arguments():
+    assert log_tau_grid(0).tolist() == [0]
+    assert log_tau_grid(1).tolist() == [0, 1]
+    assert log_tau_grid(10, points=2).tolist() == [0, 1, 10]
+    for horizon, shown in ((2.5, "2.5"), (-1, "-1"), (True, "True")):
+        with pytest.raises(InvalidSpecError, match=f"integer >= 0, got {shown}"):
+            log_tau_grid(horizon)
+    for points in (0, 1, 2.0):
+        with pytest.raises(InvalidSpecError, match=f"integer >= 2 points, got {points}"):
+            log_tau_grid(100, points=points)
 
 
 def test_lyapunov_samples_normalize_from_their_rates():

@@ -6,10 +6,12 @@ from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
 from conewise import InvalidSpecError, SpectralModel, surrogate
+from conewise.dynamics import _power_table, _quantile_table
 from conewise.errors import DegenerateProcessError, NumericalError
 from conewise.estimators import fit_powerlaw
 from conewise.records import log_tau_grid
 from conewise.seeding import derive_seed, rng_from_seed
+from conewise.spectra import inverse_cdf
 from conewise.surrogate import (
     _BLOCK,
     _BLOCK_ENTRIES,
@@ -250,6 +252,13 @@ class TestFirstEvenOddChanges:
         for curve in (*curves, joint):
             assert curve.tau.tolist() == [0] and curve.q0.tolist() == [1.0]
 
+    def test_horizon_zero_on_default_grid(self):
+        # the default grid used to raise "horizon must be >= 1" after the scan
+        curves = estimate_persistence_gp(BETA3, 0, 50, seed=0, subprocesses=True)
+        joint = joint_persistence(BETA3, 3, 0, 50, seed=0)
+        for curve in (*curves, joint):
+            assert curve.tau.tolist() == [0] and curve.q0.tolist() == [1.0]
+
 
 def _rotating_factor(t_len, zero_row, nan_row):
     """Rank-2 paths that turn slowly, so most change sign late; one row of
@@ -261,27 +270,49 @@ def _rotating_factor(t_len, zero_row, nan_row):
     return factor
 
 
+def _flushed_quantile_table():
+    """The invariant route's quantile power table, some of whose entries
+    are flushed to zero."""
+    table = _quantile_table(SHIFTED, 64, 120)
+    assert np.any(table[1:] == 0.0)
+    return table
+
+
+def _iid_power_table():
+    rng = np.random.default_rng(5)
+    return _power_table(inverse_cdf(BETA3, rng.random(48)), 200)
+
+
 _TABLE = SpectralModel.tabulated(np.linspace(0.1, 1.2, 11), np.linspace(0.2, 1, 11) ** 2)
+# (id, factor, paths); 5000 paths leave a partial last block: 4096 + 904 up
+# to T = 1024
 _SCAN_CASES = [
-    *((f"semicircle-T{T}", lambda T=T: _gp_factor(SEMI, T)) for T in (0, 1, 2, 8, 9, 10, 300, 1024)),
-    ("shifted-T256", lambda: _gp_factor(SHIFTED, 256)),
-    ("beta3-T200", lambda: _gp_factor(BETA3, 200)),
-    ("atomic+0.9-T50", lambda: _gp_factor(SpectralModel.atomic(0.9), 50)),
-    ("atomic-0.9-T50", lambda: _gp_factor(SpectralModel.atomic(-0.9), 50)),
-    ("table-T128", lambda: _gp_factor(_TABLE, 128)),
-    ("zero-and-nan-rows", lambda: _rotating_factor(150, zero_row=30, nan_row=61)),
+    *(
+        (f"semicircle-T{T}", lambda T=T: _gp_factor(SEMI, T), 5000)
+        for T in (0, 1, 2, 8, 9, 10, 300, 1024)
+    ),
+    ("shifted-T256", lambda: _gp_factor(SHIFTED, 256), 5000),
+    ("beta3-T200", lambda: _gp_factor(BETA3, 200), 5000),
+    ("atomic+0.9-T50", lambda: _gp_factor(SpectralModel.atomic(0.9), 50), 5000),
+    ("atomic-0.9-T50", lambda: _gp_factor(SpectralModel.atomic(-0.9), 50), 5000),
+    ("table-T128", lambda: _gp_factor(_TABLE, 128), 5000),
+    ("zero-and-nan-rows", lambda: _rotating_factor(150, zero_row=30, nan_row=61), 5000),
+    ("quantile-power-table", _flushed_quantile_table, 5000),
+    ("iid-power-table", _iid_power_table, 5000),
+    ("head-only-T8", lambda: _gp_factor(SEMI, 8), 1 << 15),
 ]
 
 
 class TestTimeBlockedScan:
     """The time-blocked scan against the dense reference on the same draws."""
 
-    @pytest.mark.parametrize("make_factor", [f for _, f in _SCAN_CASES], ids=[i for i, _ in _SCAN_CASES])
-    def test_matches_dense_reference(self, make_factor):
-        # 5000 paths leave a partial last block: 4096 + 904 up to T = 1024
+    @pytest.mark.parametrize(
+        "make_factor, n_paths", [c[1:] for c in _SCAN_CASES], ids=[c[0] for c in _SCAN_CASES]
+    )
+    def test_matches_dense_reference(self, make_factor, n_paths):
         factor = make_factor()
-        got, entries = _stream_first_changes(factor, 5000, seed=17)
-        assert np.array_equal(got, dense_stream_first_changes(factor, 5000, seed=17))
+        got, entries = _stream_first_changes(factor, n_paths, seed=17)
+        assert np.array_equal(got, dense_stream_first_changes(factor, n_paths, seed=17))
         # a path is formed through its last needed change, and at most
         # through the end of the doubling block that holds it
         t_len = factor.shape[0]
