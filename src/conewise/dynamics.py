@@ -30,14 +30,17 @@ rows a = U_A^T e1 and b = U_B^T e1, and the start w = U^T v0 / |v0| in the
 starting cone's basis.  For GOE and invariant ensembles U_A and U_B are
 independent Haar matrices, independent of the spectra (eigenvector signs
 and eigenvalue order do not matter).  So C is Haar and independent of U_A,
-a is uniform on the sphere and independent of C, and b = C a.  Given
-(C, a), U_A^T = R_a S with R_a any fixed orthogonal map with R_a e1 = a and
-S Haar on the stabiliser of e1, independent of v0; S v0 has the law of v0
-with the same first entry, so w_A = R_a v0 / |v0| has the right joint law,
-and a . w_A = v0[0] / |v0| keeps the starting sign's meaning.  A run that
-starts in cone B uses w_B = C w_A.  :func:`lyapunov_runs` therefore draws
-per run two spectra (the tridiagonal form for GOE, the placed eigenvalues
-for invariant ensembles), one uniform a and one Haar C, and calls the one
+a is uniform on the sphere and independent of C, and b = C a.  One start
+law covers both routes that work in an eigenbasis: with e = U^T e1 the
+first row of the starting cone's basis, U^T v0 = v0[0] e + P_{e-perp} g,
+g ~ N(0, I_N) independent of v0[0] and of the bases (:func:`_start`), as
+U^T takes v0 - v0[0] e1, N(0, I) on e1-perp and independent of U, to
+N(0, I) on e-perp; e . U^T v0 = v0[0] keeps the starting sign.  In cone A
+e = a; in cone B e = b, since U_B^T v0 = C U_A^T v0 = v0[0] b + P_{b-perp}
+C g and C g is again N(0, I) and independent of C.  So a start asks
+nothing of C.  :func:`lyapunov_runs` therefore draws per run two spectra
+(the tridiagonal form for GOE, the placed eigenvalues for invariant
+ensembles), one uniform a, one Haar C and one start, and calls the one
 kernel :func:`_lyapunov_kernel`, which the tests also drive from two dense
 ``eigh`` calls as the reference; a run's outputs are one record of the
 structured dtype ``_RUN``, read by field name.
@@ -87,7 +90,7 @@ for invariant cones, on N) but no N x N draw:
 * Invariant cones: v1(t) = sum_i nu_i^t a_i w_i with a = U^T e1 and w =
   U^T v0.  U is Haar and independent of nu and v0, so a is uniform on the
   sphere and w = v0[0] a + P_{a-perp} g with g ~ N(0, I_N) independent (the
-  argument above for w_A).  With the power table (nu_i / max|nu|)^t,
+  start law above, unnormalized).  With the power table (nu_i / max|nu|)^t,
   t = 0..T, as the factor and a o w as the path normals, these are the
   paths of the Gaussian-process scan (``surrogate._block_first_changes``).
   It is path-major: the starts' a o w are the rows of each product, one
@@ -566,17 +569,24 @@ def _quantile_table(model, n_dim: int, T: int) -> np.ndarray:
     return table
 
 
+def _start(head, e: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """U^T v0 = head e + P_{e-perp} g for a start with v0[0] = ``head`` and
+    an eigenbasis U with first row e = U^T e1, g ~ N(0, I) (the start law
+    of the module docstring).  Works on one vector and on rows, ``head``
+    then being a column."""
+    return head * e + (g - e * np.vecdot(e, g, keepdims=True))
+
+
 def _invariant_weights(v0_head: np.ndarray, normals: np.ndarray) -> np.ndarray:
     """Rows a o w of invariant starts, so that v1(t) = sum_i nu_i^t (a o w)_i.
 
     Per row, a = U^T e1 is the first half of ``normals`` made a unit vector
-    (uniform on the sphere) and w = U^T v0 = v0[0] a + P_{a-perp} g, g the
-    second half; ``v0_head`` holds the rows' v0[0] (module docstring)."""
+    (uniform on the sphere) and w = U^T v0 = :func:`_start` of the row's
+    v0[0] (from ``v0_head``), a and g, the second half."""
     n_dim = normals.shape[1] // 2
     x, g = normals[:, :n_dim], normals[:, n_dim:]
     a = x / np.linalg.norm(x, axis=1, keepdims=True)
-    w = v0_head[:, None] * a + (g - a * np.vecdot(a, g)[:, None])
-    return a * w
+    return a * _start(v0_head[:, None], a, g)
 
 
 def _persistence_chunk(ensemble_a, ensemble_b, T, seed, start, stop):
@@ -856,7 +866,9 @@ class LyapunovRunSet:
     """
 
     samples: LyapunovSamples
-    lam_tail: np.ndarray  # growth rate over the final window
+    # growth rate over exactly the last `tail_window` steps (the whole run
+    # when `tail_window >= T`)
+    lam_tail: np.ndarray
     final_cone: np.ndarray  # cone index at the horizon
     nu_max_final: np.ndarray  # largest signed eigenvalue of the final cone's matrix
     last_change: np.ndarray  # time of the last sign change (0 if none)
@@ -875,19 +887,6 @@ _RUN = np.dtype(
         ("blocks", np.int64), ("frame_reveals", np.int64), ("frame_completed", bool),
     ]
 )
-
-
-def _reflect_e1_to(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """R x for one fixed orthogonal R with R e1 = a (a a unit vector).
-
-    R = s H_u, H_u the Householder reflection along u = e1 - s a, with the
-    sign s = +-1 that makes |u|^2 = 2 - 2 s a[0] >= 2, so u has no
-    cancellation; then H_u e1 = s a.
-    """
-    s = 1.0 if a[0] <= 0.0 else -1.0
-    u = -s * a
-    u[0] += 1.0
-    return s * (x - u * (2.0 * float(u @ x) / float(u @ u)))
 
 
 class _RevealedFrame:
@@ -969,7 +968,9 @@ def _lyapunov_kernel(nus, first_rows, frame, w_coord, active, T, tail_window, bl
     powers built once per cone; a block stops at the first step that leaves
     the cone, and the basis change acts only at these switches.  Directions
     are snapshotted (quantized) at every cone entry for cycle detection.
-    With ``tail_window >= T`` the tail is the whole run.  Returns the first
+    Blocks also end at step max(T - ``tail_window``, 0), where the log norm
+    is read, so the tail rate covers exactly the last ``tail_window`` steps
+    (the whole run when ``tail_window >= T``).  Returns the first
     eleven fields of ``_RUN`` in order; ``cycle_period`` is 0 when the run
     does not cycle.
     """
@@ -986,8 +987,8 @@ def _lyapunov_kernel(nus, first_rows, frame, w_coord, active, T, tail_window, bl
     last_change = 0
     n_switches = 0
     n_blocks = 0
-    tail_t, tail_l = 0, 0.0
-    tail_started = tail_window >= T
+    stop = max(T - tail_window, 0)  # the tail is steps stop + 1..T
+    tail_l = 0.0
     seen: dict[bytes, int] = {}
     cycling = False
     cycle_period = 0
@@ -997,7 +998,7 @@ def _lyapunov_kernel(nus, first_rows, frame, w_coord, active, T, tail_window, bl
     k_next = 8
     while t < T:
         table = tables[active]
-        k = min(k_next, table.shape[0], T - t)
+        k = min(k_next, table.shape[0], (stop if t < stop else T) - t)
         powers = table[:k]
         v1 = powers @ (first_rows[active] * w_coord)
         bad = v1 < 0.0 if active == 0 else v1 >= 0.0
@@ -1024,12 +1025,11 @@ def _lyapunov_kernel(nus, first_rows, frame, w_coord, active, T, tail_window, bl
                     cycle_period = t - prev
                 else:
                     seen[(active, key)] = t
-        if not tail_started and t >= T - tail_window:
-            tail_t, tail_l = t, log_norm
-            tail_started = True
+        if t == stop:
+            tail_l = log_norm
 
     lam = log_norm / T
-    lam_tail = (log_norm - tail_l) / (t - tail_t) if t > tail_t else lam
+    lam_tail = (log_norm - tail_l) / (T - stop)
     window = _trap_window(T)
     trapped = (T - last_change) >= window
     nu_max_final = float(np.max(nus[active]))
@@ -1044,7 +1044,8 @@ def _lyapunov_chunk(ensemble_a, ensemble_b, T, seed, tail_window, start, stop):
     n = ensemble_a.dimension
     runs = []
     for r in range(start, stop):
-        v0 = rng_from_seed(derive_seed(seed, r, 0)).standard_normal(n)
+        draws = rng_from_seed(derive_seed(seed, r, 0)).standard_normal(n + 1)
+        head, g = float(draws[0]), draws[1:]
         nus = (
             _eigenvalues(ensemble_a, derive_seed(seed, r, 1)),
             _eigenvalues(ensemble_b, derive_seed(seed, r, 2)),
@@ -1054,11 +1055,9 @@ def _lyapunov_chunk(ensemble_a, ensemble_b, T, seed, tail_window, start, stop):
         a /= np.linalg.norm(a)
         frame = _RevealedFrame(n, stream)
         b = frame.forward(a)
-        x = v0 / np.linalg.norm(v0)
-        cone = int(x[0] < 0.0)  # cone A holds v1 >= 0
-        w = _reflect_e1_to(a, x)
-        if cone:
-            w = frame.forward(w)
+        cone = int(head < 0.0)  # cone A holds v1 >= 0
+        w = _start(head, (a, b)[cone], g)
+        w /= np.linalg.norm(w)
         out = _lyapunov_kernel(nus, (a, b), frame, w, cone, T, tail_window, _BLOCK)
         runs.append((*out, frame.revealed, frame.dense is not None))
     return np.array(runs, dtype=_RUN)
@@ -1082,8 +1081,10 @@ def lyapunov_runs(
     Slot 3 gives the first row a of cone A's eigenbasis, then the frame's
     reveals in the order the run asks for them, then, once N // 8 pairs are
     known and the run asks for a new one, the rest of the frame at once (see
-    the module docstring).
-    Slot 0 gives only the start vector.
+    the module docstring).  Slot 0 gives v0[0] and then N normals g, and
+    the start is v0[0] times its cone's first row plus the part of g
+    orthogonal to that row (the start law of the module docstring), so a
+    start reveals no frame pair.
     No matrix of the cones is formed and no ``eigh`` runs; the law is that
     of dense draws diagonalized by ``eigh`` and stepped by the same kernel,
     but the per-seed outputs differ.  ``samples.meta`` counts the revealed
@@ -1094,6 +1095,7 @@ def lyapunov_runs(
     this route; elliptic ones raise :class:`InvalidSpecError`, as do a T or a
     ``tail_window`` that is not an integer >= 1, a seed that is not an
     integer and nu_plus = 0 (from :func:`~conewise.spectra.edge_rate`).
+    ``lam_tail`` is the rate over exactly the last ``tail_window`` steps;
     ``tail_window >= T`` makes the tail the whole run.
 
     Only trapped runs have a rate near ln ``nu_max_final``; see
@@ -1260,7 +1262,6 @@ def elliptic_persistence(
     n_realizations: int,
     T: int,
     seed: int,
-    radius: float = 2.0,
     window=None,
     grid: np.ndarray | None = None,
     threads: int = 1,
@@ -1268,14 +1269,17 @@ def elliptic_persistence(
     """Per-rho survival curves with truncated power-law fits.
 
     Each curve is :func:`estimate_persistence_matrix` with both cones drawn
-    from ``EnsembleSpec.elliptic(N, rho, radius)`` and seed
+    from ``EnsembleSpec.elliptic(N, rho)`` and seed
     ``derive_seed(seed, i)`` for the i-th rho, run on ``threads`` worker
     processes; the curve's ``meta`` records ``rho`` and the caller's
     ``seed``.  The starts step the leading min(T + 1, N) block of the
     Hessenberg form of M^T, with independent entries (module docstrings of
     this module and of :mod:`conewise.ensembles`), so no N x N matrix is
     drawn: a run costs O(tau^3) operations and O(T^2) normals whatever N is,
-    and rho = 1 is the GOE tridiagonal route.
+    and rho = 1 is the GOE tridiagonal route.  Persistence reads signs only,
+    and v1(t) under c M has the sign it has under M for any c > 0, so the
+    curves do not depend on the ensemble's scale; the default radius is
+    drawn.
 
     Without ``window`` the fit runs over [1, tau_hi] ([10, tau_hi] when
     tau_hi >= 60), tau_hi being the last grid point with at least 25
@@ -1299,7 +1303,7 @@ def elliptic_persistence(
     """
     out = []
     for i, rho in enumerate(rho_list):
-        ens = EnsembleSpec.elliptic(N, rho, radius)
+        ens = EnsembleSpec.elliptic(N, rho)
         curve = estimate_persistence_matrix(
             ens, ens, n_realizations, T, derive_seed(seed, i), grid, threads
         )

@@ -65,11 +65,16 @@ def _series(data, window, stderr, min_points: int):
 
     ``data`` is a :class:`PersistenceCurve` (its positive part and binomial
     errors) or an ``(x, y)`` pair with optional ``stderr``.  Weights are
-    1/stderr(ln y)^2, or None unless every point has a positive error.
+    1/stderr(ln y)^2, or None unless every point has a positive error.  A
+    non-finite x, y or error raises :class:`FitError`.
     """
     x, y, err = data.positive_part() if isinstance(data, PersistenceCurve) else (*data, stderr)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    err = None if err is None else np.asarray(err, dtype=float)
+    given = (x, y) if err is None else (x, y, err)
+    if not all(np.isfinite(a).all() for a in given):
+        raise FitError("power-law fit needs finite x, values and errors")
     win = (np.min(x), np.max(x)) if window is None else window
     win = (float(win[0]), float(win[1]))
     mask = (x >= win[0]) & (x <= win[1])
@@ -82,7 +87,7 @@ def _series(data, window, stderr, min_points: int):
         raise FitError("power-law fit needs strictly positive values")
     weights = None
     if err is not None:
-        rel = np.asarray(err, dtype=float)[mask] / y
+        rel = err[mask] / y
         if not np.any(rel <= 0):
             weights = 1.0 / rel**2
     return x, np.log(y), weights, win
@@ -142,9 +147,21 @@ def fit_truncated_powerlaw(data, window=None, stderr=None) -> FitResult:
     return fit
 
 
-def empirical_cdf(samples: np.ndarray):
-    """Right-continuous empirical CDF as a callable."""
+def _sorted_samples(samples, minimum: int, what: str) -> np.ndarray:
+    """``samples`` as sorted floats; fewer than ``minimum`` of them, or a
+    non-finite one, raises :class:`FitError` naming ``what``."""
     s = np.sort(np.asarray(samples, dtype=float))
+    if s.size < minimum:
+        raise FitError(f"{what} needs >= {minimum} samples, got {s.size}")
+    if not np.isfinite(s).all():
+        raise FitError(f"{what} needs finite samples")
+    return s
+
+
+def empirical_cdf(samples: np.ndarray):
+    """Right-continuous empirical CDF as a callable; an empty or non-finite
+    sample raises :class:`FitError`."""
+    s = _sorted_samples(samples, 1, "empirical CDF")
     n = s.size
 
     def cdf(x):
@@ -154,11 +171,10 @@ def empirical_cdf(samples: np.ndarray):
 
 
 def ks_distance(samples, cdf) -> float:
-    """sup_x |empirical CDF - cdf(x)| over the sample points."""
-    s = np.sort(np.asarray(samples, dtype=float))
+    """sup_x |empirical CDF - cdf(x)| over the sample points; a non-finite
+    sample raises :class:`FitError`."""
+    s = _sorted_samples(samples, 10, "KS distance")
     n = s.size
-    if n < 10:
-        raise FitError(f"KS distance needs >= 10 samples, got {n}")
     f = np.asarray(cdf(s), dtype=float)
     hi = np.arange(1, n + 1) / n
     lo = np.arange(0, n) / n
@@ -177,8 +193,12 @@ def tail_exponent_at_edge(
     The window is ``window_fractions`` times ``scale`` (default: the sample
     span); densities come from log-spaced bins with Poisson weights.  For a
     density diverging like |x - edge|**(mu - 1) the fitted exponent is mu-1.
+    An empty or non-finite sample, fractions other than 0 < lo < hi, or a
+    scale that is not finite and > 0 raises :class:`FitError`.
     """
     samples = np.asarray(samples, dtype=float)
+    if samples.size == 0 or not np.isfinite(samples).all():
+        raise FitError(f"tail fit needs a nonempty, finite sample, got {samples.size} values")
     if side == "above":
         z = samples - edge
     elif side == "below":
@@ -187,6 +207,10 @@ def tail_exponent_at_edge(
         raise FitError(f"side must be 'above' or 'below', got {side!r}")
     if scale is None:
         scale = float(samples.max() - samples.min())
+    if not (math.isfinite(scale) and scale > 0):
+        raise FitError(f"tail window scale must be finite and > 0, got {scale}")
+    if not 0 < window_fractions[0] < window_fractions[1]:
+        raise FitError(f"window fractions must satisfy 0 < lo < hi, got {window_fractions}")
     lo, hi = window_fractions[0] * scale, window_fractions[1] * scale
     z = z[(z >= lo) & (z <= hi)]
     if z.size < 1000:

@@ -46,7 +46,10 @@ class PersistenceCurve:
     """Estimated cone-survival probabilities Q0 on an integer tau grid.
 
     ``meta`` records at least ``source`` (gp / matrix / renewal), the model
-    description, ``N`` (or "inf") and the sample count.
+    description, ``N`` (or "inf") and the sample count.  Arrays of unequal
+    shape, a curve that does not start at Q0(0) = 1, a Q0 that is not in
+    [0, 1] or increases, or an error that is not finite and >= 0 raises
+    :class:`InvalidSpecError`.
     """
 
     tau: np.ndarray
@@ -62,6 +65,12 @@ class PersistenceCurve:
             raise InvalidSpecError("curve arrays must share one shape")
         if self.tau.size == 0 or self.tau[0] != 0 or self.q0[0] != 1.0:
             raise InvalidSpecError("curves start at Q0(0) = 1")
+        bad = ~((self.q0 >= 0.0) & (self.q0 <= 1.0))
+        if bad.any():
+            raise InvalidSpecError(f"survival probabilities must lie in [0, 1], got {self.q0[bad]}")
+        bad = ~(np.isfinite(self.stderr) & (self.stderr >= 0.0))
+        if bad.any():
+            raise InvalidSpecError(f"standard errors must be finite and >= 0, got {self.stderr[bad]}")
         if np.any(np.diff(self.q0) > 1e-12):
             raise InvalidSpecError("survival probabilities must be non-increasing")
 

@@ -228,11 +228,11 @@ def blockwise_reference(mats, v0, T, tail_window, block):
     active = 0 if v[0] >= 0.0 else 1
     w_coord = eigvecs[active].T @ v
     t, log_norm, last_change, n_switches = 0, 0.0, 0, 0
-    tail_t, tail_l, tail_started = 0, 0.0, False
+    stop, tail_l = max(T - tail_window, 0), 0.0  # blocks end where the tail starts
     seen, cycling, cycle_period = {}, False, 0
     k_next = 8
     while t < T:
-        k = min(k_next, block, caps[active], T - t)
+        k = min(k_next, block, caps[active], (stop if t < stop else T) - t)
         powers = np.cumprod(np.broadcast_to(eigvals[active], (k, n)), axis=0)
         v1 = powers @ (first_row[active] * w_coord)
         bad = v1 < 0.0 if active == 0 else v1 >= 0.0  # the step that leaves the cone
@@ -259,10 +259,10 @@ def blockwise_reference(mats, v0, T, tail_window, block):
                     cycling, cycle_period = True, t - prev
                 else:
                     seen[(active, key)] = t
-        if not tail_started and t >= T - tail_window:
-            tail_t, tail_l, tail_started = t, log_norm, True
+        if t == stop:
+            tail_l = log_norm
     lam = log_norm / T
-    lam_tail = (log_norm - tail_l) / (t - tail_t) if t > tail_t else lam
+    lam_tail = (log_norm - tail_l) / (T - stop)
     return (
         lam, lam_tail, (T - last_change) >= min(T, max(1000, T // 10)), cycling, cycle_period,
         active, float(np.max(eigvals[active])), last_change, n_switches,
@@ -879,6 +879,33 @@ class TestLyapunovRuns:
         edge = lyapunov_runs(ens, ens, 6, T=100, seed=0, tail_window=100)
         assert np.array_equal(edge.lam_tail, runs.lam_tail)
 
+    def test_short_tail_is_not_the_whole_run(self):
+        # a tail far shorter than a block is still its own window: no
+        # trapped run reports the whole-run rate as its tail rate
+        ens_a, ens_b = EnsembleSpec.goe(64, 0.0, 2.0), EnsembleSpec.goe(64, 0.5, 1.0)
+        runs = lyapunov_runs(ens_a, ens_b, 40, T=3000, seed=1, tail_window=50)
+        sel = runs.samples.trapped & ~runs.samples.cycling
+        assert np.count_nonzero(sel) >= 10
+        assert not np.any(runs.lam_tail[sel] == runs.samples.values[sel])
+
+    @pytest.mark.parametrize(
+        "ens_a, ens_b",
+        [
+            (EnsembleSpec.goe(64, 0.0, 2.0), EnsembleSpec.goe(64, 0.5, 1.0)),
+            (EnsembleSpec.invariant(SEMI, 64), EnsembleSpec.invariant(BETA3, 64)),
+        ],
+        ids=["goe", "invariant"],
+    )
+    def test_tail_starts_where_shorter_run_ends(self, ens_a, ens_b):
+        # T lam(T) - w lam_tail(T) is the log norm at T - w, where a run of
+        # horizon T - w with a whole-run tail ends, its blocks ending where
+        # those of the longer run do
+        T, w = 3000, 700
+        runs = lyapunov_runs(ens_a, ens_b, 60, T=T, seed=5, tail_window=w)
+        short = lyapunov_runs(ens_a, ens_b, 60, T=T - w, seed=5, tail_window=T - w)
+        head = T * runs.samples.values - w * runs.lam_tail
+        np.testing.assert_allclose(head, (T - w) * short.samples.values, rtol=1e-12, atol=0)
+
     def test_elliptic_rejected(self):
         ens = EnsembleSpec.elliptic(16, 0.5)
         with pytest.raises(InvalidSpecError, match="elliptic"):
@@ -1060,7 +1087,8 @@ class TestRevealedFrame:
         )
         still = n_switches == 0
         assert np.any(still) and np.any(completed)
-        assert not np.any(completed[still]) and np.all(reveals[still] <= 2)
+        # a start asks the frame nothing: a run that never switches reveals only b = C a
+        assert not np.any(completed[still]) and np.all(reveals[still] == 1)
         assert np.all(reveals[completed] == n // 8)
         assert sizes == [n - n // 8] * int(np.count_nonzero(completed))
 
@@ -1300,3 +1328,13 @@ class TestElliptic:
     def test_rho_validation(self):
         with pytest.raises(InvalidSpecError):
             elliptic_persistence(64, [1.2], 10, T=10, seed=0)
+
+    def test_persistence_does_not_depend_on_scale(self):
+        # c M steps v1 to c^t v1, the same sign; radii 2 and 8 differ by a
+        # power of two, which the route's pre-scaling removes exactly
+        times = [
+            _persistence_chunk(ens, ens, 60, 4, 0, 600)
+            for ens in (EnsembleSpec.elliptic(32, 0.5, r) for r in (2.0, 8.0))
+        ]
+        assert np.array_equal(*times)
+        assert np.unique(times[0]).size > 5

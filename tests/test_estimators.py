@@ -121,6 +121,19 @@ def test_non_positive_x_rejected(fit, x0):
         fit((x, np.geomspace(1, 0.01, 12)))
 
 
+@pytest.mark.parametrize("fit", [fit_powerlaw, fit_truncated_powerlaw])
+@pytest.mark.parametrize("where", ["x", "y", "stderr"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_input_rejected(fit, where, bad):
+    # a NaN value used to give exponent NaN with r^2 = 1, a NaN error an
+    # all-NaN fit
+    data = {"x": np.geomspace(1, 100, 12)}
+    data["y"], data["stderr"] = data["x"] ** -0.5, np.full(12, 0.01)
+    data[where][4] = bad
+    with pytest.raises(FitError, match="finite"):
+        fit((data["x"], data["y"]), stderr=data["stderr"])
+
+
 class TestKs:
     def test_samples_from_their_own_cdf(self):
         rng = rng_from_seed(11)
@@ -143,6 +156,12 @@ class TestKs:
     def test_needs_samples(self):
         with pytest.raises(FitError):
             ks_distance(np.arange(5), norm.cdf)
+
+    def test_non_finite_sample_rejected(self):
+        samples = rng_from_seed(11).standard_normal(100)
+        samples[7] = math.nan
+        with pytest.raises(FitError, match="finite"):
+            ks_distance(samples, norm.cdf)
 
     def test_lamperti_samples_against_lamperti_cdf(self):
         # inverse-CDF sampling through the closed form, then KS against it
@@ -190,8 +209,38 @@ class TestTailExponent:
             tail_exponent_at_edge(rng.random(2000), edge=0.0, side="above", scale=1.0)
 
 
+    @pytest.mark.parametrize(
+        "fractions, scale",
+        [((0.0, 1e-3), 1.0), ((1e-3, 1e-3), 1.0), ((1e-2, 1e-3), 1.0), ((1e-6, 1e-3), 0.0),
+         ((1e-6, 1e-3), math.inf), ((1e-6, 1e-3), None)],
+        ids=["zero-lo", "empty-window", "reversed", "zero-scale", "inf-scale", "zero-span"],
+    )
+    def test_degenerate_window_rejected(self, fractions, scale):
+        # every sample lies in [0, 1e-3], so no case stops at the sample
+        # count; geomspace raised a bare ValueError at lo = 0 and at a zero
+        # span (all samples at the edge)
+        if scale is None:
+            samples, edge = np.full(5000, 0.5), 0.5
+        else:
+            samples, edge = 1e-3 * rng_from_seed(31).random(5000), 0.0
+        with pytest.raises(FitError, match="0 < lo < hi|scale must be finite"):
+            tail_exponent_at_edge(samples, edge, window_fractions=fractions, scale=scale)
+
+    @pytest.mark.parametrize("samples", [[], [0.1, math.nan, 0.3]], ids=["empty", "nan"])
+    def test_bad_sample_rejected(self, samples):
+        with pytest.raises(FitError, match="finite sample"):
+            tail_exponent_at_edge(np.asarray(samples), 0.0, scale=1.0)
+
+
 def test_empirical_cdf_basic():
     cdf = empirical_cdf(np.array([1.0, 2.0, 3.0, 4.0]))
     assert cdf(0.5) == 0.0
     assert cdf(2.5) == 0.5
     assert cdf(10.0) == 1.0
+
+
+@pytest.mark.parametrize("samples", [[], [1.0, math.nan]], ids=["empty", "nan"])
+def test_empirical_cdf_needs_finite_samples(samples):
+    # an empty sample used to divide by zero at every call
+    with pytest.raises(FitError, match="empirical CDF needs"):
+        empirical_cdf(samples)

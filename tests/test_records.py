@@ -12,6 +12,24 @@ def test_empty_curve_is_typed():
         PersistenceCurve(tau=[], q0=[], stderr=[])
 
 
+@pytest.mark.parametrize(
+    "q0, stderr, match",
+    [
+        ([1.0, 0.5, 0.4, np.nan], [0.0, 0.1, 0.1, 0.1], "lie in"),
+        ([1.0, 0.5, 0.4, np.inf], [0.0, 0.1, 0.1, 0.1], "lie in"),
+        ([1.0, 0.5, 0.4, -0.1], [0.0, 0.1, 0.1, 0.1], "lie in"),
+        ([1.0, 0.5, 0.4, 0.3], [0.0, 0.1, -0.1, 0.1], "standard errors"),
+        ([1.0, 0.5, 0.4, 0.3], [0.0, 0.1, np.nan, 0.1], "standard errors"),
+        ([1.0, 0.5, 0.4, 0.3], [0.0, np.inf, 0.1, 0.1], "standard errors"),
+    ],
+    ids=["q0-nan", "q0-inf", "q0-negative", "stderr-negative", "stderr-nan", "stderr-inf"],
+)
+def test_curve_values_are_checked(q0, stderr, match):
+    # a NaN q0 passed the monotone check, and positive_part then dropped it
+    with pytest.raises(InvalidSpecError, match=match):
+        PersistenceCurve(tau=[0, 1, 2, 3], q0=q0, stderr=stderr)
+
+
 def test_grid_must_increase_within_horizon():
     # 3 of the 5 realizations survive the horizon; nothing is known past it
     times = [1, 2, 11, 11, 11]
