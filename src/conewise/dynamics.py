@@ -115,7 +115,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
-from scipy.linalg.lapack import dgeqrf, dormqr
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dormqr
 
 from .ensembles import (
     EnsembleSpec,
@@ -239,13 +239,13 @@ def _renormalize(w: np.ndarray, step: int) -> tuple[np.ndarray, float]:
     norm so the squares stay in range, and ln of its norm.  A zero ``w``
     raises :class:`DegenerateDynamicsError` and a non-finite entry
     :class:`NumericalError`, both naming ``step``."""
-    peak = float(np.max(np.abs(w)))
+    peak = float(np.abs(w).max())
     if peak == 0.0:
         raise DegenerateDynamicsError(step)
     if not math.isfinite(peak):
         raise NumericalError(f"the product left the float range at step {step}")
     w /= peak
-    nrm = float(np.linalg.norm(w))
+    nrm = math.sqrt(w @ w)  # the float np.linalg.norm gives for a 1-D vector
     w /= nrm
     return w, math.log(peak) + math.log(nrm)
 
@@ -926,8 +926,8 @@ class _RevealedFrame:
         c2 = s @ r
         r -= c2 @ s
         c += c2
-        r_norm = float(np.linalg.norm(r))
-        if r_norm <= _REVEAL_TOL * float(np.linalg.norm(x)):
+        r_norm = math.sqrt(r @ r)
+        if r_norm <= _REVEAL_TOL * math.sqrt(x @ x):
             return c @ d
         if k == self._limit:
             self._complete()
@@ -935,7 +935,7 @@ class _RevealedFrame:
         u = self._rng.standard_normal(x.size)
         for _ in range(2):
             u -= (d @ u) @ d
-        u /= np.linalg.norm(u)
+        u /= math.sqrt(u @ u)
         src[k] = r / r_norm
         dst[k] = u
         self.revealed = k + 1
@@ -944,8 +944,10 @@ class _RevealedFrame:
     def _complete(self):
         """Draw the rest of C: V_Q diag(D, H) V_P^T (module docstring)."""
         k, n = self.p.shape
-        qr_p, tau_p, _, _ = dgeqrf(self.p.T)
-        qr_q, tau_q, _, _ = dgeqrf(self.q.T)
+        # the default lwork makes LAPACK fall back to the unblocked code
+        lwork = int(dgeqrf_lwork(n, k)[0])
+        qr_p, tau_p, _, _ = dgeqrf(self.p.T, lwork)
+        qr_q, tau_q, _, _ = dgeqrf(self.q.T, lwork)
         mid = np.zeros((n, n), order="F")
         # R of an orthonormal basis is diagonal up to round-off, with entries +-1
         mid[range(k), range(k)] = np.sign(np.diagonal(qr_p)) * np.sign(np.diagonal(qr_q))
@@ -970,14 +972,18 @@ def _lyapunov_kernel(nus, first_rows, frame, w_coord, active, T, tail_window, bl
     are snapshotted (quantized) at every cone entry for cycle detection.
     Blocks also end at step max(T - ``tail_window``, 0), where the log norm
     is read, so the tail rate covers exactly the last ``tail_window`` steps
-    (the whole run when ``tail_window >= T``).  Returns the first
-    eleven fields of ``_RUN`` in order; ``cycle_period`` is 0 when the run
-    does not cycle.
+    (the whole run when ``tail_window >= T``).  That boundary is part of
+    the path: moving it changes the floats of later steps by round-off, and
+    a run that switches at nearly every step meets first components within
+    round-off of zero, so its switches and per-seed outputs can then depend
+    on ``tail_window`` beyond round-off; their law does not.
+    Returns the first eleven fields of ``_RUN`` in order; ``cycle_period``
+    is 0 when the run does not cycle.
     """
     n = w_coord.size
     tables = []
     for nu in nus:
-        top = float(np.max(np.abs(nu)))
+        top = float(np.abs(nu).max())
         cap = max(1, int(600.0 / max(abs(math.log(top)), 1e-3))) if top > 0 else block
         # row i is nu**(i + 1): the cumulative product of one block's powers
         tables.append(np.cumprod(np.broadcast_to(nu, (min(block, cap), n)), axis=0))
@@ -1002,7 +1008,9 @@ def _lyapunov_kernel(nus, first_rows, frame, w_coord, active, T, tail_window, bl
         powers = table[:k]
         v1 = powers @ (first_rows[active] * w_coord)
         bad = v1 < 0.0 if active == 0 else v1 >= 0.0
-        j = int(np.argmax(bad)) if bad.any() else -1
+        j = int(bad.argmax())  # the first True, or 0 when none is
+        if not bad[j]:
+            j = -1
         adv = k if j < 0 else j + 1
         w_coord, growth = _renormalize(w_coord * powers[adv - 1], t + adv)
         log_norm += growth
@@ -1015,10 +1023,10 @@ def _lyapunov_kernel(nus, first_rows, frame, w_coord, active, T, tail_window, bl
             last_change = t
             n_switches += 1
             w_coord = frame.forward(w_coord) if active == 0 else frame.transpose(w_coord)
-            w_coord /= np.linalg.norm(w_coord)  # orthogonality round-off only
+            w_coord /= math.sqrt(w_coord @ w_coord)  # orthogonality round-off only
             active = 1 - active
             if not cycling:
-                key = np.round(w_coord / _CYCLE_GRID).astype(np.int64).tobytes()
+                key = np.rint(w_coord / _CYCLE_GRID).astype(np.int64).tobytes()
                 prev = seen.get((active, key))
                 if prev is not None:
                     cycling = True
@@ -1032,7 +1040,7 @@ def _lyapunov_kernel(nus, first_rows, frame, w_coord, active, T, tail_window, bl
     lam_tail = (log_norm - tail_l) / (T - stop)
     window = _trap_window(T)
     trapped = (T - last_change) >= window
-    nu_max_final = float(np.max(nus[active]))
+    nu_max_final = float(nus[active].max())
     abs_nu2 = float(np.sort(np.abs(nus[active]))[-2])
     return (
         lam, lam_tail, trapped, cycling, cycle_period, active, nu_max_final, last_change,
@@ -1096,7 +1104,11 @@ def lyapunov_runs(
     ``tail_window`` that is not an integer >= 1, a seed that is not an
     integer and nu_plus = 0 (from :func:`~conewise.spectra.edge_rate`).
     ``lam_tail`` is the rate over exactly the last ``tail_window`` steps;
-    ``tail_window >= T`` makes the tail the whole run.
+    ``tail_window >= T`` makes the tail the whole run.  Blocks end where the
+    tail starts, so a run that switches cones at nearly every step can take
+    another path under another ``tail_window``: its per-seed outputs, ``lam``
+    included, then depend on ``tail_window`` beyond round-off, while their
+    law does not.
 
     Only trapped runs have a rate near ln ``nu_max_final``; see
     :class:`LyapunovRunSet`.  ``threads`` is the number of worker processes;

@@ -49,6 +49,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dorgqr
 
 from .errors import InvalidSpecError, check_count
 from .seeding import rng_from_seed
@@ -119,18 +120,26 @@ def sample_haar_orthogonal(N: int, seed: int) -> np.ndarray:
     """Haar-distributed orthogonal matrix.
 
     QR of an iid Gaussian matrix, with each column of Q rescaled by the sign
-    of the matching diagonal entry of R; plain QR is not Haar.
+    of the matching diagonal entry of R; plain QR is not Haar (Mezzadri,
+    Notices AMS 54 (2007) 592).
     """
     check_count(N, 1, f"matrix dimension must be an integer >= 1, got {N}")
     return _haar_orthogonal(N, rng_from_seed(seed))
 
 
 def _haar_orthogonal(N: int, rng: np.random.Generator) -> np.ndarray:
-    """``sample_haar_orthogonal`` on a caller's stream (N * N normals)."""
+    """``sample_haar_orthogonal`` on a caller's stream (N * N normals): the
+    LAPACK calls of ``np.linalg.qr`` at their queried workspaces, without
+    its wrappers."""
     g = rng.standard_normal((N, N))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * np.where(d >= 0.0, 1.0, -1.0)
+    qr, tau, _, _ = dgeqrf(g, int(dgeqrf_lwork(N, N)[0]))
+    # a copy of R's diagonal: dorgqr overwrites the factor with Q, whose own
+    # diagonal would give a Q that is not Haar
+    signs = np.where(np.diagonal(qr) >= 0.0, 1.0, -1.0)
+    lwork = int(dorgqr(qr, tau, -1, overwrite_a=1)[1][0])
+    q = dorgqr(qr, tau, lwork, overwrite_a=1)[0]
+    # C order, as np.linalg.qr returns Q, so callers' products keep their BLAS calls
+    return np.multiply(q, signs, order="C")
 
 
 def _placed_eigenvalues(

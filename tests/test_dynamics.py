@@ -832,15 +832,28 @@ class TestLyapunovRuns:
 
     def test_power_tables_keep_dense_outputs(self):
         # the dense wrapper reads one power table per cone; the rows are the
-        # per-block cumprod's floats, so every output is the same bit for bit
+        # per-block cumprod's floats, so every output is the same bit for bit,
+        # also on the -m run of test_single_matrix_limit, which switches at
+        # nearly every step, and on a GOE pair whose run cycles
         a = EnsembleSpec.goe(48, 0.0, 0.05 * math.sqrt(2)).sample(11)
         b = EnsembleSpec.goe(48, 0.0, 2 * math.sqrt(2)).sample(12)
-        v0 = gaussian(48, 13)
-        for T, tw, block in ((80, 20, 16), (3000, 500, 192)):
-            out = dense_lyapunov_single((a, b), v0, T, tw, block)
-            ref = blockwise_reference((a, b), v0, T, tw, block)
-            assert out[:10] == ref
+        m = -EnsembleSpec.goe(64, 0.0, 2.0).sample(5)
+        c = EnsembleSpec.goe(48, 0.0, 2.0).sample(25)
+        d = EnsembleSpec.goe(48, 0.5, 1.0).sample(125)
+        cases = [
+            ((a, b), gaussian(48, 13), 80, 20, 16),
+            ((a, b), gaussian(48, 13), 3000, 500, 192),
+            ((m, m), gaussian(64, 1), 4000, 2000, 192),
+            ((c, d), gaussian(48, 225), 2000, 500, 192),
+        ]
+        outs = []
+        for mats, v0, T, tw, block in cases:
+            out = dense_lyapunov_single(mats, v0, T, tw, block)
+            assert out[:10] == blockwise_reference(mats, v0, T, tw, block)
             assert out[8] > 0
+            outs.append(out)
+        assert outs[2][8] > 3900  # switches
+        assert outs[3][3]  # cycling
 
     def test_zero_horizon_is_typed(self):
         ens = EnsembleSpec.goe(16)

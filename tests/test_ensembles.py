@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, kstest
 
 from conewise import (
     EnsembleSpec,
@@ -81,6 +83,29 @@ class TestHaar:
         signs = [sample_haar_orthogonal(1, seed=derive_seed(5, k))[0, 0] for k in range(200)]
         assert set(np.round(signs).astype(int)) == {-1, 1}
         assert abs(np.mean(signs)) < 0.2
+
+    @pytest.fixture(scope="class")
+    def draws3(self):
+        return np.array([sample_haar_orthogonal(3, seed=derive_seed(9, k)) for k in range(20_000)])
+
+    def test_corner_entry_uniform(self, draws3):
+        # the first column is uniform on the sphere S^2, so by Archimedes
+        # each of its coordinates is uniform on [-1, 1]
+        assert kstest(draws3[:, 0, 0], "uniform", args=(-1.0, 2.0)).pvalue > 0.01
+
+    def test_both_components_equally_likely(self, draws3):
+        det = np.linalg.det(draws3)
+        assert np.allclose(np.abs(det), 1.0, atol=1e-12)
+        n = det.size
+        assert abs(np.mean(det > 0.0) - 0.5) < 4 * math.sqrt(0.25 / n)
+
+    def test_trace_moments(self, draws3):
+        # Diaconis-Shahshahani: for Haar O(N), N >= 2, E tr Q = 0 and E (tr Q)^2 = 1
+        tr = np.trace(draws3, axis1=1, axis2=2)
+        n = tr.size
+        assert abs(tr.mean()) < 4 * tr.std() / math.sqrt(n)
+        sq = tr**2
+        assert abs(sq.mean() - 1.0) < 4 * sq.std() / math.sqrt(n)
 
 
 class TestInvariant:
