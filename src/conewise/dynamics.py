@@ -43,7 +43,9 @@ nothing of C.  :func:`lyapunov_runs` therefore draws per run two spectra
 ensembles), one uniform a, one Haar C and one start, and calls the one
 kernel :func:`_lyapunov_kernel`, which the tests also drive from two dense
 ``eigh`` calls as the reference; a run's outputs are one record of the
-structured dtype ``_RUN``, read by field name.
+structured dtype ``_RUN``, read by field name.  A run's path is fixed by its
+system and its start: the log norm at T - ``tail_window`` is read inside its
+block, so only ``lam_tail`` depends on the window.
 
 The kernel reads C only at a cone switch, so C is revealed on demand
 (:class:`_RevealedFrame`) rather than drawn by an N x N QR.  The frame keeps
@@ -866,9 +868,7 @@ class LyapunovRunSet:
     """
 
     samples: LyapunovSamples
-    # growth rate over exactly the last `tail_window` steps (the whole run
-    # when `tail_window >= T`)
-    lam_tail: np.ndarray
+    lam_tail: np.ndarray  # growth rate over the last `tail_window` steps (all when >= T)
     final_cone: np.ndarray  # cone index at the horizon
     nu_max_final: np.ndarray  # largest signed eigenvalue of the final cone's matrix
     last_change: np.ndarray  # time of the last sign change (0 if none)
@@ -970,13 +970,10 @@ def _lyapunov_kernel(nus, first_rows, frame, w_coord, active, T, tail_window, bl
     powers built once per cone; a block stops at the first step that leaves
     the cone, and the basis change acts only at these switches.  Directions
     are snapshotted (quantized) at every cone entry for cycle detection.
-    Blocks also end at step max(T - ``tail_window``, 0), where the log norm
-    is read, so the tail rate covers exactly the last ``tail_window`` steps
-    (the whole run when ``tail_window >= T``).  That boundary is part of
-    the path: moving it changes the floats of later steps by round-off, and
-    a run that switches at nearly every step meets first components within
-    round-off of zero, so its switches and per-seed outputs can then depend
-    on ``tail_window`` beyond round-off; their law does not.
+    The log norm at step max(T - ``tail_window``, 0) is read inside its
+    block from a fresh product that the path never uses, so the tail rate
+    covers exactly the last ``tail_window`` steps (the whole run when
+    ``tail_window >= T``) and the path does not depend on ``tail_window``.
     Returns the first eleven fields of ``_RUN`` in order; ``cycle_period``
     is 0 when the run does not cycle.
     """
@@ -1004,7 +1001,7 @@ def _lyapunov_kernel(nus, first_rows, frame, w_coord, active, T, tail_window, bl
     k_next = 8
     while t < T:
         table = tables[active]
-        k = min(k_next, table.shape[0], (stop if t < stop else T) - t)
+        k = min(k_next, table.shape[0], T - t)
         powers = table[:k]
         v1 = powers @ (first_rows[active] * w_coord)
         bad = v1 < 0.0 if active == 0 else v1 >= 0.0
@@ -1012,6 +1009,8 @@ def _lyapunov_kernel(nus, first_rows, frame, w_coord, active, T, tail_window, bl
         if not bad[j]:
             j = -1
         adv = k if j < 0 else j + 1
+        if t < stop <= t + adv:
+            tail_l = log_norm + _renormalize(w_coord * powers[stop - t - 1], stop)[1]
         w_coord, growth = _renormalize(w_coord * powers[adv - 1], t + adv)
         log_norm += growth
         t += adv
@@ -1033,8 +1032,6 @@ def _lyapunov_kernel(nus, first_rows, frame, w_coord, active, T, tail_window, bl
                     cycle_period = t - prev
                 else:
                     seen[(active, key)] = t
-        if t == stop:
-            tail_l = log_norm
 
     lam = log_norm / T
     lam_tail = (log_norm - tail_l) / (T - stop)
@@ -1104,11 +1101,8 @@ def lyapunov_runs(
     ``tail_window`` that is not an integer >= 1, a seed that is not an
     integer and nu_plus = 0 (from :func:`~conewise.spectra.edge_rate`).
     ``lam_tail`` is the rate over exactly the last ``tail_window`` steps;
-    ``tail_window >= T`` makes the tail the whole run.  Blocks end where the
-    tail starts, so a run that switches cones at nearly every step can take
-    another path under another ``tail_window``: its per-seed outputs, ``lam``
-    included, then depend on ``tail_window`` beyond round-off, while their
-    law does not.
+    ``tail_window >= T`` makes the tail the whole run.  ``samples.meta``
+    records ``tail_window``; no other output depends on it.
 
     Only trapped runs have a rate near ln ``nu_max_final``; see
     :class:`LyapunovRunSet`.  ``threads`` is the number of worker processes;
@@ -1139,6 +1133,7 @@ def lyapunov_runs(
             "ensembles": (ensemble_a.describe(), ensemble_b.describe()),
             "N": ensemble_a.dimension,
             "T": T,
+            "tail_window": tail_window,
             "seed": seed,
             "n_samples": n_realizations,
             "switches": int(runs["n_switches"].sum()),

@@ -230,8 +230,8 @@ def log_moment_asymptotic(spec: SpectralModel, t: float) -> float:
         raise InvalidSpecError(
             f"edge exponent undefined for {spec.describe()}; no moment asymptotics"
         )
-    if t < 1:
-        raise InvalidSpecError("asymptotic moment needs t >= 1")
+    if not 1 <= t < math.inf:
+        raise InvalidSpecError(f"asymptotic moment needs a finite t >= 1, got {t}")
     if spec.nu_plus <= 0:
         raise InvalidSpecError("asymptotic moment assumes a positive upper edge")
     a = spec.alpha
@@ -275,8 +275,10 @@ def correlator(spec: SpectralModel, t: int, s: int) -> float:
 
 def correlator_asymptotic(alpha: float, t: float, s: float) -> float:
     """(2 sqrt(ts) / (t+s)) ** (alpha+1), the late-time correlator."""
-    if t <= 0 or s <= 0:
-        raise InvalidSpecError("asymptotic correlator needs t, s > 0")
+    if not (0 < t < math.inf and 0 < s < math.inf and math.isfinite(alpha)):
+        raise InvalidSpecError(
+            f"asymptotic correlator needs finite alpha, t, s > 0, got {alpha, t, s}"
+        )
     return (2.0 * math.sqrt(t * s) / (t + s)) ** (alpha + 1.0)
 
 
@@ -294,14 +296,15 @@ def g_array(spec: SpectralModel, taus: np.ndarray) -> np.ndarray:
 
 def effective_dimension(alpha: float) -> float:
     """Diffusion dimension matching the late-time correlator: d = 2(alpha+1)."""
-    if alpha <= -1:
-        raise InvalidSpecError(f"edge exponent must exceed -1, got {alpha}")
+    if not -1 < alpha < math.inf:
+        raise InvalidSpecError(f"edge exponent must be finite and exceed -1, got {alpha}")
     return 2.0 * (alpha + 1.0)
 
 
 def theta_reference(d: int) -> float:
-    """Tabulated diffusion persistence exponent theta(d), d in 1..5."""
-    if d not in THETA_TABLE:
+    """Tabulated diffusion persistence exponent theta(d), d in 1..5; a bool
+    is not a dimension."""
+    if isinstance(d, (bool, np.bool_)) or d not in THETA_TABLE:
         raise InvalidSpecError(
             f"theta is tabulated for d in {sorted(THETA_TABLE)} only (no interpolation); got {d}"
         )

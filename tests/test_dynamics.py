@@ -228,16 +228,20 @@ def blockwise_reference(mats, v0, T, tail_window, block):
     active = 0 if v[0] >= 0.0 else 1
     w_coord = eigvecs[active].T @ v
     t, log_norm, last_change, n_switches = 0, 0.0, 0, 0
-    stop, tail_l = max(T - tail_window, 0), 0.0  # blocks end where the tail starts
+    stop, tail_l = max(T - tail_window, 0), 0.0  # the tail is read inside its block
     seen, cycling, cycle_period = {}, False, 0
     k_next = 8
     while t < T:
-        k = min(k_next, block, caps[active], (stop if t < stop else T) - t)
+        k = min(k_next, block, caps[active], T - t)
         powers = np.cumprod(np.broadcast_to(eigvals[active], (k, n)), axis=0)
         v1 = powers @ (first_row[active] * w_coord)
         bad = v1 < 0.0 if active == 0 else v1 >= 0.0  # the step that leaves the cone
         j = int(np.argmax(bad)) if bad.any() else -1
         adv = k if j < 0 else j + 1
+        if t < stop <= t + adv:
+            at_stop = w_coord * powers[stop - t - 1]
+            peak = float(np.max(np.abs(at_stop)))
+            tail_l = log_norm + (math.log(peak) + math.log(float(np.linalg.norm(at_stop / peak))))
         w_coord = w_coord * powers[adv - 1]
         peak = float(np.max(np.abs(w_coord)))
         w_coord /= peak
@@ -259,8 +263,6 @@ def blockwise_reference(mats, v0, T, tail_window, block):
                     cycling, cycle_period = True, t - prev
                 else:
                     seen[(active, key)] = t
-        if t == stop:
-            tail_l = log_norm
     lam = log_norm / T
     lam_tail = (log_norm - tail_l) / (T - stop)
     return (
@@ -911,13 +913,35 @@ class TestLyapunovRuns:
     )
     def test_tail_starts_where_shorter_run_ends(self, ens_a, ens_b):
         # T lam(T) - w lam_tail(T) is the log norm at T - w, where a run of
-        # horizon T - w with a whole-run tail ends, its blocks ending where
-        # those of the longer run do
+        # horizon T - w with a whole-run tail ends; the longer run reads it
+        # inside its block, from the product that ends the shorter run
         T, w = 3000, 700
         runs = lyapunov_runs(ens_a, ens_b, 60, T=T, seed=5, tail_window=w)
         short = lyapunov_runs(ens_a, ens_b, 60, T=T - w, seed=5, tail_window=T - w)
         head = T * runs.samples.values - w * runs.lam_tail
         np.testing.assert_allclose(head, (T - w) * short.samples.values, rtol=1e-12, atol=0)
+
+    def test_path_does_not_depend_on_tail_window(self):
+        # run 4 switches cones about every other step, so a block boundary
+        # at T - tail_window would move its switches; the tail is read
+        # inside its block instead, and only lam_tail and the meta's
+        # tail_window follow the window
+        ens_a, ens_b = EnsembleSpec.goe(64, 0.0, 2.0), EnsembleSpec.goe(64, 0.5, 1.0)
+        T = 2300
+        runs = [lyapunov_runs(ens_a, ens_b, 60, T=T, seed=5, tail_window=w) for w in (100, 2000, T)]
+        assert runs[0].n_switches[4] > 800
+        for other in runs[1:]:
+            for name in ("n_switches", "last_change", "final_cone", "cycle_period"):
+                assert np.array_equal(getattr(other, name), getattr(runs[0], name)), name
+            assert np.array_equal(other.samples.values, runs[0].samples.values)
+            for key in ("blocks", "frame_reveals", "frames_completed", "switches"):
+                assert other.samples.meta[key] == runs[0].samples.meta[key], key
+        assert [r.samples.meta["tail_window"] for r in runs] == [100, 2000, T]
+        assert np.array_equal(runs[2].lam_tail, runs[2].samples.values)
+        # the tail of the 2000-step window starts where a 300-step run ends
+        short = lyapunov_runs(ens_a, ens_b, 60, T=T - 2000, seed=5, tail_window=T - 2000)
+        head = T * runs[1].samples.values - 2000 * runs[1].lam_tail
+        np.testing.assert_allclose(head, (T - 2000) * short.samples.values, rtol=1e-12, atol=0)
 
     def test_elliptic_rejected(self):
         ens = EnsembleSpec.elliptic(16, 0.5)
@@ -970,6 +994,7 @@ class TestLyapunovRuns:
         assert 0 < np.count_nonzero(cycling) < cycling.size
         assert np.array_equal(runs.cycle_period > 0, cycling)
         meta = runs.samples.meta
+        assert meta["tail_window"] == 200
         assert meta["switches"] == int(runs.n_switches.sum())
         # every switch ends a block, and a block advances 1 to _BLOCK steps
         assert max(meta["switches"], 40 * math.ceil(600 / _BLOCK)) <= meta["blocks"] <= 40 * 600

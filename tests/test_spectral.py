@@ -348,6 +348,11 @@ class TestMomentAsymptotics:
         # as moment_f does; it used to raise a bare OverflowError
         assert moment_asymptotic(SEMI, 2000) == math.inf == moment_f(SEMI, 2000)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(InvalidSpecError, match="finite t >= 1"):
+            moment_asymptotic(SEMI, t)
+
     def test_shifted_semicircle_ratio(self):
         sh = SpectralModel.semicircle(3, 2)
         from conewise.spectral import log_moment_asymptotic
@@ -402,6 +407,15 @@ class TestCorrelatorAsymptotic:
         assert correlator_asymptotic(0.5, 100, 400) == pytest.approx((4 / 5) ** 1.5, rel=1e-12)
         assert correlator_asymptotic(0.5, 100, 400) == pytest.approx(0.71554, abs=1e-5)
 
+    @pytest.mark.parametrize(
+        "alpha, t, s",
+        [(math.nan, 100, 400), (math.inf, 100, 400), (0.5, math.nan, 400), (0.5, 100, math.inf),
+         (0.5, math.inf, math.inf)],
+    )
+    def test_non_finite_input_rejected(self, alpha, t, s):
+        with pytest.raises(InvalidSpecError, match="needs finite alpha"):
+            correlator_asymptotic(alpha, t, s)
+
     def test_alpha_zero_is_planar_form(self):
         t, s = 123.0, 456.0
         assert correlator_asymptotic(0.0, t, s) == pytest.approx(
@@ -440,6 +454,11 @@ class TestDiffusionCorrespondence:
         assert effective_dimension(0.5) == 3.0
         assert effective_dimension(0.0) == 2.0
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_effective_dimension_needs_finite_alpha(self, alpha):
+        with pytest.raises(InvalidSpecError, match="must be finite"):
+            effective_dimension(alpha)
+
     def test_theta_values(self):
         assert theta_reference(3) == 0.2382
         assert theta_reference(2) == 3 / 16
@@ -450,6 +469,11 @@ class TestDiffusionCorrespondence:
     def test_no_interpolation(self):
         with pytest.raises(InvalidSpecError):
             theta_reference(6)
+
+    @pytest.mark.parametrize("d", [True, np.True_])
+    def test_bool_is_not_a_dimension(self, d):
+        with pytest.raises(InvalidSpecError, match="got True"):
+            theta_reference(d)
 
     def test_symmetry_detection(self):
         assert SEMI.symmetric_about_zero
