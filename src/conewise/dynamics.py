@@ -97,8 +97,8 @@ for invariant cones, on N) but no N x N draw:
   paths of the Gaussian-process scan (``surrogate._block_first_changes``).
   It is path-major: the starts' a o w are the rows of each product, one
   product per parity with the table's even-time or odd-time rows, and it
-  forms times 0..8 and then doubling time blocks only for starts still
-  alive.  A zero or NaN entry of v1 counts as a change there too.  Its
+  forms times 1..8, 9..24, ... (doubling) only for starts still alive.
+  A zero or NaN entry of v1 counts as a change there too.  Its
   start sign is that of the t = 0 product, which is v0[0] up to
   round-off; a start at v0[0] = 0 is given its change at t = 1 directly,
   so only a start with 0 < |v0[0]| at round-off level can take another
@@ -195,10 +195,8 @@ _EDGE_SETTLED_DECAY = 1e-4
 
 
 def _runs_of(labels: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal constant runs of a label sequence as (label, length)."""
+    """Maximal constant runs of a nonempty label sequence as (label, length)."""
     runs = []
-    if labels.size == 0:
-        return runs
     start = 0
     for i in range(1, labels.size):
         if labels[i] != labels[start]:

@@ -172,10 +172,13 @@ def empirical_cdf(samples: np.ndarray):
 
 def ks_distance(samples, cdf) -> float:
     """sup_x |empirical CDF - cdf(x)| over the sample points; a non-finite
-    sample raises :class:`FitError`."""
+    sample, or a ``cdf`` whose values at the samples are not finite, in
+    [0, 1] and of the samples' shape, raises :class:`FitError`."""
     s = _sorted_samples(samples, 10, "KS distance")
     n = s.size
     f = np.asarray(cdf(s), dtype=float)
+    if f.shape != s.shape or not np.all((f >= 0.0) & (f <= 1.0)):
+        raise FitError(f"KS distance needs cdf values in [0, 1], one per sample, got {f}")
     hi = np.arange(1, n + 1) / n
     lo = np.arange(0, n) / n
     return float(np.max(np.maximum(np.abs(hi - f), np.abs(f - lo))))

@@ -12,9 +12,9 @@ its Stieltjes transform; for ``mu > 1`` the rate self-averages to
 quadrature routes for the CDF and the Stieltjes transform, which
 cross-check the closed forms, live in ``tests/test_renewal.py``.
 
-Every g is ``g(tau) = 1/2 ln f(2 tau)`` of a cone's spectral model, from
-:func:`~conewise.spectral.g_array` through one table per (cones, horizon);
-a cone with per-step rate r is the point mass at e^r, whose g(tau) = r tau.
+Every g is ``g(tau) = 1/2 ln f(2 tau)`` of a cone's spectral model, read by
+``_g`` from one :func:`~conewise.spectral.g_array` table per (cones, horizon)
+and past its end from ``g_array``; the point mass at e^r has g(tau) = r tau.
 
 :func:`sample_renewal_lyapunov` advances all samples together in passes of
 1024 intervals.  A pass runs in row blocks of 256 samples and column chunks
@@ -148,12 +148,18 @@ def sample_power_law_intervals(rng: np.random.Generator, mu, tau_min: int, size)
     """Discrete power-law residence times: P(tau >= k) = (tau_min/k)**mu.
 
     Inverse-CDF construction, exact in distribution; returns float64 (values
-    can exceed any integer range for small mu).
+    can exceed any integer range for small mu).  A mu that is not finite and
+    > 0, or a tau_min that is not an integer >= 1, raises
+    :class:`InvalidSpecError` before any draw.
     """
+    mu = np.asarray(mu, dtype=float)
+    if not np.all(np.isfinite(mu) & (mu > 0)):
+        raise InvalidSpecError(f"tail exponents must be positive and finite, got {mu}")
+    check_count(tau_min, 1, f"tau_min must be an integer >= 1, got {tau_min}")
     u = 1.0 - rng.random(size)  # in (0, 1]
     with np.errstate(over="ignore"):
         # inf is a legitimate draw: longer than any horizon
-        return np.floor(tau_min * u ** (-1.0 / np.asarray(mu, dtype=float)))
+        return np.floor(tau_min * u ** (-1.0 / mu))
 
 
 def interval_survival(mu: float, tau_min: int, k) -> np.ndarray:
@@ -174,6 +180,8 @@ class RenewalConfig:
     g(tau) = 1/2 ln f(2 tau), and of its edge rate ln|nu_plus|
     (:attr:`rates`, which :func:`sample_renewal_lyapunov` puts on its
     record), so a cone with nu_plus = 0 raises :class:`InvalidSpecError`.
+    A tuple or list of exactly two :class:`SpectralModel` is stored as a
+    tuple; any other ``cones`` raises :class:`InvalidSpecError`.
     :meth:`linear_rates` cones are point masses at e^r: g(tau) = r tau, the
     long-interval limit of a cone with edge e^r.
     """
@@ -199,6 +207,14 @@ class RenewalConfig:
         if self.horizon < 10 * self.tau_min:
             raise InvalidSpecError("horizon must be >= 10 * tau_min")
         check_seed(self.seed)
+        cones = self.cones
+        if not (
+            isinstance(cones, (tuple, list))
+            and len(cones) == 2
+            and all(isinstance(spec, SpectralModel) for spec in cones)
+        ):
+            raise InvalidSpecError(f"cones must be two SpectralModels, got {cones!r}")
+        object.__setattr__(self, "cones", tuple(cones))  # hashable, for the g-table cache
         for spec in self.cones:
             edge_rate(spec)
 
@@ -300,9 +316,9 @@ def _block_pass(
     passes through.  Work runs in column chunks and a row stops at its
     straddling interval; the closed g still sum over a zero-filled
     _CHUNK-wide row, so the pairwise summation order does not depend on the
-    chunks.  The clocks are float64 whole numbers below 2**53, so every
-    closed end time, and the count of closed intervals, is exact in any
-    association.
+    chunks.  Lengths past the g table go through ``_g`` once, at the end.
+    The clocks are float64 whole numbers below 2**53, so every closed end
+    time, and the count of closed intervals, is exact in any association.
     """
     table = _g_table(cfg.cones, cfg.horizon)
     size = table.shape[1]
@@ -346,10 +362,7 @@ def _block_pass(
         if not live.size:
             break
     pos, lengths, cones = (np.concatenate(part) for part in zip(*past))
-    for which, spec in enumerate(cfg.cones):
-        m = cones == which
-        if m.any():
-            gbuf.flat[pos[m]] = g_array(spec, lengths[m].astype(np.int64))
+    gbuf.flat[pos] = _g(cfg, cones, lengths)
     through = np.zeros(rows, dtype=bool)
     through[live] = True
     return gbuf[:, :_CHUNK].sum(axis=1), gbuf[:, _CHUNK], through
@@ -364,7 +377,7 @@ def sample_renewal_lyapunov(cfg: RenewalConfig, n_samples: int) -> LyapunovSampl
     g(tau); the one that straddles the horizon adds g of its in-horizon
     length only.  The rate is the sum divided by the horizon.  g comes from
     a table per cone (``g_array``, r tau for a point mass at e^r), and
-    lengths past it from one ``g_array`` call per cone and row block.  The
+    lengths past it through ``_g``, one call per row block.  The
     record's ``rates`` are ``cfg.rates``; ``meta`` does not repeat them.
 
     Seed contract: the generator of ``cfg.seed`` first draws the n starting

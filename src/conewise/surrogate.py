@@ -10,10 +10,10 @@ r << T+1.  Survival is counted by first sign mismatch against t=0: an
 entry whose product with the t=0 entry is not > 0 (a zero or NaN entry
 too) is a change.  The scan is path-major: a block's paths are formed as
 rows, one product for the even times and one for the odd times of each
-time block, in time blocks of doubling width; a path stops being formed
-once its first even-time and first odd-time mismatch are known (most
-settle early, as Q0 decays as a power law), and its first mismatch is the
-earlier of the two.
+time block, in time blocks of doubling width after t=0 (1..8, 9..24,
+25..56, ...); a path stops being formed once its first even-time and first
+odd-time mismatch are known (most settle early, as Q0 decays as a power
+law), and its first mismatch is the earlier of the two.
 """
 
 from __future__ import annotations
@@ -127,27 +127,24 @@ def _block_first_changes(factor: np.ndarray, z: np.ndarray) -> tuple[np.ndarray,
     underflow.  The product of those rows with a strided run of factor
     rows holds one path per row and the times of one parity, so a path's
     first even and first odd change are each a contiguous row search.
-    Times 0..8 are formed for every path.  Later times follow in blocks of
-    doubling width (9..24, 25..56, ...), each formed only for the paths
-    that still lack a first even or a first odd change."""
+    After t = 0, times follow in blocks of doubling width (1..8, 9..24,
+    25..56, ...), each formed only for the paths that still lack a first
+    even or a first odd change."""
     t_len = factor.shape[0]
     rows = (z * np.sign(z.T @ factor[0])).T
-    firsts = np.stack([_first_changes(rows @ factor[t:9:2].T > 0.0, t, t_len) for t in (2, 1)])
-    entries = rows.shape[0] * min(t_len, 9)
-    if t_len <= 9:
-        return firsts, entries
-    alive = np.flatnonzero((firsts == t_len).any(axis=0))
-    rows = rows[alive]
-    t0, width = 9, 16
+    firsts = np.full((2, rows.shape[0]), t_len)
+    alive = np.arange(rows.shape[0])
+    entries = rows.shape[0]  # the t = 0 entries
+    t0, width = 1, 8
     while t0 < t_len and alive.size:
         t1 = min(t0 + width, t_len)
         entries += alive.size * (t1 - t0)
-        found = np.minimum(
-            firsts[:, alive],
-            [_first_changes(rows @ factor[t:t1:2].T > 0.0, t, t_len) for t in (t0 + 1, t0)],
-        )
-        firsts[:, alive] = found
-        keep = (found == t_len).any(axis=0)
+        keep = np.zeros(alive.size, dtype=bool)
+        for first, t in zip(firsts, (t0 + 1, t0)):  # the even row, then the odd row
+            found = _first_changes(rows @ factor[t:t1:2].T > 0.0, t, t_len)
+            found = np.minimum(first[alive], found)
+            first[alive] = found
+            keep |= found == t_len
         alive, rows = alive[keep], rows[keep]
         t0, width = t1, 2 * width
     return firsts, entries

@@ -163,6 +163,17 @@ class TestKs:
         with pytest.raises(FitError, match="finite"):
             ks_distance(samples, norm.cdf)
 
+    @pytest.mark.parametrize(
+        "cdf",
+        [lambda x: np.full(x.shape, math.nan), lambda x: np.full(x.shape, 2.0),
+         lambda x: np.full(x.shape, -0.1), lambda x: 0.5, lambda x: np.full((2, x.size), 0.5)],
+        ids=["nan", "above-one", "below-zero", "scalar", "two-rows"],
+    )
+    def test_cdf_values_are_checked(self, cdf):
+        # a NaN cdf gave nan, a cdf of 2.0 gave 2.0, a scalar was broadcast
+        with pytest.raises(FitError, match="cdf values"):
+            ks_distance(np.arange(20.0), cdf)
+
     def test_lamperti_samples_against_lamperti_cdf(self):
         # inverse-CDF sampling through the closed form, then KS against it
         params = LampertiParams(0.0, 1.0, 0.4764)

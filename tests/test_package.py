@@ -8,7 +8,10 @@ import pytest
 
 import conewise
 from conewise import (
+    CollapseUndefinedError,
+    DegenerateProcessError,
     EnsembleSpec,
+    FitError,
     InvalidSpecError,
     SpectralModel,
     dynamics,
@@ -26,6 +29,8 @@ from conewise.dynamics import (
     scaling_collapse,
     top_eigenvalue_check,
 )
+from conewise.estimators import FitResult, tail_exponent_at_edge
+from conewise.records import LyapunovSamples, PersistenceCurve
 from conewise.renewal import (
     LampertiParams,
     RenewalConfig,
@@ -34,6 +39,8 @@ from conewise.renewal import (
     self_averaging_value,
     stieltjes_rhs,
 )
+from conewise.spectra import quantile_grid
+from conewise.spectral import correlator, g_array, persistence_exponent
 from conewise.surrogate import estimate_persistence_gp, joint_persistence
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(conewise.__path__, "conewise."))
@@ -122,6 +129,7 @@ GOE16 = EnsembleSpec.goe(16)
 BETA3 = SpectralModel.symmetric_beta(3)
 EYE = np.eye(4)
 EDGE_AT_ZERO = SpectralModel.semicircle(-1, 1)
+SEMI = SpectralModel.semicircle(0, 2)
 RENEWAL = RenewalConfig.exact_spectral(0.5, 0.5, BETA3, BETA3, tau_min=1, horizon=100)
 
 
@@ -200,6 +208,71 @@ def test_non_integer_seeds_are_typed_before_any_work(call, shown, monkeypatch):
         call()
 
 
+def test_atomic_models_answer_without_a_density():
+    assert SpectralModel.atomic(0).symmetric_about_zero
+    assert not SpectralModel.atomic(1).symmetric_about_zero
+    assert SpectralModel.atomic(1).cdf([0.5, 1.0, 2.0]).tolist() == [0.0, 1.0, 1.0]
+    assert SpectralModel.atomic(1).normalization_defect() == 0.0
+
+
+ATOM1 = SpectralModel.atomic(1)
+TAIL_IN_ONE_BIN = np.full(1000, 2e-6)  # 1000 samples in the window, one bin occupied
+
+
+@pytest.mark.parametrize(
+    "call, error, shown",
+    [
+        (lambda: evolve([np.eye(2)] * 8, np.ones(2), 5), InvalidSpecError, "too small for 3"),
+        (lambda: evolve([np.eye(2)] * 2, np.zeros(2), 5), InvalidSpecError, "nonzero start"),
+        (
+            lambda: scaling_collapse(
+                [8, 16, 64], lambda n: (EnsembleSpec.elliptic(n, 0.5),) * 2, 200, 30, 0.5, 1
+            ),
+            CollapseUndefinedError, "0.88 decades",
+        ),
+        (lambda: lyapunov_runs(EnsembleSpec.goe(8), EnsembleSpec.goe(9), 4, T=50, seed=0),
+         InvalidSpecError, "share the dimension"),
+        (lambda: top_eigenvalue_check(EnsembleSpec.goe(8, -3, 1), 3, seed=0), InvalidSpecError,
+         "nu_plus > 0"),
+        (lambda: EnsembleSpec(kind="bogus", dimension=8), InvalidSpecError, "unknown ensemble"),
+        (lambda: EnsembleSpec(kind="invariant", dimension=8), InvalidSpecError, "spectral model"),
+        (lambda: FitResult(-1.0, 0.0, 0.0, (2.0, 1.0), 0.1, 1.0), FitError, "increasing"),
+        (lambda: FitResult(-1.0, 0.0, 0.0, (1.0, 2.0), -0.1, 1.0), FitError, "negative"),
+        (lambda: tail_exponent_at_edge(np.linspace(0, 1, 2000), 0.0, side="left"), FitError,
+         "'above' or 'below'"),
+        (lambda: tail_exponent_at_edge(TAIL_IN_ONE_BIN, 0.0, scale=1.0), FitError,
+         "occupied bins"),
+        (lambda: PersistenceCurve([0, 1, 2], [1, 0.5], [0, 0.1]), InvalidSpecError, "one shape"),
+        (lambda: PersistenceCurve([0, 1, 2], [1, 0.5, 0.6], [0, 0.1, 0.1]), InvalidSpecError,
+         "non-increasing"),
+        (lambda: PersistenceCurve.from_first_change_times([], 5), InvalidSpecError,
+         "no realizations"),
+        (lambda: LyapunovSamples([math.nan], (0.0, 1.0), [False], [False]), InvalidSpecError,
+         "samples must be finite"),
+        (lambda: SpectralModel.symmetric_beta(0), InvalidSpecError, "d > 0"),
+        (lambda: SpectralModel.tabulated([0, 1, 2], [1, 1]), InvalidSpecError, "matching"),
+        (lambda: ATOM1.density(0.5), InvalidSpecError, "no density"),
+        (lambda: quantile_grid(SEMI, 0), InvalidSpecError, "at least one quantile"),
+        (lambda: correlator(SEMI, -1, 2), InvalidSpecError, ">= 0"),
+        (lambda: g_array(SEMI, [0]), InvalidSpecError, "tau >= 1"),
+        (lambda: g_array(SpectralModel.atomic(0), [1]), DegenerateProcessError, "vanished"),
+        (lambda: persistence_exponent(ATOM1), InvalidSpecError, "undefined for atomic"),
+        (lambda: persistence_exponent(SpectralModel.symmetric_beta(50)), InvalidSpecError,
+         "self-averaging"),
+    ],
+    ids=[
+        "evolve-8-on-2", "evolve-zero-start", "collapse-overlap", "lyapunov-dimensions",
+        "top-eigenvalue-edge", "ensemble-kind", "invariant-model", "fit-window", "fit-error",
+        "tail-side", "tail-bins", "curve-shapes", "curve-rising", "curve-no-realizations",
+        "lyapunov-nan", "beta-zero", "tabulated-grids", "atomic-density", "quantile-count",
+        "correlator-time", "g-zero", "g-atomic-zero", "theta-atomic", "theta-beta50",
+    ],
+)
+def test_each_documented_raise_is_reached(call, error, shown):
+    with pytest.raises(error, match=shown):
+        call()
+
+
 @pytest.mark.parametrize(
     "call, shown",
     [
@@ -257,7 +330,6 @@ def test_bad_evolution_inputs_are_typed(matrices, v0, shown):
         evolve(matrices, v0, 5)
 
 
-SEMI = SpectralModel.semicircle(0, 2)
 GOE256 = EnsembleSpec.goe(256)
 
 

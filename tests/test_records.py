@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from conewise import InvalidSpecError
+from conewise import InvalidSpecError, records
 from conewise.records import LyapunovSamples, PersistenceCurve, log_tau_grid
 
 
@@ -51,6 +53,52 @@ def test_grid_points_must_be_integers():
     assert curve.tau.tolist() == [0, 2, 10] and curve.q0.tolist() == [1.0, 0.6, 0.6]
 
 
+@pytest.mark.parametrize(
+    "tau, shown",
+    [
+        ([0, 1.5, 3], "finite integers"),
+        ([0, math.nan, 3], "finite integers"),
+        ([0, 3, 1], "strictly increase"),
+        ([0, 1, 1], "strictly increase"),
+        ([[0, 1, 2]], "1-D"),
+    ],
+    ids=["fractional", "nan", "decreasing", "repeated", "two-d"],
+)
+def test_curve_tau_follows_the_grid_rule(tau, shown):
+    # [0, 1.5, 3] used to be read as [0, 1, 3]; decreasing and repeated
+    # points passed; NaN and 2-D raised a bare ValueError
+    shape = np.shape(tau)
+    q0, stderr = np.reshape([1.0, 0.5, 0.2], shape), np.reshape([0.0, 0.1, 0.1], shape)
+    with pytest.raises(InvalidSpecError, match=shown):
+        PersistenceCurve(tau, q0, stderr)
+
+
+@pytest.mark.parametrize(
+    "times, shown",
+    [
+        ([1.5, 2, 3], "finite integers"),
+        ([math.nan, 2, 3], "finite integers"),
+        ([0, 2, 3], ">= 1"),
+        ([-1, 2, 3], ">= 1"),
+        ([[1, 2, 3]], "1-D"),
+    ],
+    ids=["fractional", "nan", "zero", "negative", "two-d"],
+)
+def test_first_change_times_are_integers_from_one(times, shown):
+    # [1.5, 2, 3] built a curve, a NaN counted as a survivor, and [0, 2, 3]
+    # raised "curves start at Q0(0) = 1"
+    with pytest.raises(InvalidSpecError, match=shown):
+        PersistenceCurve.from_first_change_times(times, 5)
+
+
+def test_grid_is_checked_once_per_curve(monkeypatch):
+    calls = []
+    check = records._grid_points
+    monkeypatch.setattr(records, "_grid_points", lambda grid: calls.append(1) or check(grid))
+    curve = PersistenceCurve.from_first_change_times([1, 2, 11], 10, grid=[0, 2, 10])
+    assert len(calls) == 1 and curve.q0.tolist() == [1.0, 1 / 3, 1 / 3]
+
+
 def test_log_tau_grid_arguments():
     assert log_tau_grid(0).tolist() == [0]
     assert log_tau_grid(1).tolist() == [0, 1]
@@ -70,3 +118,18 @@ def test_lyapunov_samples_normalize_from_their_rates():
     assert np.array_equal(samples.normalized, [0.0, 0.5, 1.0])
     same = LyapunovSamples([1.0, 2.0, 3.0], (2.0, 2.0), none, none)
     assert np.array_equal(same.normalized, np.zeros(3))
+
+
+@pytest.mark.parametrize("rates", [(math.inf, 1.0), (math.nan, 1.0), (0.0, -math.inf)])
+def test_lyapunov_rates_must_be_finite(rates):
+    # (inf, 1) raised a bare RuntimeWarning under -W error; (nan, 1) gave NaN
+    # normalized values
+    none = np.zeros(3, dtype=bool)
+    with pytest.raises(InvalidSpecError, match="edge rates must be finite"):
+        LyapunovSamples([1.0, 2.0, 3.0], rates, none, none)
+
+
+@pytest.mark.parametrize("trapped, cycling", [(np.zeros(2), np.zeros(3)), (np.zeros(3), np.zeros(4))])
+def test_lyapunov_flags_share_the_values_shape(trapped, cycling):
+    with pytest.raises(InvalidSpecError, match="shape"):
+        LyapunovSamples([1.0, 2.0, 3.0], (1.0, 3.0), trapped, cycling)

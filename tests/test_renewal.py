@@ -246,6 +246,19 @@ class TestIntervalSampler:
         p = 10 ** (-3 * 0.4764)
         assert np.mean(taus >= k) == pytest.approx(p, abs=3 * math.sqrt(p * (1 - p) / n))
 
+    @pytest.mark.parametrize(
+        "mu, tau_min, shown",
+        [(0.0, 1, "tail exponents"), (-0.5, 1, "tail exponents"), (math.nan, 1, "tail exponents"),
+         (math.inf, 1, "tail exponents"), (np.array([0.5, 0.0]), 1, "tail exponents"),
+         (0.5, 0, "tau_min"), (0.5, 1.5, "tau_min")],
+        ids=["mu-zero", "mu-negative", "mu-nan", "mu-inf", "mu-array-zero", "tau-min-zero",
+             "tau-min-float"],
+    )
+    def test_bad_parameters_are_typed_before_any_draw(self, mu, tau_min, shown):
+        # mu = 0 used to fail with a bare divide-by-zero warning
+        with pytest.raises(InvalidSpecError, match=shown):
+            sample_power_law_intervals(None, mu, tau_min, 10)
+
     def test_sanity_curve_matches_survival(self):
         n = 200_000
         taus = np.sort(sample_power_law_intervals(rng_from_seed(3), 0.7, 2, n))
@@ -479,3 +492,24 @@ class TestConfigValidation:
         RenewalConfig.linear_rates(0.5, 0.5, 0.0, 1.0, tau_min=1, horizon=2**53)
         with pytest.raises(InvalidSpecError, match=r"at most 2\*\*53"):
             RenewalConfig.linear_rates(0.5, 0.5, 0.0, 1.0, tau_min=1, horizon=2**53 + 1)
+
+    def test_cones_list_is_stored_as_a_tuple(self):
+        # a list used to pass here and fail at the first sample, unhashable
+        # by the g-table cache
+        cones = [SpectralModel.symmetric_beta(3), SpectralModel.semicircle(0, 1.5)]
+        cfg = RenewalConfig(0.5, 0.5, 1, 1000, cones, seed=3)
+        assert cfg.cones == tuple(cones)
+        same = RenewalConfig.exact_spectral(0.5, 0.5, *cones, 1, 1000, seed=3)
+        assert np.array_equal(sample_renewal_lyapunov(cfg, 50).values,
+                              sample_renewal_lyapunov(same, 50).values)
+
+    @pytest.mark.parametrize(
+        "cones",
+        [(SpectralModel.symmetric_beta(3),) * 3, (SpectralModel.symmetric_beta(3),), 1.5,
+         (SpectralModel.symmetric_beta(3), 2.0)],
+        ids=["three", "one", "float", "not-a-model"],
+    )
+    def test_cones_must_be_two_models(self, cones):
+        # a third cone was ignored, a float raised a bare AttributeError
+        with pytest.raises(InvalidSpecError, match="two SpectralModels"):
+            RenewalConfig(0.5, 0.5, 1, 1000, cones)

@@ -9,8 +9,10 @@ the same outputs when ``diff`` finds their JSON equal.  Each hash is the
 first 16 hex digits of the SHA-256 of a call's outputs:
 
 * persistence curves: ``tau`` (as float), ``q0`` and ``stderr`` in turn,
-  with the fitted exponent beside each ``elliptic_persistence`` curve and
-  the full, even and odd curve of each Gaussian-process call;
+  with the fitted exponent beside each ``elliptic_persistence`` curve, the
+  full, even and odd curve of each Gaussian-process call and the joint
+  curve of ``joint_persistence``, each of the last two with the
+  ``meta["path_entries"]`` count of path entries formed;
 * renewal rates: ``values`` and then ``normalized``;
 * Lyapunov runs: the whole run record of every run (all ``_RUN`` fields),
   with the meta counts of ``lyapunov_runs`` beside it;
@@ -43,7 +45,7 @@ from conewise.dynamics import (
 )
 from conewise.ensembles import EnsembleSpec
 from conewise.renewal import RenewalConfig, sample_renewal_lyapunov
-from conewise.surrogate import estimate_persistence_gp
+from conewise.surrogate import estimate_persistence_gp, joint_persistence
 
 goe, invariant, elliptic = EnsembleSpec.goe, EnsembleSpec.invariant, EnsembleSpec.elliptic
 semicircle, symmetric_beta = SpectralModel.semicircle, SpectralModel.symmetric_beta
@@ -90,7 +92,12 @@ def persistence_hashes() -> dict[str, str]:
     ):
         curves = estimate_persistence_gp(spec, T, n_paths, seed=seed, subprocesses=True)
         name = f"estimate_persistence_gp({name}, {T}, {n_paths}, seed={seed}, subprocesses=True)"
-        out[f"{name}: full, even, odd"] = " ".join(curve_hash(c) for c in curves)
+        hashes = " ".join(curve_hash(c) for c in curves)
+        out[f"{name}: full, even, odd"] = f"{hashes} entries {curves[0].meta['path_entries']}"
+    joint = joint_persistence(semicircle(0, 2), 3, 300, 2000, 8)
+    out["joint_persistence(semicircle(0, 2), 3, 300, 2000, 8)"] = (
+        f"{curve_hash(joint)} entries {joint.meta['path_entries']}"
+    )
     cfg = RenewalConfig.exact_spectral(
         0.5, 0.5, symmetric_beta(3), semicircle(0, 1.5), tau_min=1, horizon=10**6, seed=1
     )
