@@ -142,7 +142,7 @@ from .parallel import map_index_chunks
 from .records import LyapunovSamples, PersistenceCurve, check_grid, log_tau_grid
 from .seeding import check_seed, derive_seed, rng_from_seed
 from .spectra import edge_rate, inverse_cdf
-from .surrogate import _block_first_changes, _first_changes
+from .surrogate import _block_first_changes
 
 __all__ = [
     "Trajectory",
@@ -196,14 +196,8 @@ _EDGE_SETTLED_DECAY = 1e-4
 
 def _runs_of(labels: np.ndarray) -> list[tuple[int, int]]:
     """Maximal constant runs of a nonempty label sequence as (label, length)."""
-    runs = []
-    start = 0
-    for i in range(1, labels.size):
-        if labels[i] != labels[start]:
-            runs.append((int(labels[start]), i - start))
-            start = i
-    runs.append((int(labels[start]), labels.size - start))
-    return runs
+    starts = np.flatnonzero(np.diff(labels, prepend=labels[0] - 1))
+    return list(zip(labels[starts].tolist(), np.diff(starts, append=labels.size).tolist()))
 
 
 @dataclass
@@ -650,15 +644,15 @@ def _persistence_chunk(ensemble_a, ensemble_b, T, seed, start, stop):
                 if ens.placement == "quantile":
                     # the scan's paths are the table @ weights.T
                     table = _quantile_table(ens.spectral_model, n_dim, T)
-                    firsts = _block_first_changes(table, weights.T)[0]
+                    first = np.minimum(*_block_first_changes(table, weights.T)[0])
                 else:  # a table per row: the rows' paths, rows x (T + 1), at once
                     nus = inverse_cdf(ens.spectral_model, uniforms[rows])
                     paths = np.stack([_power_table(nu, T) @ w for nu, w in zip(nus, weights)])
                     ok = paths[:, 1:] * paths[:, :1] > 0.0
-                    firsts = [_first_changes(ok[:, t - 1 :: 2], t, T + 1) for t in (2, 1)]
+                    first = np.where(ok.all(1), T + 1, ok.argmin(1) + 1)
                 # the scan reads its start sign off the t = 0 product, so a
                 # start at v0[0] = 0 is given its change at t = 1 here
-                out[rows] = np.where(s0[rows] == 0.0, 1, np.minimum(*firsts))
+                out[rows] = np.where(s0[rows] == 0.0, 1, first)
     return times
 
 

@@ -107,10 +107,8 @@ def _hessenberg_upper(sigma, rho, subdiag, normals):
     rows, k = subdiag.shape[0], subdiag.shape[1] + 1
     scale = np.sqrt(1.0 - rho**2) * sigma
     upper = np.zeros((rows, k, k))
-    start = 0
-    for i in range(k - 1):  # row i of the triangle: k - 1 - i normals
-        upper[:, i, i + 1 :] = scale * normals[:, start : start + k - 1 - i]
-        start += k - 1 - i
+    # a boolean mask indexes row-major, the order of np.triu_indices
+    upper[:, np.triu(np.ones((k, k), bool), 1)] = scale * normals
     diag = np.arange(k - 1)
     upper[:, diag, diag + 1] += (rho - 1.0) * subdiag
     return upper
@@ -151,8 +149,6 @@ def _placed_eigenvalues(
     draws nothing.  The quantile grid is cached per (model, N) and must not
     be written to.
     """
-    if spec.is_atomic:
-        return np.full(N, float(spec.params[0]))
     if placement == "quantile":
         return quantile_grid(spec, N)
     return inverse_cdf(spec, rng.random(N))
@@ -216,8 +212,10 @@ class EnsembleSpec:
             raise InvalidSpecError(f"radius must be > 0, got {self.radius}")
         if self.kind == "elliptic" and not 0.0 <= self.rho <= 1.0:
             raise InvalidSpecError(f"entry correlation must lie in [0, 1], got {self.rho}")
-        if self.kind == "invariant" and self.spectral_model is None:
-            raise InvalidSpecError("invariant ensembles need a spectral model")
+        if self.kind == "invariant" and not isinstance(self.spectral_model, SpectralModel):
+            raise InvalidSpecError(
+                f"invariant ensembles need a spectral model, got {self.spectral_model!r}"
+            )
         if self.placement not in _PLACEMENTS:
             raise InvalidSpecError(
                 f"unknown eigenvalue placement {self.placement!r}; use one of {_PLACEMENTS}"

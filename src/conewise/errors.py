@@ -45,14 +45,16 @@ def check_count(value, minimum: int, message: str) -> None:
 
 
 def integer_array(values, what: str) -> np.ndarray:
-    """``values`` as an int64 array; an integer array passes as it is, an
-    integral float is cast, and a non-finite or non-integral entry raises
+    """``values`` as an int64 array; an integer array passes as it is and an
+    integral float one is cast.  Any other dtype (bool, string, complex,
+    object), or a non-finite or non-integral entry, raises
     :class:`InvalidSpecError` naming ``what``."""
     values = np.asarray(values)
     if values.dtype.kind in "iu":
         return values.astype(np.int64, copy=False)
-    f = np.asarray(values, dtype=float)
-    whole = (np.floor(f) == f) & (np.abs(f) < 2.0**63)
+    if values.dtype.kind != "f":
+        raise InvalidSpecError(f"{what} must be integers, got {values.dtype} values {values}")
+    whole = (np.floor(values) == values) & (np.abs(values) < 2.0**63)
     if not np.all(whole):
-        raise InvalidSpecError(f"{what} must be finite integers, got {f[~whole]}")
-    return f.astype(np.int64)
+        raise InvalidSpecError(f"{what} must be finite integers, got {values[~whole]}")
+    return values.astype(np.int64)

@@ -60,23 +60,39 @@ class FitResult:
             raise FitError("negative exponent error")
 
 
+def _finite_pair(pair, what: str) -> tuple[float, float]:
+    """``pair`` as two floats; anything but two finite real numbers raises
+    :class:`FitError` naming ``what``."""
+    values = np.asarray(pair)
+    if values.shape != (2,) or values.dtype.kind not in "iuf" or not np.isfinite(values).all():
+        raise FitError(f"{what} must be two finite numbers, got {pair!r}")
+    return float(values[0]), float(values[1])
+
+
 def _series(data, window, stderr, min_points: int):
     """Windowed (x, ln y, weights, window) of a fit's input.
 
     ``data`` is a :class:`PersistenceCurve` (its positive part and binomial
     errors) or an ``(x, y)`` pair with optional ``stderr``.  Weights are
     1/stderr(ln y)^2, or None unless every point has a positive error.  A
-    non-finite x, y or error raises :class:`FitError`.
+    non-finite x, y or error, x, y and errors that are not 1-D of one
+    length, or a ``window`` that is not two finite numbers raises
+    :class:`FitError`.
     """
     x, y, err = data.positive_part() if isinstance(data, PersistenceCurve) else (*data, stderr)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     err = None if err is None else np.asarray(err, dtype=float)
     given = (x, y) if err is None else (x, y, err)
+    if not all(a.ndim == 1 and a.shape == x.shape for a in given):
+        raise FitError(
+            f"power-law fit needs 1-D x, values and errors of one length, "
+            f"got shapes {[a.shape for a in given]}"
+        )
     if not all(np.isfinite(a).all() for a in given):
         raise FitError("power-law fit needs finite x, values and errors")
     win = (np.min(x), np.max(x)) if window is None else window
-    win = (float(win[0]), float(win[1]))
+    win = _finite_pair(win, "fit window")
     mask = (x >= win[0]) & (x <= win[1])
     x, y = x[mask], y[mask]
     if x.size < min_points:
@@ -148,9 +164,13 @@ def fit_truncated_powerlaw(data, window=None, stderr=None) -> FitResult:
 
 
 def _sorted_samples(samples, minimum: int, what: str) -> np.ndarray:
-    """``samples`` as sorted floats; fewer than ``minimum`` of them, or a
-    non-finite one, raises :class:`FitError` naming ``what``."""
-    s = np.sort(np.asarray(samples, dtype=float))
+    """``samples`` as sorted floats; a sample that is not 1-D, has fewer
+    than ``minimum`` values or a non-finite one raises :class:`FitError`
+    naming ``what``."""
+    s = np.asarray(samples, dtype=float)
+    if s.ndim != 1:
+        raise FitError(f"{what} needs a 1-D sample, got shape {s.shape}")
+    s = np.sort(s)
     if s.size < minimum:
         raise FitError(f"{what} needs >= {minimum} samples, got {s.size}")
     if not np.isfinite(s).all():
@@ -196,8 +216,9 @@ def tail_exponent_at_edge(
     The window is ``window_fractions`` times ``scale`` (default: the sample
     span); densities come from log-spaced bins with Poisson weights.  For a
     density diverging like |x - edge|**(mu - 1) the fitted exponent is mu-1.
-    An empty or non-finite sample, fractions other than 0 < lo < hi, or a
-    scale that is not finite and > 0 raises :class:`FitError`.
+    An empty or non-finite sample, fractions other than two finite numbers
+    0 < lo < hi, or a scale that is not finite and > 0 raises
+    :class:`FitError`.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0 or not np.isfinite(samples).all():
@@ -212,9 +233,10 @@ def tail_exponent_at_edge(
         scale = float(samples.max() - samples.min())
     if not (math.isfinite(scale) and scale > 0):
         raise FitError(f"tail window scale must be finite and > 0, got {scale}")
-    if not 0 < window_fractions[0] < window_fractions[1]:
+    lo, hi = _finite_pair(window_fractions, "window fractions")
+    if not 0 < lo < hi:
         raise FitError(f"window fractions must satisfy 0 < lo < hi, got {window_fractions}")
-    lo, hi = window_fractions[0] * scale, window_fractions[1] * scale
+    lo, hi = lo * scale, hi * scale
     z = z[(z >= lo) & (z <= hi)]
     if z.size < 1000:
         raise FitError(f"only {z.size} tail samples in the window; need >= 1000")

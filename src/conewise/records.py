@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,9 +132,9 @@ class PersistenceCurve:
 class LyapunovSamples:
     """Empirical top growth rates, the cones' edge rates ``rates`` = (r1, r2),
     and the two-edge normalization (values - r1) / (r2 - r1) set from them
-    (zeros when r1 = r2).  A non-finite value or rate, or ``trapped`` or
-    ``cycling`` flags of another shape than ``values``, raises
-    :class:`InvalidSpecError`."""
+    (zeros when r1 = r2).  A non-finite value, rates that are not two
+    finite numbers, or ``trapped`` or ``cycling`` flags of another shape
+    than ``values`` raises :class:`InvalidSpecError`."""
 
     values: np.ndarray
     rates: tuple[float, float]
@@ -148,9 +147,10 @@ class LyapunovSamples:
         self.values = np.asarray(self.values, dtype=float)
         if not np.all(np.isfinite(self.values)):
             raise InvalidSpecError("growth-rate samples must be finite")
+        rates = np.asarray(self.rates)
+        if rates.shape != (2,) or rates.dtype.kind not in "iuf" or not np.isfinite(rates).all():
+            raise InvalidSpecError(f"edge rates must be finite: two numbers, got {self.rates!r}")
         r1, r2 = self.rates
-        if not (math.isfinite(r1) and math.isfinite(r2)):
-            raise InvalidSpecError(f"edge rates must be finite, got {self.rates}")
         self.normalized = (self.values - r1) / (r2 - r1) if r1 != r2 else np.zeros_like(self.values)
         self.trapped = np.asarray(self.trapped, dtype=bool)
         self.cycling = np.asarray(self.cycling, dtype=bool)

@@ -144,6 +144,18 @@ def stieltjes_rhs(params: LampertiParams, y: float) -> float:
     return (a ** (mu - 1.0) + b ** (mu - 1.0)) / (a**mu + b**mu)
 
 
+def _interval_law(mu, tau_min) -> np.ndarray:
+    """The tail exponents ``mu`` (a number or an array) of the interval law
+    P(tau >= k) = (tau_min/k)**mu as floats; a mu that is not a finite real
+    > 0, or a tau_min that is not an integer >= 1, raises
+    :class:`InvalidSpecError`."""
+    mu = np.asarray(mu)
+    if mu.dtype.kind not in "iuf" or not np.all(np.isfinite(mu) & (mu > 0)):
+        raise InvalidSpecError(f"tail exponents must be positive and finite, got {mu}")
+    check_count(tau_min, 1, f"tau_min must be an integer >= 1, got {tau_min}")
+    return mu.astype(float)
+
+
 def sample_power_law_intervals(rng: np.random.Generator, mu, tau_min: int, size) -> np.ndarray:
     """Discrete power-law residence times: P(tau >= k) = (tau_min/k)**mu.
 
@@ -152,10 +164,7 @@ def sample_power_law_intervals(rng: np.random.Generator, mu, tau_min: int, size)
     > 0, or a tau_min that is not an integer >= 1, raises
     :class:`InvalidSpecError` before any draw.
     """
-    mu = np.asarray(mu, dtype=float)
-    if not np.all(np.isfinite(mu) & (mu > 0)):
-        raise InvalidSpecError(f"tail exponents must be positive and finite, got {mu}")
-    check_count(tau_min, 1, f"tau_min must be an integer >= 1, got {tau_min}")
+    mu = _interval_law(mu, tau_min)
     u = 1.0 - rng.random(size)  # in (0, 1]
     with np.errstate(over="ignore"):
         # inf is a legitimate draw: longer than any horizon
@@ -163,7 +172,9 @@ def sample_power_law_intervals(rng: np.random.Generator, mu, tau_min: int, size)
 
 
 def interval_survival(mu: float, tau_min: int, k) -> np.ndarray:
-    """Closed-form survival P(tau >= k) of the interval law."""
+    """Closed-form survival P(tau >= k) of the interval law; parameters
+    are checked as in :func:`sample_power_law_intervals`."""
+    mu = _interval_law(mu, tau_min)
     k = np.asarray(k, dtype=float)
     return np.where(k <= tau_min, 1.0, (tau_min / np.maximum(k, tau_min)) ** mu)
 
@@ -195,9 +206,7 @@ class RenewalConfig:
 
     def __post_init__(self):
         for mu in (self.mu1, self.mu2):
-            if not (math.isfinite(mu) and mu > 0):
-                raise InvalidSpecError(f"tail exponents must be positive and finite, got {mu}")
-        check_count(self.tau_min, 1, f"tau_min must be an integer >= 1, got {self.tau_min}")
+            _interval_law(mu, self.tau_min)
         check_count(self.horizon, 1, f"horizon must be an integer >= 1, got {self.horizon}")
         if self.horizon > _MAX_HORIZON:
             raise InvalidSpecError(

@@ -51,11 +51,12 @@ def derive_seed(seed: int, *path: int) -> int:
     """Derive an independent child seed from ``seed`` and an index path.
 
     ``derive_seed(s, i, j)`` is the seed of sub-task ``j`` of sub-task ``i``.
-    Distinct paths give (statistically) independent streams.
+    Distinct paths give (statistically) independent streams.  Each path
+    entry follows the seed rule of :func:`check_seed`.
     """
     s = check_seed(seed)
     for k in path:
-        s = splitmix64(s ^ splitmix64(int(k) & _MASK64))
+        s = splitmix64(s ^ splitmix64(check_seed(k)))
     return s
 
 

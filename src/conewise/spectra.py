@@ -151,9 +151,7 @@ class SpectralModel:
     def symmetric_about_zero(self) -> bool:
         """Exact sign-symmetry of the support and density, the flag by which
         the moment engine zeroes odd moments."""
-        if self.family == "semicircle":
-            return self.params[0] == 0.0
-        if self.family == "atomic":
+        if self.family in ("semicircle", "atomic"):
             return self.params[0] == 0.0
         if self.family == "tabulated":
             nus, rhos = np.asarray(self.params[0]), np.asarray(self.params[1])

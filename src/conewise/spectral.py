@@ -261,7 +261,7 @@ def _correlation(spec: SpectralModel, logs: np.ndarray, signs: np.ndarray):
 def correlator(spec: SpectralModel, t: int, s: int) -> float:
     """Normalized two-time correlation f(t+s) / sqrt(f(2t) f(2s)); times
     are integers (or integral floats) >= 0."""
-    t, s = integer_array([t, s], "correlator times").tolist()
+    t, s = (integer_array(x, "correlator times").tolist() for x in (t, s))
     if min(t, s) < 0:
         raise InvalidSpecError(f"correlator times must be >= 0, got ({t}, {s})")
     val = float(_correlation(spec, *log_moment_array(spec, 2 * max(t, s)))(t, s))

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericalError, check_count
+from .errors import InvalidSpecError, NumericalError, check_count
 from .records import PersistenceCurve, check_grid
 from .seeding import check_seed, derive_seed, rng_from_seed
 from .spectra import SpectralModel
@@ -90,8 +90,10 @@ def _gp_factor(spec: SpectralModel, T: int) -> np.ndarray:
     """Read-only pivoted Cholesky factor of the correlation matrix on times
     0..T, built once per (spec, T) and then served from a cache of at most
     four factors of (T + 1) x rank floats (rank 41 for semicircle(0, 2) at
-    T = 1024: 0.34 MB).  T is checked first, as the cache would serve
-    T = 8.0 the factor of T = 8."""
+    T = 1024: 0.34 MB).  The model and T are checked first, as the cache
+    would serve T = 8.0 the factor of T = 8."""
+    if not isinstance(spec, SpectralModel):
+        raise InvalidSpecError(f"the Gaussian process needs a spectral model, got {spec!r}")
     check_count(T, 0, f"horizon T must be an integer >= 0, got {T}")
     return _cached_factor(spec, T)
 
@@ -145,6 +147,8 @@ def _block_first_changes(factor: np.ndarray, z: np.ndarray) -> tuple[np.ndarray,
             found = np.minimum(first[alive], found)
             first[alive] = found
             keep |= found == t_len
+        if t1 == t_len:
+            break
         alive, rows = alive[keep], rows[keep]
         t0, width = t1, 2 * width
     return firsts, entries

@@ -134,6 +134,31 @@ def test_non_finite_input_rejected(fit, where, bad):
         fit((data["x"], data["y"]), stderr=data["stderr"])
 
 
+X12 = np.geomspace(1, 100, 12)
+
+
+@pytest.mark.parametrize("fit", [fit_powerlaw, fit_truncated_powerlaw])
+@pytest.mark.parametrize(
+    "data, kwargs, shown",
+    [
+        ((np.arange(1.0, 13.0), X12[:6]), {}, "one length"),
+        ((X12, X12**-0.5), {"stderr": np.full(5, 0.01)}, "one length"),
+        ((X12[:, None], X12[:, None] ** -0.5), {}, "1-D"),
+        ((X12, X12**-0.5), {"window": (5,)}, "fit window must be two finite numbers"),
+        ((X12, X12**-0.5), {"window": ("a", 30)}, "fit window must be two finite numbers"),
+        ((X12, X12**-0.5), {"window": (1, math.inf)}, "fit window must be two finite numbers"),
+        ((X12, X12**-0.5), {"window": (1, 30, 50)}, "fit window must be two finite numbers"),
+    ],
+    ids=["x-longer", "stderr-short", "two-d", "window-one", "window-string", "window-inf",
+         "window-three"],
+)
+def test_malformed_fit_input_is_a_fit_error(fit, data, kwargs, shown):
+    # unequal lengths and a one-number window raised a bare IndexError, a
+    # string window a bare ValueError
+    with pytest.raises(FitError, match=shown):
+        fit(data, **kwargs)
+
+
 class TestKs:
     def test_samples_from_their_own_cdf(self):
         rng = rng_from_seed(11)
@@ -173,6 +198,12 @@ class TestKs:
         # a NaN cdf gave nan, a cdf of 2.0 gave 2.0, a scalar was broadcast
         with pytest.raises(FitError, match="cdf values"):
             ks_distance(np.arange(20.0), cdf)
+
+    @pytest.mark.parametrize("samples", [np.zeros((20, 2)), np.float64(0.5)], ids=["2-D", "0-D"])
+    def test_sample_must_be_one_dimensional(self, samples):
+        # a 2-D sample failed with a bare broadcast ValueError
+        with pytest.raises(FitError, match="1-D sample"):
+            ks_distance(samples, norm.cdf)
 
     def test_lamperti_samples_against_lamperti_cdf(self):
         # inverse-CDF sampling through the closed form, then KS against it
@@ -236,6 +267,13 @@ class TestTailExponent:
             samples, edge = 1e-3 * rng_from_seed(31).random(5000), 0.0
         with pytest.raises(FitError, match="0 < lo < hi|scale must be finite"):
             tail_exponent_at_edge(samples, edge, window_fractions=fractions, scale=scale)
+
+    @pytest.mark.parametrize("fractions", [(1e-3,), ("a", 1e-3), (1e-6, math.nan)])
+    def test_fractions_must_be_two_finite_numbers(self, fractions):
+        # one fraction raised a bare IndexError
+        samples = 1e-3 * rng_from_seed(31).random(5000)
+        with pytest.raises(FitError, match="window fractions must be two finite numbers"):
+            tail_exponent_at_edge(samples, 0.0, window_fractions=fractions, scale=1.0)
 
     @pytest.mark.parametrize("samples", [[], [0.1, math.nan, 0.3]], ids=["empty", "nan"])
     def test_bad_sample_rejected(self, samples):

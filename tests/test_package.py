@@ -30,7 +30,7 @@ from conewise.dynamics import (
     top_eigenvalue_check,
 )
 from conewise.estimators import FitResult, tail_exponent_at_edge
-from conewise.records import LyapunovSamples, PersistenceCurve
+from conewise.records import LyapunovSamples, PersistenceCurve, check_grid
 from conewise.renewal import (
     LampertiParams,
     RenewalConfig,
@@ -206,6 +206,53 @@ def test_non_integer_seeds_are_typed_before_any_work(call, shown, monkeypatch):
     monkeypatch.setattr(renewal, "g_array", _no_work)
     with pytest.raises(InvalidSpecError, match=f"seed must be an integer, got {shown}"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, shown",
+    [
+        (lambda: PersistenceCurve.from_first_change_times(["1", "2"], 5),
+         "first-change times must be integers"),
+        (lambda: check_grid([False, True], 5), "grid points must be integers"),
+        (lambda: check_grid(np.array([0, 1 + 0j]), 5), "grid points must be integers"),
+        (lambda: check_grid(["0", "a"], 5), "grid points must be integers"),
+        (lambda: PersistenceCurve(["0", "1"], [1.0, 0.5], [0.0, 0.1]), "grid points"),
+        (lambda: correlator(SEMI, True, 2), "correlator times must be integers"),
+        (lambda: g_array(SEMI, np.array([True])), "residence times must be integers"),
+    ],
+    ids=["times-strings", "grid-bools", "grid-complex", "grid-strings", "tau-strings",
+         "correlator-bool", "g-bool"],
+)
+def test_integer_inputs_take_only_integer_and_float_dtypes(call, shown):
+    # numeric strings and bools were read as integers, a complex grid warned,
+    # and ["0", "a"] raised a bare ValueError
+    with pytest.raises(InvalidSpecError, match=shown):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: EnsembleSpec.invariant("x", 8),
+        lambda: estimate_persistence_gp("x", 10, 10, 1),
+        lambda: joint_persistence("x", 2, 10, 10, 1),
+        lambda: joint_persistence("x", 1, 10, 10, 1),
+    ],
+    ids=["invariant-model", "gp-model", "joint-model", "joint1-model"],
+)
+def test_model_arguments_are_typed_before_any_work(call, monkeypatch):
+    # an invariant recipe on "x" failed only at its first draw, the GP calls
+    # with a bare AttributeError
+    monkeypatch.setattr(surrogate, "log_moment_array", _no_work)
+    monkeypatch.setattr(surrogate, "_stream_first_changes", _no_work)
+    with pytest.raises(InvalidSpecError, match="spectral model"):
+        call()
+
+
+def test_elliptic_fit_window_must_be_two_numbers():
+    # a one-number window raised a bare IndexError after the curve was drawn
+    with pytest.raises(FitError, match="fit window must be two finite numbers"):
+        elliptic_persistence(8, [0.5], 300, 30, 1, window=(5,))
 
 
 def test_atomic_models_answer_without_a_density():

@@ -120,10 +120,13 @@ def test_lyapunov_samples_normalize_from_their_rates():
     assert np.array_equal(same.normalized, np.zeros(3))
 
 
-@pytest.mark.parametrize("rates", [(math.inf, 1.0), (math.nan, 1.0), (0.0, -math.inf)])
+@pytest.mark.parametrize(
+    "rates", [(math.inf, 1.0), (math.nan, 1.0), (0.0, -math.inf), (1, 2, 3), 1.0, ("a", 1.0)]
+)
 def test_lyapunov_rates_must_be_finite(rates):
     # (inf, 1) raised a bare RuntimeWarning under -W error; (nan, 1) gave NaN
-    # normalized values
+    # normalized values; three rates or one raised a bare ValueError or
+    # TypeError
     none = np.zeros(3, dtype=bool)
     with pytest.raises(InvalidSpecError, match="edge rates must be finite"):
         LyapunovSamples([1.0, 2.0, 3.0], rates, none, none)

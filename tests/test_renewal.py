@@ -259,6 +259,23 @@ class TestIntervalSampler:
         with pytest.raises(InvalidSpecError, match=shown):
             sample_power_law_intervals(None, mu, tau_min, 10)
 
+    @pytest.mark.parametrize(
+        "mu, tau_min, shown",
+        [(math.nan, 1, "tail exponents"), (0.0, 1, "tail exponents"), ("0.5", 1, "tail exponents"),
+         (True, 1, "tail exponents"), (0.5, 0, "tau_min"), (0.5, 1.0, "tau_min")],
+        ids=["mu-nan", "mu-zero", "mu-string", "mu-bool", "tau-min-zero", "tau-min-float"],
+    )
+    def test_one_check_for_the_interval_law(self, mu, tau_min, shown):
+        # interval_survival(nan, 1, [1, 5]) gave [1, nan], and tau_min = 0 a
+        # survival of 0 at k = 1
+        for call in (
+            lambda: sample_power_law_intervals(None, mu, tau_min, 10),
+            lambda: interval_survival(mu, tau_min, [1, 5]),
+            lambda: RenewalConfig.linear_rates(mu, 0.5, -1.0, 1.0, tau_min, 1000),
+        ):
+            with pytest.raises(InvalidSpecError, match=shown):
+                call()
+
     def test_sanity_curve_matches_survival(self):
         n = 200_000
         taus = np.sort(sample_power_law_intervals(rng_from_seed(3), 0.7, 2, n))

@@ -44,6 +44,16 @@ def test_rng_takes_numpy_and_negative_integers():
     assert derive_seed(-1, 3) == derive_seed(2**64 - 1, 3)
 
 
+@pytest.mark.parametrize("index", [1.5, 1.0, True, np.bool_(True), "a", None])
+def test_seed_path_entries_follow_the_seed_rule(index):
+    # derive_seed(7, 1.5) and derive_seed(7, True) both gave derive_seed(7, 1),
+    # and derive_seed(7, "a") raised a bare ValueError
+    with pytest.raises(InvalidSpecError, match="seed must be an integer"):
+        derive_seed(7, index)
+    with pytest.raises(InvalidSpecError, match="seed must be an integer"):
+        derive_seed(7, 2, index)
+
+
 @pytest.mark.parametrize(
     "seed", [1.5, 1.0, np.float64(3.0), None, "5", np.array([1, 2]), True, False]
 )

@@ -320,6 +320,28 @@ class TestTimeBlockedScan:
         assert needed.sum() <= entries <= (2 * needed + 9).sum()
 
 
+class _Gathers(np.ndarray):
+    """Path normals whose rows count the boolean gathers made of them."""
+
+    count = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, np.ndarray) and key.dtype == bool:
+            type(self).count += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("t_len, blocks", [(2, 1), (6, 1), (9, 1), (10, 2), (25, 2), (30, 3)])
+def test_survivors_are_gathered_only_between_time_blocks(t_len, blocks):
+    # every path keeps its sign, so all stay alive to the end; the scan used
+    # to gather them once more after its last time block
+    _Gathers.count = 0
+    z = np.ones((1, 50)).view(_Gathers)
+    firsts, entries = _block_first_changes(np.ones((t_len, 1)), z)
+    assert np.all(firsts == t_len) and entries == 50 * t_len
+    assert _Gathers.count == blocks - 1
+
+
 class TestPathEntries:
     def test_far_below_dense_count_and_repeatable(self):
         n, T = 4096, 1024

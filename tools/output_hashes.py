@@ -16,6 +16,9 @@ first 16 hex digits of the SHA-256 of a call's outputs:
 * renewal rates: ``values`` and then ``normalized``;
 * Lyapunov runs: the whole run record of every run (all ``_RUN`` fields),
   with the meta counts of ``lyapunov_runs`` beside it;
+* ``evolve`` trajectories: the cone labels, the closed residence intervals
+  and the log norm, each hashed on its own, with the count of closed
+  intervals and the open interval;
 * Haar draws: the matrix of ``sample_haar_orthogonal``.
 
 Another NumPy, SciPy or BLAS build may round differently and change the
@@ -42,6 +45,7 @@ from conewise.dynamics import (
     _lyapunov_chunk,
     elliptic_persistence,
     estimate_persistence_matrix,
+    evolve,
 )
 from conewise.ensembles import EnsembleSpec
 from conewise.renewal import RenewalConfig, sample_renewal_lyapunov
@@ -49,6 +53,7 @@ from conewise.surrogate import estimate_persistence_gp, joint_persistence
 
 goe, invariant, elliptic = EnsembleSpec.goe, EnsembleSpec.invariant, EnsembleSpec.elliptic
 semicircle, symmetric_beta = SpectralModel.semicircle, SpectralModel.symmetric_beta
+atomic = SpectralModel.atomic
 
 
 def digest(a: np.ndarray) -> str:
@@ -60,7 +65,7 @@ def curve_hash(curve) -> str:
 
 
 def persistence_hashes() -> dict[str, str]:
-    semi, beta = semicircle(0.5, 1), symmetric_beta(3)
+    semi, beta, atom = semicircle(0.5, 1), symmetric_beta(3), atomic(1.4)
     calls = {
         "estimate_persistence_matrix(invariant(semicircle(0.5, 1), 64, 'iid'), "
         "invariant(symmetric_beta(3), 64), 3000, 120, 1)": (
@@ -80,6 +85,14 @@ def persistence_hashes() -> dict[str, str]:
         ),
         "estimate_persistence_matrix(elliptic(64, 0.3), goe(64, 0.5, 1), 2000, 150, 9)": (
             elliptic(64, 0.3), goe(64, 0.5, 1), 2000, 150, 9
+        ),
+        "estimate_persistence_matrix(invariant(atomic(1.4), 64), "
+        "invariant(semicircle(0.5, 1), 64), 3000, 120, 4)": (
+            invariant(atom, 64), invariant(semi, 64), 3000, 120, 4
+        ),
+        "estimate_persistence_matrix(invariant(atomic(1.4), 64, 'iid'), "
+        "invariant(semicircle(0.5, 1), 64, 'iid'), 3000, 120, 4)": (
+            invariant(atom, 64, "iid"), invariant(semi, 64, "iid"), 3000, 120, 4
         ),
     }
     out = {name: curve_hash(estimate_persistence_matrix(*args)) for name, args in calls.items()}
@@ -111,13 +124,22 @@ def persistence_hashes() -> dict[str, str]:
 
 def lyapunov_hashes() -> dict[str, dict]:
     out = {}
-    for n, n_runs, T, seed, tail_window in ((512, 200, 5000, 11, 1000), (64, 2000, 2000, 8, 500)):
+    atom, semi = atomic(1.4), semicircle(0.5, 1)
+    for pair, label, n_runs, T, seed, tail_window in (
+        (
+            (goe(512, 0, 2), goe(512, 0.5, 1)), "goe(512, 0, 2), goe(512, 0.5, 1)",
+            200, 5000, 11, 1000,
+        ),
+        ((goe(64, 0, 2), goe(64, 0.5, 1)), "goe(64, 0, 2), goe(64, 0.5, 1)", 2000, 2000, 8, 500),
+        (
+            (invariant(atom, 64, "iid"), invariant(semi, 64, "iid")),
+            "invariant(atomic(1.4), 64, 'iid'), invariant(semicircle(0.5, 1), 64, 'iid')",
+            400, 2000, 5, 500,
+        ),
+    ):
         # the records lyapunov_runs reads its fields and meta counts from
-        runs = _lyapunov_chunk(goe(n, 0, 2), goe(n, 0.5, 1), T, seed, tail_window, 0, n_runs)
-        name = (
-            f"lyapunov_runs(goe({n}, 0, 2), goe({n}, 0.5, 1), {n_runs}, T={T}, seed={seed}, "
-            f"tail_window={tail_window})"
-        )
+        runs = _lyapunov_chunk(*pair, T, seed, tail_window, 0, n_runs)
+        name = f"lyapunov_runs({label}, {n_runs}, T={T}, seed={seed}, tail_window={tail_window})"
         out[name] = {
             "runs": digest(runs),
             "blocks": int(runs["blocks"].sum()),
@@ -128,10 +150,31 @@ def lyapunov_hashes() -> dict[str, dict]:
     return out
 
 
+def evolve_hashes() -> dict[str, dict]:
+    out = {}
+    for rho, count in ((0.3, 2), (0.0, 4)):
+        matrices = [elliptic(64, rho).sample(21 + i) for i in range(count)]
+        v0 = np.random.default_rng(23).standard_normal(64)
+        traj = evolve(matrices, v0, 3000)
+        name = (
+            f"evolve([elliptic(64, {rho}).sample(seed) for seed in 21..{20 + count}], "
+            "default_rng(23) normals, 3000)"
+        )
+        out[name] = {
+            "cone_labels": digest(traj.cone_labels),
+            "residence_intervals": digest(np.array(traj.residence_intervals, dtype=np.int64)),
+            "closed_intervals": len(traj.residence_intervals),
+            "open_interval": list(traj.open_interval),
+            "log_norm": digest(traj.log_norm),
+        }
+    return out
+
+
 def main() -> None:
     report = {
         "persistence_and_renewal": persistence_hashes(),
         "lyapunov": lyapunov_hashes(),
+        "evolve": evolve_hashes(),
         "haar": {f"sample_haar_orthogonal({n}, seed=1)": digest(sample_haar_orthogonal(n, seed=1))
                  for n in (3, 64, 448)},
     }
